@@ -7,6 +7,7 @@ which the spillover scan moves past it, and the hard cap beyond which
 arrivals are dropped.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -63,8 +64,8 @@ def default_threshold(link: Link, tick: float) -> float:
     carrying traffic exactly when cumulative demand exceeds the cumulative
     capacity of the links before it.
     """
-    if tick <= 0:
-        raise BadParameterError(f"tick must be positive, got {tick}")
+    if not 0 < tick < math.inf:
+        raise BadParameterError(f"tick must be positive and finite, got {tick}")
     return link.capacity * tick
 
 
@@ -81,19 +82,25 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
     for link in links:
         if not link.id:
             raise BadParameterError("link id must be non-empty")
-        if link.capacity <= 0:
-            raise BadParameterError(f"link {link.id}: capacity must be positive, got {link.capacity}")
+        # chained comparisons are False for NaN, so each check also rejects it
+        if not 0 < link.capacity < math.inf:
+            raise BadParameterError(
+                f"link {link.id}: capacity must be positive and finite, got {link.capacity}")
         if not isinstance(link.priority, int) or link.priority < 1:
             raise BadParameterError(f"link {link.id}: priority must be a positive integer, got {link.priority!r}")
-        if link.cost_per_gb < 0:
-            raise BadParameterError(f"link {link.id}: cost_per_gb must be nonnegative, got {link.cost_per_gb}")
+        if not 0 <= link.cost_per_gb < math.inf:
+            raise BadParameterError(
+                f"link {link.id}: cost_per_gb must be nonnegative and finite, got {link.cost_per_gb}")
         threshold = link.threshold if link.threshold is not None else default_threshold(link, tick)
-        if threshold <= 0:
-            raise BadParameterError(f"link {link.id}: threshold must be positive, got {threshold}")
+        if not 0 < threshold < math.inf:
+            raise BadParameterError(
+                f"link {link.id}: threshold must be positive and finite, got {threshold}")
         buffer_cap = link.buffer_cap if link.buffer_cap is not None else DEFAULT_BUFFER_CAP_FACTOR * threshold
         if buffer_cap < threshold:
             raise BadParameterError(
                 f"link {link.id}: buffer_cap {buffer_cap} is below threshold {threshold}")
+        if not buffer_cap < math.inf:
+            raise BadParameterError(f"link {link.id}: buffer_cap must be finite, got {buffer_cap}")
         if not 0 <= link.buffer <= buffer_cap:
             raise BadParameterError(
                 f"link {link.id}: buffer {link.buffer} outside [0, {buffer_cap}]")

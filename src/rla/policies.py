@@ -81,12 +81,20 @@ def olb_select(group: AggregationGroup) -> int:
     return len(links) - 1
 
 
+def rr_take(state: PolicyState, m: int, count: int) -> int:
+    """Start position of count consecutive round-robin selections over m links.
+
+    Selection s goes to position (start + s) % m; the cursor ends just past
+    the last one. Closed form, so a tick costs the same at any count.
+    """
+    start = state.rr_cursor % m
+    state.rr_cursor = (start + count) % m
+    return start
+
+
 def rr_select(group: AggregationGroup, state: PolicyState) -> int:
     """Cyclic selection; advances the cursor modulo the group size."""
-    n = group.n
-    i = state.rr_cursor % n
-    state.rr_cursor = (i + 1) % n
-    return i
+    return rr_take(state, group.n, 1)
 
 
 def wfq_weights(group: AggregationGroup,
@@ -109,28 +117,44 @@ def wfq_weights(group: AggregationGroup,
     return [r / total for r in raw]
 
 
-def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[float]) -> int:
-    """Largest-deficit-first proportional selection.
+def wfq_replay(deficits: list, weights: Sequence[float], count: int) -> list:
+    """Run count largest-deficit-first selections on a list of counters.
 
-    Every call credits each link with its weight, picks the link with the
-    largest deficit (ties go to the lowest priority number), and debits one
-    quantum from the winner. Over Q calls each link is selected within one
-    quantum of Q times its weight.
+    Each selection credits every link with its weight, picks the largest
+    deficit (ties go to the lowest index), and debits one quantum from the
+    winner. deficits is updated in place; returns the selected indices in
+    order. The float operations and their order are the same for every
+    count, so one call of count k equals k calls of count 1 bit for bit.
     """
-    links = group.links
-    if len(weights) != len(links):
+    order = []
+    rest = range(1, len(deficits))
+    for _ in range(count):
+        best = 0
+        best_d = deficits[0] = deficits[0] + weights[0]
+        for i in rest:
+            d = deficits[i] = deficits[i] + weights[i]
+            if d > best_d:
+                best = i
+                best_d = d
+        deficits[best] = best_d - 1.0
+        order.append(best)
+    return order
+
+
+def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[float]) -> int:
+    """Largest-deficit-first proportional selection of one link.
+
+    Over Q calls each link is selected within one quantum of Q times its
+    weight. Counters live in state.wfq_deficits, keyed by link id.
+    """
+    ids = group.link_ids()
+    if len(weights) != len(ids):
         raise BadParameterError(
-            f"{len(weights)} weights for {len(links)} links")
-    deficits = state.wfq_deficits
-    best = -1
-    best_d = 0.0
-    for i, (link, w) in enumerate(zip(links, weights)):
-        d = deficits.get(link.id, 0.0) + w
-        deficits[link.id] = d
-        if best < 0 or d > best_d:
-            best = i
-            best_d = d
-    deficits[links[best].id] = best_d - 1.0
+            f"{len(weights)} weights for {len(ids)} links")
+    known = state.wfq_deficits
+    deficits = [known.get(i, 0.0) for i in ids]
+    best = wfq_replay(deficits, weights, 1)[0]
+    known.update(zip(ids, deficits))
     return best
 
 
@@ -138,6 +162,19 @@ def vrrp_preference(group: AggregationGroup) -> list:
     """Master preference order: highest capacity first, link id breaks ties."""
     return sorted(range(group.n),
                   key=lambda i: (-group.links[i].capacity, group.links[i].id))
+
+
+def vrrp_elect(group: AggregationGroup, preference: Sequence[int], state: PolicyState,
+               failed: frozenset = frozenset()) -> int:
+    """Index of the first link in preference order that is up; records it as
+    state.vrrp_master. Raises AllLinksFailedError when nothing is up."""
+    links = group.links
+    for i in preference:
+        link_id = links[i].id
+        if link_id not in failed:
+            state.vrrp_master = link_id
+            return i
+    raise AllLinksFailedError(f"group {group.group_id!r}: every link is down")
 
 
 def vrrp_select(group: AggregationGroup, state: PolicyState, failed: frozenset = frozenset()) -> int:
@@ -148,9 +185,4 @@ def vrrp_select(group: AggregationGroup, state: PolicyState, failed: frozenset =
     All quanta of a tick go to the master. Raises AllLinksFailedError when
     nothing is up.
     """
-    for i in vrrp_preference(group):
-        link = group.links[i]
-        if link.id not in failed:
-            state.vrrp_master = link.id
-            return i
-    raise AllLinksFailedError(f"group {group.group_id!r}: every link is down")
+    return vrrp_elect(group, vrrp_preference(group), state, failed)

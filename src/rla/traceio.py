@@ -14,6 +14,7 @@ used by the bundled scenarios.
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 from .errors import (BadParameterError, BadWindowError, EmptyGroupError,
@@ -38,12 +39,17 @@ class DemandTrace:
         if not self.samples:
             raise EmptyTraceError("demand trace has no samples")
         prev = None
+        inf = math.inf
         for t, d in self.samples:
+            # chained comparisons are False for NaN, so each check also rejects it
+            if not -inf < t < inf:
+                raise BadParameterError(f"trace time {t} is not finite")
             if prev is not None and t <= prev:
                 raise BadParameterError(
                     f"trace times must be strictly increasing ({t} after {prev})")
-            if d < 0:
-                raise BadParameterError(f"demand at t={t} is negative ({d})")
+            if not 0 <= d < inf:
+                raise BadParameterError(
+                    f"demand at t={t} must be finite and nonnegative, got {d}")
             prev = t
 
     def __len__(self):
@@ -71,9 +77,12 @@ def _is_header(fields, header) -> bool:
 
 def _float(fields, idx, line_no, what) -> float:
     try:
-        return float(fields[idx].strip())
+        value = float(fields[idx])  # float() itself ignores surrounding whitespace
     except ValueError:
         raise ParseError(line_no, f"bad {what}: {fields[idx]!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(line_no, f"{what} must be a finite number, got {fields[idx]!r}")
+    return value
 
 
 def parse_trace(text: str) -> DemandTrace:

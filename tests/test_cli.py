@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,3 +194,57 @@ def test_version_flag(capsys):
         main(["--version"])
     assert ei.value.code == 0
     assert capsys.readouterr().out.startswith("rla ")
+
+
+def _cli(*argv):
+    return subprocess.run([sys.executable, "-m", "rla.cli", *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("trace.csv", "time_s,demand_mbps\n0,2\n1,nan\n", "trace.csv:3"),
+    ("trace.csv", "time_s,demand_mbps\n0,inf\n", "trace.csv:2"),
+    ("trace.csv", "time_s,demand_mbps\nnan,2\n", "trace.csv:2"),
+    ("links.csv", LINKS.replace("S16,16,2", "S16,nan,2"), "links.csv:3"),
+    ("links.csv", LINKS.replace("T16,16,3,3,16,16", "T16,16,3,3,16,inf"), "links.csv:4"),
+    ("fails.csv", "time_s,link_id,event\nnan,P4,down\n", "fails.csv:2"),
+])
+def test_non_finite_input_exits_1_with_file_and_line(inputs, name, text, where):
+    tmp, links, trace = inputs
+    (tmp / name).write_text(text)
+    extra = ["--failures", str(tmp / name)] if name == "fails.csv" else []
+    rc = _cli("simulate", "--links", links, "--trace", trace, *extra,
+              "--policy", "rr", "--out", "-")
+    assert rc.returncode == 1
+    assert where in rc.stderr and "finite" in rc.stderr
+    assert rc.stderr.startswith("rla: error:") and "Traceback" not in rc.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--quantum", "nan"), ("--tick", "nan"),
+                                         ("--tick", "inf")])
+def test_non_finite_flag_exits_1(inputs, flag, value):
+    _, links, trace = inputs
+    rc = _cli("simulate", "--links", links, "--trace", trace,
+              "--policy", "olb", flag, value, "--out", "-")
+    assert rc.returncode == 1
+    assert rc.stderr.startswith("rla: error:") and flag[2:] in rc.stderr
+    assert "Traceback" not in rc.stderr
+
+
+def test_wfq_quanta_limit_exits_1(inputs, capsys):
+    _, links, trace = inputs
+    rc = main(["simulate", "--links", links, "--trace", trace,
+               "--policy", "wfq", "--quantum", "1e-7", "--out", "-"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rla: error: wfq needs") and "t=2.0" in err and "--quantum" in err
+
+
+def test_rr_tiny_quantum_on_capped_links_finishes_at_once(inputs, capsys):
+    _, links, trace = inputs  # every link's cap equals its threshold
+    t0 = time.perf_counter()
+    rc = main(["simulate", "--links", links, "--trace", trace,
+               "--policy", "rr", "--quantum", "1e-7", "--report", "shortfall", "--out", "-"])
+    assert rc == 0 and time.perf_counter() - t0 < 1.0
+    # at 30 Mbps each link is offered 10; P4 keeps its 4 and sheds the rest
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,0", "1,0", "2,6", "3,0"]

@@ -17,6 +17,7 @@ from rla import (
     step,
     validate_group,
 )
+from rla.engine import MAX_WFQ_QUANTA_PER_TICK
 
 
 def group(*caps, costs=None, cap_factor=None):
@@ -300,3 +301,85 @@ def test_engine_matches_oracle_smoke(policy):
             assert list(r.buffer_end) == w["buffers"]
             assert r.dropped == w["dropped"]
             assert r.reorder_events == w["reorder"]
+
+
+def _rotating_instance(rng):
+    """Dyadic rr/wfq instance built to hit drop ticks: caps at 1x or 2x the
+    threshold, demand up to twice the group capacity with quarter-megabit
+    tails, and failures on any link, all links at once included."""
+    n = rng.randint(2, 16)
+    tick = rng.choice((0.5, 1.0))
+    caps = [rng.choice((1.0, 2.0, 4.0, 8.0)) for _ in range(n)]
+    links = [Link(id=f"l{i}", capacity=c, priority=i + 1,
+                  cost_per_gb=rng.choice((0.5, 1.0, 2.0, 4.0)),
+                  threshold=c * tick, buffer_cap=c * tick * rng.choice((1.0, 2.0)))
+             for i, c in enumerate(caps)]
+    g = validate_group("g", links, tick)
+    quantum = min(rng.choice((0.25, 0.5, 1.0)), min(caps) * tick)
+    top = 2 * sum(caps)
+    n_ticks = rng.randint(1, 200)
+    trace = [(i * tick, rng.randrange(0, int(top * 4) + 1) / 4.0) for i in range(n_ticks)]
+    fails = [(rng.randrange(n_ticks) * tick, f"l{rng.randrange(n)}",
+              rng.choice(("up", "down"))) for _ in range(rng.randint(0, 2 * n))]
+    return g, tick, quantum, trace, fails
+
+
+@pytest.mark.parametrize("policy", ["rr", "wfq"])
+def test_rotating_policies_match_oracle_on_drop_ticks(policy):
+    rng = random.Random(f"rotating-{policy}")
+    drop_ticks = tail_drops = 0
+    for _ in range(40):
+        g, tick, quantum, trace, fails = _rotating_instance(rng)
+        direction = rng.choice(list(WfqDirection))
+        want = oracle_run(_as_dicts(g), policy, trace, tick=tick, quantum=quantum,
+                          wfq_direction=direction.value, failures=fails)
+        got = run(g, cfg(policy, tick=tick, quantum=quantum, wfq_direction=direction),
+                  DemandTrace(trace), failures=fails).records
+        for w, r in zip(want, got):
+            assert (list(r.assigned), list(r.transmitted), list(r.buffer_end),
+                    r.dropped, r.supplied_mbps, r.reorder_events) == \
+                   (w["assigned"], w["transmitted"], w["buffers"],
+                    w["dropped"], w["supplied"], w["reorder"]), (policy, r.t)
+            drop_ticks += r.dropped > 0
+            tail_drops += r.dropped % quantum != 0
+    # the instances really exercise drops, including dropped fractional tails
+    assert drop_ticks > 500 and tail_drops > 50
+
+
+def test_wfq_quanta_per_tick_limit():
+    g = group(1.0, 1.0)
+    c = cfg("wfq", quantum=1e-7)
+    with pytest.raises(BadParameterError, match=r"t=3\.0.*--quantum 9\.5367431640625e-07"):
+        run(g, c, DemandTrace([(0.0, 0.0), (3.0, 1.0)]))
+    with pytest.raises(BadParameterError, match="quanta"):
+        step(g, PolicyState(), c, 1.0)
+    # exactly at the limit still simulates
+    rec = step(group(1.0), PolicyState(),
+               cfg("wfq", quantum=1.0 / MAX_WFQ_QUANTA_PER_TICK), 1.0)
+    assert rec.assigned == (1.0,)
+
+
+def test_rr_needs_no_quanta_limit():
+    # 10^7 quanta per tick against a capped link: closed-form, no per-quantum loop
+    g = group(1.0, 1.0, 1.0, cap_factor=1.0)
+    res = run(g, cfg("rr", quantum=1e-7), DemandTrace([(0.0, 2.5), (1.0, 5.0)]))
+    assert sum(res.records[1].assigned) + res.records[1].dropped == pytest.approx(5.0)
+    assert res.records[1].dropped > 0
+
+
+@pytest.mark.parametrize("kw", [dict(tick=float("nan")), dict(tick=float("inf")),
+                                dict(quantum=float("nan")), dict(quantum=float("inf"))])
+def test_non_finite_config_rejected(kw):
+    with pytest.raises(BadParameterError, match="finite"):
+        cfg(**kw)
+
+
+@pytest.mark.parametrize("demand", [float("nan"), float("inf"), -1.0])
+def test_step_rejects_bad_demand(demand):
+    with pytest.raises(BadParameterError, match="demand"):
+        step(group(4.0), PolicyState(), cfg(), demand)
+
+
+def test_run_rejects_non_finite_failure_time():
+    with pytest.raises(BadParameterError, match="finite"):
+        run(group(4.0), cfg(), const(1.0), failures=[(float("nan"), "l0", "down")])

@@ -98,3 +98,23 @@ def test_single_link_group_ok():
 def test_threshold_scales_with_tick():
     g = validate_group("g", [mklink()], tick=2.0)
     assert g.links[0].threshold == 20.0
+
+
+@pytest.mark.parametrize("kw, what", [
+    (dict(capacity=float("nan")), "capacity must be positive and finite"),
+    (dict(capacity=float("inf")), "capacity must be positive and finite"),
+    (dict(cost_per_gb=float("nan")), "cost_per_gb must be nonnegative and finite"),
+    (dict(threshold=float("nan")), "threshold must be positive and finite"),
+    (dict(buffer_cap=float("nan")), "buffer_cap must be finite"),
+    (dict(buffer_cap=float("inf")), "buffer_cap must be finite"),
+    (dict(buffer=float("nan")), "buffer nan outside"),
+])
+def test_validate_rejects_non_finite(kw, what):
+    with pytest.raises(BadParameterError, match=what):
+        validate_group("g", [mklink(**kw)])
+
+
+@pytest.mark.parametrize("tick", [float("nan"), float("inf")])
+def test_default_threshold_rejects_non_finite_tick(tick):
+    with pytest.raises(BadParameterError, match="finite"):
+        validate_group("g", [mklink()], tick=tick)

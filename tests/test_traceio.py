@@ -134,3 +134,26 @@ def test_synth_diurnal_is_symmetric_about_midpoint():
 def test_synth_diurnal_rejects_bad_windows(args):
     with pytest.raises(BadWindowError):
         synth_diurnal(*args)
+
+
+@pytest.mark.parametrize("text", ["time_s,demand_mbps\n0,nan\n", "time_s,demand_mbps\n0,-inf\n",
+                                  "time_s,demand_mbps\ninf,1\n"])
+def test_parse_trace_rejects_non_finite(text):
+    with pytest.raises(ParseError, match="finite") as ei:
+        parse_trace(text)
+    assert ei.value.line == 2
+
+
+def test_parse_links_and_failures_reject_non_finite():
+    with pytest.raises(ParseError, match="cost_per_gb must be a finite") as ei:
+        parse_links(LINKS_CSV.replace("L32,32,2,2", "L32,32,2,nan"))
+    assert ei.value.line == 3
+    with pytest.raises(ParseError, match="time_s must be a finite"):
+        parse_failures("time_s,link_id,event\n-inf,L64,down\n")
+
+
+@pytest.mark.parametrize("sample", [(0.0, float("nan")), (float("nan"), 1.0),
+                                    (0.0, float("inf"))])
+def test_demand_trace_rejects_non_finite(sample):
+    with pytest.raises(BadParameterError, match="finite"):
+        DemandTrace([sample])
