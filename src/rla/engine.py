@@ -15,12 +15,18 @@ queue by replaying its deficit counters on a local list); then a batched
 admission keeps, per link, as many full quanta as fit under its cap. On
 dyadic inputs every path equals the per-quantum rule bit for bit; the test
 suite cross-checks them against an independent brute-force simulator.
+
+run() keeps no object per tick: t, demand, supplied (Mbps), dropped and
+reorder (int64) are one array value per tick; assigned, transmitted and
+buffer_end are n float values per tick, tick k at [k*n, (k+1)*n).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from array import array
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 from operator import ne
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .errors import BadParameterError, EmptyTraceError
 from .links import AggregationGroup, validate_group
@@ -87,13 +93,43 @@ class TickRecord:
     reorder_events: int
 
 
+class Records(Sequence):
+    """Read-only sequence of a result's ticks, each built as a TickRecord
+    with tuple fields on access."""
+
+    def __init__(self, result: "SimulationResult"):
+        self.result = result
+
+    def __len__(self):
+        return len(self.result.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        r = self.result
+        k = range(len(r.t))[k]  # resolves negative k, IndexError past the end
+        lo, hi = k * r.group.n, (k + 1) * r.group.n
+        return TickRecord(r.t[k], r.demand[k], tuple(r.assigned[lo:hi]),
+                          tuple(r.transmitted[lo:hi]), tuple(r.buffer_end[lo:hi]),
+                          r.dropped[k], r.supplied[k], r.reorder[k])
+
+
 @dataclass
 class SimulationResult:
-    """Config echo, group echo, and one TickRecord per trace sample."""
+    """Config echo, group echo, and the run's per-tick array columns (see the
+    module docstring); records is a TickRecord view of them."""
 
     config: EngineConfig
     group: AggregationGroup
-    records: list = field(default_factory=list)
+    t: array
+    demand: array
+    supplied: array
+    dropped: array
+    reorder: array
+    assigned: array
+    transmitted: array
+    buffer_end: array
+    records = property(Records)
 
 
 def _check_ready(group: AggregationGroup, quantum: float) -> None:
@@ -349,7 +385,9 @@ class _Runner:
         order = wfq_replay(deficits, self._weights, n_full + (1 if rem else 0))
         known.update(zip(ids, deficits))
         tail = order.pop() if rem else -1
-        counts = [order.count(k) for k in range(len(alive))]
+        counts = [0] * len(alive)
+        for k in order:
+            counts[k] += 1
         dropped, kept, tail_kept = _admit(alive, counts, tail, rem, self.config.quantum,
                                           self.bufs, self.bcaps, assigned)
         if kept is not counts:
@@ -365,7 +403,8 @@ class _Runner:
             order.append(tail)
         return dropped, sum(map(ne, order, order[1:]))
 
-    def tick(self, t: float, demand: float, failed: frozenset) -> TickRecord:
+    def tick(self, demand: float, failed: frozenset):
+        """Returns (assigned, transmitted, dropped, supplied_mbps, reorder); updates self.bufs."""
         if not 0.0 <= demand < math.inf:
             raise BadParameterError(f"demand must be finite and nonnegative, got {demand}")
         cfg = self.config
@@ -400,13 +439,7 @@ class _Runner:
             bufs[i] -= tx
             transmitted[i] = tx
             supplied += tx
-        # positional: keyword construction costs measurably per tick
-        return TickRecord(t, demand, tuple(assigned), tuple(transmitted),
-                          tuple(bufs), dropped, supplied / cfg.tick, reorder)
-
-    def writeback(self):
-        for link, b in zip(self.group.links, self.bufs):
-            link.buffer = b
+        return assigned, transmitted, dropped, supplied / cfg.tick, reorder
 
 
 def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfig,
@@ -420,9 +453,11 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     validate_group(group.group_id, group.links, config.tick)
     _check_wfq_quanta(config, [(t, demand_mbps)])
     runner = _Runner(group, config, policy_state)
-    record = runner.tick(t, demand_mbps, frozenset(failed))
-    runner.writeback()
-    return record
+    assigned, tx, dropped, supplied, reorder = runner.tick(demand_mbps, frozenset(failed))
+    for link, b in zip(group.links, runner.bufs):
+        link.buffer = b
+    return TickRecord(t, demand_mbps, tuple(assigned), tuple(tx), tuple(runner.bufs),
+                      dropped, supplied, reorder)
 
 
 def _failure_timeline(group: AggregationGroup, failures) -> list:
@@ -446,7 +481,7 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     """Fold the engine over a demand trace.
 
     Starts from zero buffers and fresh policy state; the caller's group is
-    left untouched. One TickRecord per trace sample. Failure events
+    left untouched. One tick per trace sample. Failure events
     (time_s, link_id, "up"/"down") take effect on the first sample at or
     after their time. Deterministic: identical inputs give identical results.
     """
@@ -458,7 +493,15 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     events = _failure_timeline(work, failures)
     _check_wfq_quanta(config, trace.samples)
     runner = _Runner(work, config, PolicyState())
-    records = []
+    # columns in field order: t, demand, supplied, dropped; reorder; per-link three
+    res = SimulationResult(config, pristine, *(array("d") for _ in range(4)),
+                           array("q"), *(array("d") for _ in range(3)))
+    # bound once; fromlist copies the per-link lists without building tuples
+    add_dropped, add_supplied, add_reorder = (
+        res.dropped.append, res.supplied.append, res.reorder.append)
+    add_assigned, add_transmitted, add_buffer_end = (
+        res.assigned.fromlist, res.transmitted.fromlist, res.buffer_end.fromlist)
+    bufs = runner.bufs
     failed = set()
     fsnap = frozenset()
     ei = 0
@@ -471,5 +514,13 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
                 (failed.add if kind == "down" else failed.discard)(link_id)
                 ei += 1
             fsnap = frozenset(failed)
-        records.append(tick(t, demand, fsnap))
-    return SimulationResult(config=config, group=pristine, records=records)
+        assigned, transmitted, dropped, supplied, reorder = tick(demand, fsnap)
+        add_assigned(assigned)
+        add_transmitted(transmitted)
+        add_buffer_end(bufs)
+        add_dropped(dropped)
+        add_supplied(supplied)
+        add_reorder(reorder)
+    res.t.fromlist(trace.times())
+    res.demand.fromlist(trace.demands())
+    return res

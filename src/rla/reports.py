@@ -12,29 +12,37 @@ identical runs serialize byte-identically.
 import csv
 import io
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import BadParameterError
-from .traceio import _fmt
+from .traceio import columns_to_csv, format_number
 
 MBIT_PER_GB = 8000.0  # 1 GB = 8 Gbit, decimal SI
 
 
 def supply_series(result) -> list:
     """(time_s, demand_mbps, supplied_mbps) per tick."""
-    return [(r.t, r.demand, r.supplied_mbps) for r in result.records]
+    return list(zip(result.t, result.demand, result.supplied))
 
 
 def supply_series_csv(result) -> str:
-    return _csv(("time_s", "demand_mbps", "supplied_mbps"), supply_series(result))
+    return columns_to_csv(("time_s", "demand_mbps", "supplied_mbps"),
+                          result.t, result.demand, result.supplied)
+
+
+def _unmet(result) -> list:
+    # d - s is positive exactly when d > s, so this equals max(0.0, d - s)
+    return [d - s if d > s else 0.0 for d, s in zip(result.demand, result.supplied)]
 
 
 def shortfall_series(result) -> list:
     """(time_s, unmet_mbps) per tick, unmet = max(0, demand - supplied)."""
-    return [(r.t, max(0.0, r.demand - r.supplied_mbps)) for r in result.records]
+    return list(zip(result.t, _unmet(result)))
 
 
 def shortfall_series_csv(result) -> str:
-    return _csv(("time_s", "unmet_mbps"), shortfall_series(result))
+    return columns_to_csv(("time_s", "unmet_mbps"), result.t, _unmet(result))
 
 
 def reorder_indicator(result) -> list:
@@ -44,11 +52,11 @@ def reorder_indicator(result) -> list:
     different links — exposure to out-of-order delivery, not a packet-level
     sequence analysis.
     """
-    return [(r.t, r.reorder_events) for r in result.records]
+    return list(zip(result.t, result.reorder))
 
 
 def reorder_indicator_csv(result) -> str:
-    return _csv(("time_s", "reorder_events"), reorder_indicator(result))
+    return columns_to_csv(("time_s", "reorder_events"), result.t, result.reorder)
 
 
 @dataclass
@@ -65,24 +73,20 @@ class CostReport:
     annual_cost: float
 
 
-def cost_report(result, group=None) -> CostReport:
+def cost_report(result) -> CostReport:
     """Price the transmitted volume of a run.
 
     cost_i = transmitted gigabytes on link i x its cost_per_gb; 1 GB is
-    8000 megabits. group defaults to the one echoed in the result.
+    8000 megabits.
     """
-    group = group if group is not None else result.group
-    n = group.n
-    mbit = [0.0] * n
-    for r in result.records:
-        tx = r.transmitted
-        for i in range(n):
-            mbit[i] += tx[i]
+    n = result.group.n
     per_link = []
     total_gb = 0.0
     total_cost = 0.0
-    for i, link in enumerate(group.links):
-        gb = mbit[i] / MBIT_PER_GB
+    for i, link in enumerate(result.group.links):
+        # left to right in tick order (not sum(), which may compensate), so
+        # the total is the same float as a running per-tick tally
+        gb = reduce(add, result.transmitted[i::n], 0.0) / MBIT_PER_GB
         cost = gb * link.cost_per_gb
         per_link.append((link.id, gb, link.cost_per_gb, cost))
         total_gb += gb
@@ -96,10 +100,24 @@ def cost_report_csv(report: CostReport) -> str:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(("link_id", "transmitted_gb", "cost_per_gb", "cost"))
     for link_id, gb, rate, cost in report.per_link:
-        w.writerow((link_id, _fmt(gb), _fmt(rate), _fmt(cost)))
-    w.writerow(("total", _fmt(report.total_gb), "", _fmt(report.total_cost)))
-    w.writerow(("annual", "", "", _fmt(report.annual_cost)))
+        w.writerow((link_id, format_number(gb), format_number(rate), format_number(cost)))
+    w.writerow(("total", format_number(report.total_gb), "", format_number(report.total_cost)))
+    w.writerow(("annual", "", "", format_number(report.annual_cost)))
     return out.getvalue()
+
+
+def _merged_columns(labeled_results) -> tuple:
+    """merge_supply's (header, columns), once every run is checked to share the first's trace."""
+    labeled = list(labeled_results)
+    if not labeled:
+        raise BadParameterError("merge_supply needs at least one result")
+    base = labeled[0][1]
+    for label, res in labeled[1:]:
+        if res.t != base.t or res.demand != base.demand:
+            raise BadParameterError(f"result {label!r} was not run over the same trace "
+                                    f"({len(res.t)} ticks, expected {len(base.t)})")
+    header = ("time_s", "demand_mbps") + tuple(f"supplied_{label}" for label, _ in labeled)
+    return header, (base.t, base.demand) + tuple(res.supplied for _, res in labeled)
 
 
 def merge_supply(labeled_results) -> tuple:
@@ -110,35 +128,10 @@ def merge_supply(labeled_results) -> tuple:
     ("time_s", "demand_mbps", "supplied_<label>", ...) and each row carries
     every run's supplied_mbps for that tick.
     """
-    labeled = list(labeled_results)
-    if not labeled:
-        raise BadParameterError("merge_supply needs at least one result")
-    base = labeled[0][1].records
-    for label, res in labeled[1:]:
-        if len(res.records) != len(base):
-            raise BadParameterError(
-                f"result {label!r} has {len(res.records)} ticks, expected {len(base)}")
-        for r, b in zip(res.records, base):
-            if r.t != b.t or r.demand != b.demand:
-                raise BadParameterError(
-                    f"result {label!r} was not run over the same trace")
-    header = ("time_s", "demand_mbps") + tuple(f"supplied_{label}" for label, _ in labeled)
-    rows = []
-    for idx, b in enumerate(base):
-        rows.append((b.t, b.demand) + tuple(res.records[idx].supplied_mbps
-                                            for _, res in labeled))
-    return header, rows
+    header, columns = _merged_columns(labeled_results)
+    return header, list(zip(*columns))
 
 
 def merge_supply_csv(labeled_results) -> str:
-    header, rows = merge_supply(labeled_results)
-    return _csv(header, rows)
-
-
-def _csv(header, rows) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(x) for x in row])
-    return out.getvalue()
+    header, columns = _merged_columns(labeled_results)
+    return columns_to_csv(header, *columns)

@@ -105,12 +105,7 @@ def parse_trace(text: str) -> DemandTrace:
 
 
 def trace_to_csv(trace: DemandTrace) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(TRACE_HEADER)
-    for t, d in trace.samples:
-        w.writerow([_fmt(t), _fmt(d)])
-    return out.getvalue()
+    return columns_to_csv(TRACE_HEADER, trace.times(), trace.demands())
 
 
 def parse_links(text: str) -> list:
@@ -155,9 +150,9 @@ def links_to_csv(links) -> str:
     w.writerow(LINKS_HEADER)
     for l in links:
         w.writerow([
-            l.id, _fmt(l.capacity), l.priority, _fmt(l.cost_per_gb),
-            "" if l.threshold is None else _fmt(l.threshold),
-            "" if l.buffer_cap is None else _fmt(l.buffer_cap),
+            l.id, format_number(l.capacity), l.priority, format_number(l.cost_per_gb),
+            "" if l.threshold is None else format_number(l.threshold),
+            "" if l.buffer_cap is None else format_number(l.buffer_cap),
         ])
     return out.getvalue()
 
@@ -189,12 +184,24 @@ def failures_to_csv(events) -> str:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(FAILURES_HEADER)
     for t, link_id, event in events:
-        w.writerow([_fmt(t), link_id, event])
+        w.writerow([format_number(t), link_id, event])
     return out.getvalue()
 
 
-def _fmt(x) -> str:
-    """Render numbers without a trailing .0 so integers stay clean in CSV."""
+def columns_to_csv(header, *columns) -> str:
+    """A header row over equal-length number columns, one row per index;
+    each column is formatted once, lazily, as the rows are joined."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(header)
+    lines = list(map(",".join, zip(*[map(format_number, c) for c in columns])))
+    lines.append("")  # the last row's line end; no rows, no text
+    out.write("\n".join(lines))
+    return out.getvalue()
+
+
+def format_number(x) -> str:
+    """A number as CSV text: ints as str, integral floats without the
+    trailing .0 (str(int(x)), so -0.0 is '0'), other floats as repr."""
     if isinstance(x, float) and x.is_integer():
         return str(int(x))
     return repr(x) if isinstance(x, float) else str(x)

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from oracle import oracle_run
@@ -272,6 +274,59 @@ def test_step_sequence_matches_run():
            [(r.assigned, r.buffer_end, r.dropped) for r in ran]
 
 
+# --- columnar result storage ---
+
+@pytest.mark.parametrize("n", [2, 16])
+def test_run_result_memory_is_columnar(n):
+    # 8 bytes per stored value: t, demand, supplied, dropped and reorder
+    # once per tick, assigned, transmitted and buffer_end once per link;
+    # 1.25x leaves room for the arrays' growth slack
+    g = group(*[8.0] * n, cap_factor=2.0)
+    ticks = 4096
+    trace = DemandTrace([(float(i), float(i % 13) * n) for i in range(ticks)])
+    run(g, cfg("rr"), trace)  # first-call set-up stays out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = run(g, cfg("rr"), trace)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(res.records) == ticks
+    bound = 1.25 * 8 * (5 + 3 * n) * ticks + 16 * 1024
+    assert retained <= bound, f"{retained / ticks:.0f} B per tick retained"
+
+
+def test_records_view_reads_columns():
+    g = group(5.0, 3.0, cap_factor=4.0)
+    res = run(g, cfg("rr"), DemandTrace([(0.0, 7.0), (1.0, 12.5), (2.0, 0.5)]))
+    recs = res.records
+    rows = list(recs)
+    assert len(recs) == len(rows) == 3
+    assert recs[-1] == rows[2] and recs[-3] == rows[0]
+    assert recs[1:] == rows[1:] and recs[::-2] == [rows[2], rows[0]]
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            recs[k]
+    for k, r in enumerate(rows):
+        assert (r.t, r.demand, r.supplied_mbps, r.dropped, r.reorder_events) == \
+               (res.t[k], res.demand[k], res.supplied[k], res.dropped[k], res.reorder[k])
+        for name in ("assigned", "transmitted", "buffer_end"):
+            value = getattr(r, name)
+            assert type(value) is tuple
+            assert value == tuple(getattr(res, name)[2 * k:2 * k + 2])
+    assert rows[1].assigned == (6.0, 6.5) and rows[1].buffer_end == (1.0, 3.5)
+
+
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_step_equals_first_record_of_run(policy):
+    g = group(5.0, 3.0, cap_factor=4.0)
+    rec = step(validate_group(g.group_id, g.links), PolicyState(), cfg(policy), 12.5)
+    assert rec == run(g, cfg(policy), DemandTrace([(0.0, 12.5)])).records[0]
+
+
 # --- agreement with the brute-force reference ---
 
 def _as_dicts(g):
@@ -282,7 +337,7 @@ def _as_dicts(g):
 
 @pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
 def test_engine_matches_oracle_smoke(policy):
-    rng = random.Random(hash(policy) & 0xFFFF)
+    rng = random.Random(f"smoke-{policy}")
     for _ in range(10):
         n = rng.randint(1, 4)
         g = group(*[rng.choice([2.0, 4.0, 8.0]) for _ in range(n)],
@@ -295,6 +350,7 @@ def test_engine_matches_oracle_smoke(policy):
             fails = [(3.0, "l0", "down"), (7.0, "l0", "up")]
         want = oracle_run(_as_dicts(g), policy, trace, failures=fails)
         got = run(g, cfg(policy), DemandTrace(trace), failures=fails).records
+        assert len(want) == len(got)
         for w, r in zip(want, got):
             assert list(r.assigned) == w["assigned"]
             assert list(r.transmitted) == w["transmitted"]

@@ -1,9 +1,11 @@
 """Golden sha256 digests of CLI output.
 
-The digests were recorded from the CLI before the rr/wfq selection and
-admission passes were split, so every later engine change has to reproduce
-the old bytes exactly. Each case writes its output to stdout; `--report all`
-interleaves the four reports behind `# report: <name>` lines.
+The scenario-2 `sim-*` cases, `sim-wfq-q0.5-direct` and `compare-s1-600`
+were recorded from the CLI before the rr/wfq selection and admission passes
+were split; the scenario-1 `sim-s1-*` cases and `compare-s2-failures` before
+results were stored as columns. Every later engine or report change has to
+reproduce the old bytes exactly. Each case writes its output to stdout;
+`--report all` interleaves the four reports behind `# report: <name>` lines.
 """
 
 import hashlib
@@ -25,7 +27,28 @@ GOLDEN = {
         "6ca9b4567942a89abd4c9b6fcb2fbceb0b1c04e8ba965ce9ddbfd1e23793a576",
     "compare-s1-600":
         "7e7a20fc179c31be499430fd06a82415967f3e85c36033931611cc1e38297b8f",
+    "sim-s1-600-olb-all":
+        "3aacf9ad02c0c1aef070a28f820e2bc9b3d251794f38e4d6921ed12ce11183c7",
+    "sim-s1-600-rr-all":
+        "96db4c5dfae54ce7e6f59be244f98a753e43da2ab9135e5f9b1c2397734ade60",
+    "sim-s1-600-wfq-all":
+        "025312a5f3599d3a425c03ca237812966459520f6cc0a05e54c4571d7ad2f3c5",
+    "sim-s1-600-vrrp-all":
+        "e8f8cf18bc34eb1de87319301aa1d0808c8367440c61ec2eecde712b4ad4df8b",
+    "compare-s2-failures":
+        "d9c809609d07431ff66980c0e020cf7b6da39c30f6fa1d4c2df3b452916b221f",
 }
+
+# scenario-2 outages: the primary, then both backups in turn, each restored
+# before the next, so the single-master policy always has a live link
+FAILURES = """time_s,link_id,event
+39600,P4,down
+43200,S16,down
+46800,P4,up
+48600,S16,up
+50400,T16,down
+54000,T16,up
+"""
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +57,22 @@ def scenarios(tmp_path_factory):
     assert main(["scenario", "--name", "2", "--out-dir", str(d / "s2")]) == 0
     assert main(["scenario", "--name", "1", "--out-dir", str(d / "s1"),
                  "--samples-per-hour", "600"]) == 0
+    (d / "s2_failures.csv").write_text(FAILURES)
     return d
 
 
 def _argv(case, d):
     s2 = ["--links", str(d / "s2" / "scenario2_links.csv"),
           "--trace", str(d / "s2" / "scenario2_trace.csv"), "--out", "-"]
+    s1 = ["--links", str(d / "s1" / "scenario1_links.csv"),
+          "--trace", str(d / "s1" / "scenario1_trace.csv"), "--out", "-"]
     if case == "compare-s1-600":
-        return ["compare", "--links", str(d / "s1" / "scenario1_links.csv"),
-                "--trace", str(d / "s1" / "scenario1_trace.csv"),
-                "--policies", "olb,rr,wfq,vrrp", "--out", "-"]
+        return ["compare", *s1, "--policies", "olb,rr,wfq,vrrp"]
+    if case == "compare-s2-failures":
+        return ["compare", *s2, "--policies", "olb,rr,wfq,vrrp",
+                "--failures", str(d / "s2_failures.csv")]
+    if case.startswith("sim-s1-600-"):
+        return ["simulate", *s1, "--policy", case.split("-")[3], "--report", "all"]
     if case == "sim-wfq-q0.5-direct":
         return ["simulate", *s2, "--policy", "wfq", "--report", "all",
                 "--quantum", "0.5", "--wfq-direction", "direct"]
