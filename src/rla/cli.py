@@ -130,12 +130,14 @@ def _load_run_inputs(args):
     return group, trace, failures
 
 
+def _config(args, policy: str) -> EngineConfig:
+    return EngineConfig(policy=PolicyId.parse(policy), tick=args.tick, quantum=args.quantum,
+                        wfq_direction=WfqDirection.parse(args.wfq_direction))
+
+
 def _cmd_simulate(args) -> int:
     group, trace, failures = _load_run_inputs(args)
-    cfg = EngineConfig(policy=PolicyId.parse(args.policy), tick=args.tick,
-                       quantum=args.quantum,
-                       wfq_direction=WfqDirection.parse(args.wfq_direction))
-    result = run(group, cfg, trace, failures=failures)
+    result = run(group, _config(args, args.policy), trace, failures=failures)
     renderers = {
         "supply": lambda: supply_series_csv(result),
         "shortfall": lambda: shortfall_series_csv(result),
@@ -157,12 +159,8 @@ def _cmd_compare(args) -> int:
         raise InputError("--policies needs at least one policy")
     if len(set(names)) != len(names):
         raise InputError(f"duplicate policy in --policies: {args.policies}")
-    labeled = []
-    for name in names:
-        cfg = EngineConfig(policy=PolicyId.parse(name), tick=args.tick,
-                           quantum=args.quantum,
-                           wfq_direction=WfqDirection.parse(args.wfq_direction))
-        labeled.append((name, run(group, cfg, trace, failures=failures)))
+    labeled = [(name, run(group, _config(args, name), trace, failures=failures))
+               for name in names]
     _emit(args, merge_supply_csv(labeled))
     return 0
 

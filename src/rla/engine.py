@@ -1,20 +1,12 @@
 """Discrete-time simulation engine.
 
-Each tick converts the demanded bandwidth into quantum-sized units, assigns
-them to links through the active policy against live buffer state (overflow
-cascades within the tick), then drains each link by up to capacity x tick and
-records the result.
-
-No policy walks the quanta against the buffers one at a time. OLB fills
-links in scan order and the single-master baseline fills one link, both in
-per-link batches. Round robin and the weighted fair queue choose links
-without looking at buffers, so their ticks run in two passes: a selection
-pass works out how many full quanta each live link gets, in which order, and
-which link takes the fractional tail (round robin in closed form, the fair
-queue by replaying its deficit counters on a local list); then a batched
-admission keeps, per link, as many full quanta as fit under its cap. On
-dyadic inputs every path equals the per-quantum rule bit for bit; the test
-suite cross-checks them against an independent brute-force simulator.
+Each tick checks the demand, refreshes the list of live links when the
+failure set has changed, splits demand x tick megabits into full quanta and
+a fractional tail, hands them to the active policy's assign (or drops them
+all when no link is live), then drains each live link by up to
+capacity x tick and records the result. How a policy picks links, what state
+it keeps and what it checks lives in its class in policies.py; the engine
+has no policy-specific branch.
 
 run() keeps no object per tick: t, demand, supplied (Mbps), dropped and
 reorder (int64) are one array value per tick; assigned, transmitted and
@@ -25,26 +17,13 @@ import math
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from operator import ne
 from typing import Optional
 
 from .errors import BadParameterError, EmptyTraceError
 from .links import AggregationGroup, validate_group
-from .policies import (
-    PolicyId,
-    PolicyState,
-    WfqDirection,
-    rr_take,
-    vrrp_elect,
-    vrrp_preference,
-    wfq_replay,
-    wfq_weights,
-)
+from .policies import _RULES, PolicyId, PolicyState, WfqDirection
+from .policies import MAX_WFQ_QUANTA_PER_TICK  # noqa: F401  (re-exported)
 from .traceio import DemandTrace
-
-# wfq replays its deficit counters once per quantum, the one per-quantum loop
-# left; a run whose busiest tick would need more selections is rejected.
-MAX_WFQ_QUANTA_PER_TICK = 2**20
 
 
 @dataclass
@@ -53,24 +32,19 @@ class EngineConfig:
 
     quantum is the assignment unit in megabits; it must not exceed any link
     threshold, so a single quantum can never jump an empty buffer past both
-    threshold and cap at once. warmup_ticks marks leading ticks that
-    steady-state assertions should skip; the engine records them like any
-    other tick.
+    threshold and cap at once.
     """
 
     policy: PolicyId
     tick: float = 1.0
     quantum: float = 1.0
     wfq_direction: WfqDirection = WfqDirection.INVERSE_COST
-    warmup_ticks: int = 1
 
     def __post_init__(self):
         if not 0 < self.tick < math.inf:
             raise BadParameterError(f"tick must be positive and finite, got {self.tick}")
         if not 0 < self.quantum < math.inf:
             raise BadParameterError(f"quantum must be positive and finite, got {self.quantum}")
-        if self.warmup_ticks < 0:
-            raise BadParameterError(f"warmup_ticks must be nonnegative, got {self.warmup_ticks}")
 
 
 @dataclass(slots=True)
@@ -132,35 +106,6 @@ class SimulationResult:
     records = property(Records)
 
 
-def _check_ready(group: AggregationGroup, quantum: float) -> None:
-    for link in group.links:
-        if link.threshold is None or link.buffer_cap is None:
-            raise BadParameterError(
-                f"link {link.id}: group must go through validate_group before simulation")
-    min_thr = min(l.threshold for l in group.links)
-    if quantum > min_thr:
-        raise BadParameterError(
-            f"quantum {quantum} exceeds smallest link threshold {min_thr}")
-
-
-def _check_wfq_quanta(config: EngineConfig, samples) -> None:
-    """Reject a wfq run whose busiest sample needs more than
-    MAX_WFQ_QUANTA_PER_TICK selections in one tick."""
-    if config.policy is not PolicyId.WFQ:
-        return
-    t, peak = max(samples, key=lambda s: s[1])
-    arrivals = peak * config.tick
-    if arrivals / config.quantum <= MAX_WFQ_QUANTA_PER_TICK or not math.isfinite(arrivals):
-        return  # a non-finite demand is rejected by the tick itself
-    workable = arrivals / MAX_WFQ_QUANTA_PER_TICK
-    while arrivals / workable > MAX_WFQ_QUANTA_PER_TICK:
-        workable = math.nextafter(workable, math.inf)
-    raise BadParameterError(
-        f"wfq needs {arrivals / config.quantum:.6g} quanta for the sample at t={t}, "
-        f"above the limit of {MAX_WFQ_QUANTA_PER_TICK} per tick; "
-        f"use --quantum {workable!r} or larger")
-
-
 def _split_arrivals(arrivals: float, quantum: float):
     """Number of full quanta plus the trailing fractional quantum (0 if none)."""
     if arrivals <= 0:
@@ -173,235 +118,18 @@ def _split_arrivals(arrivals: float, quantum: float):
     return n_full, (rem if rem > 0 else 0.0)
 
 
-def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
-    """Batched buffer admission of one tick's selections.
-
-    targets[k] was selected for counts[k] full quanta and, when tail >= 0,
-    targets[tail] for the fractional rem after all of them. A link keeps
-    full quanta while they fit under its cap, so min(count,
-    floor(room / quantum)) of them, and drops the rest whole; the tail is
-    kept if it fits after that. Returns (dropped, kept, tail_kept) with
-    kept[k] the full quanta targets[k] kept; kept is counts itself when no
-    full quantum was dropped.
-    """
-    dropped = 0.0
-    kept = counts
-    for k, i in enumerate(targets):
-        c = counts[k]
-        if not c:
-            continue
-        b = bufs[i]
-        room = math.floor((bcaps[i] - b) / quantum)
-        if room < c:
-            if kept is counts:
-                kept = list(counts)
-            kept[k] = room
-            dropped += (c - room) * quantum
-            c = room
-            if not c:
-                continue
-        amt = c * quantum
-        bufs[i] = b + amt
-        assigned[i] += amt
-    tail_kept = False
-    if tail >= 0:
-        i = targets[tail]
-        if bufs[i] + rem > bcaps[i]:
-            dropped += rem
-        else:
-            bufs[i] += rem
-            assigned[i] += rem
-            tail_kept = True
-    return dropped, kept, tail_kept
-
-
-def _rr_reorder(kept, tail, tail_kept):
-    """Link switches among the quanta a round-robin tick kept, in O(m).
-
-    Rotation position k was selected at steps k, k+m, k+2m, ... and kept the
-    first kept[k] of them; a kept tail comes last. Round r thus holds, in
-    ascending order, every position with kept[k] > r. No round repeats a
-    link, and two consecutive rounds share one only when the later round is
-    a single position that also ended the earlier round. Only the position
-    with the unique largest count M can do that: once at each of its
-    M - 1 - M2 rounds after the others ran out (M2 the next largest count),
-    and once more if it ended round M2 - 1.
-    """
-    total = sum(kept)
-    if not total:
-        return 0
-    top = max(kept)
-    last = len(kept) - 1 - kept[::-1].index(top)  # ends the final round
-    switches = total - 1
-    if kept.count(top) == 1:
-        second = max([c for c in kept if c != top], default=0)
-        switches -= top - 1 - second
-        if second and last == max(k for k, c in enumerate(kept) if c >= second):
-            switches -= 1
-    if tail_kept and tail != last:
-        switches += 1
-    return switches
-
-
-# the _Runner method that assigns one tick's arrivals under each policy
-_ASSIGN_STEP = {PolicyId.OLB: "_assign_olb", PolicyId.ROUND_ROBIN: "_assign_rr",
-                PolicyId.WFQ: "_assign_wfq", PolicyId.VRRP: "_assign_vrrp"}
-
-
 class _Runner:
-    """Shared per-tick machinery bound to one group and config."""
+    """Per-tick machinery bound to one group, config and policy state."""
 
-    def __init__(self, group: AggregationGroup, config: EngineConfig, state: PolicyState):
-        _check_ready(group, config.quantum)
-        self.group = group
+    def __init__(self, group: AggregationGroup, config: EngineConfig, state: PolicyState,
+                 samples):
         self.config = config
-        self.state = state
         self.n = group.n
         self.bufs = [l.buffer for l in group.links]
-        self.thrs = [l.threshold for l in group.links]
-        self.bcaps = [l.buffer_cap for l in group.links]
         self.drain = [l.capacity * config.tick for l in group.links]
         self.ids = [l.id for l in group.links]
-        self._failed = frozenset()
-        self._alive = list(range(self.n))
-        self._weights = None  # wfq weights and ids of the alive links, per failure set
-        self._alive_ids = None
-        self._assign = getattr(self, _ASSIGN_STEP[config.policy])
-        self._preference = (vrrp_preference(group)
-                            if config.policy is PolicyId.VRRP else None)
-
-    def _assign_olb(self, alive, failed, assigned, n_full, rem):
-        """Scan-order batch fill. Returns (dropped, reorder_events).
-
-        Mirrors the per-quantum rule exactly: each link in priority order
-        absorbs quanta while its buffer is below threshold; once every buffer
-        is at or above threshold the remainder lands on the last link; any
-        quantum that would push its target past the buffer cap is dropped in
-        full (the scan does not redirect it).
-        """
-        bufs, thrs, bcaps = self.bufs, self.thrs, self.bcaps
-        quantum = self.config.quantum
-        dropped = 0.0
-        reorder = 0
-        prev = -1
-        full = n_full
-        z = 0
-        while full > 0 and z < len(alive):
-            i = alive[z]
-            b = bufs[i]
-            if b >= thrs[i]:
-                z += 1
-                continue
-            k_thr = math.ceil((thrs[i] - b) / quantum)
-            k_cap = math.floor((bcaps[i] - b) / quantum)
-            if k_cap < k_thr:
-                # cap interferes before the threshold is reached: whatever fits
-                # goes in, every further full quantum is dropped right here
-                # (the link stays below threshold, so the scan keeps picking it)
-                k = k_cap if k_cap < full else full
-                if k > 0:
-                    amt = k * quantum
-                    bufs[i] = b + amt
-                    assigned[i] += amt
-                    if prev >= 0 and i != prev:
-                        reorder += 1
-                    prev = i
-                    full -= k
-                if full > 0:
-                    dropped += full * quantum
-                    full = 0
-                break
-            k = k_thr if k_thr < full else full
-            amt = k * quantum
-            bufs[i] = b + amt
-            assigned[i] += amt
-            if prev >= 0 and i != prev:
-                reorder += 1
-            prev = i
-            full -= k
-        if full > 0:
-            # fallthrough: every link at/above threshold, remainder to the last
-            i = alive[-1]
-            k_cap = math.floor((bcaps[i] - bufs[i]) / quantum)
-            k = k_cap if k_cap < full else full
-            if k > 0:
-                amt = k * quantum
-                bufs[i] += amt
-                assigned[i] += amt
-                if prev >= 0 and i != prev:
-                    reorder += 1
-                prev = i
-                full -= k
-            if full > 0:
-                dropped += full * quantum
-        if rem > 0:
-            i = -1
-            for j in alive:
-                if bufs[j] < thrs[j]:
-                    i = j
-                    break
-            if i < 0:
-                i = alive[-1]
-            if bufs[i] + rem > bcaps[i]:
-                dropped += rem
-            else:
-                bufs[i] += rem
-                assigned[i] += rem
-                if prev >= 0 and i != prev:
-                    reorder += 1
-        return dropped, reorder
-
-    def _assign_vrrp(self, alive, failed, assigned, n_full, rem):
-        # the one-link case of the shared admission; raises
-        # AllLinksFailedError when nothing is up
-        master = vrrp_elect(self.group, self._preference, self.state, failed)
-        dropped, _, _ = _admit((master,), (n_full,), 0 if rem else -1, rem,
-                               self.config.quantum, self.bufs, self.bcaps, assigned)
-        return dropped, 0
-
-    def _assign_rr(self, alive, failed, assigned, n_full, rem):
-        m = len(alive)
-        start = rr_take(self.state, m, n_full + (1 if rem else 0))
-        # position k of the rotation is alive[(start + k) % m]
-        base, extra = divmod(n_full, m)
-        counts = [base + 1] * extra + [base] * (m - extra)
-        targets = alive[start:] + alive[:start] if start else alive
-        tail = extra if rem else -1
-        dropped, kept, tail_kept = _admit(targets, counts, tail, rem, self.config.quantum,
-                                          self.bufs, self.bcaps, assigned)
-        if dropped or m == 1:
-            return dropped, _rr_reorder(kept, tail, tail_kept)
-        return dropped, n_full - (0 if rem else 1)  # all kept, every step switches
-
-    def _assign_wfq(self, alive, failed, assigned, n_full, rem):
-        if self._weights is None:
-            links = [self.group.links[i] for i in alive]
-            self._weights = wfq_weights(AggregationGroup(self.group.group_id, links),
-                                        self.config.wfq_direction)
-            self._alive_ids = [l.id for l in links]
-        ids = self._alive_ids
-        known = self.state.wfq_deficits
-        deficits = [known.get(i, 0.0) for i in ids]
-        order = wfq_replay(deficits, self._weights, n_full + (1 if rem else 0))
-        known.update(zip(ids, deficits))
-        tail = order.pop() if rem else -1
-        counts = [0] * len(alive)
-        for k in order:
-            counts[k] += 1
-        dropped, kept, tail_kept = _admit(alive, counts, tail, rem, self.config.quantum,
-                                          self.bufs, self.bcaps, assigned)
-        if kept is not counts:
-            # link k kept its first kept[k] selections
-            left = list(kept)
-            kept_order = []
-            for k in order:
-                if left[k]:
-                    left[k] -= 1
-                    kept_order.append(k)
-            order = kept_order
-        if tail_kept:
-            order.append(tail)
-        return dropped, sum(map(ne, order, order[1:]))
+        self.rule = _RULES[config.policy](group, config, state, self.bufs, samples)
+        self._failed = None  # so the first tick refreshes the live links
 
     def tick(self, demand: float, failed: frozenset):
         """Returns (assigned, transmitted, dropped, supplied_mbps, reorder); updates self.bufs."""
@@ -411,23 +139,19 @@ class _Runner:
         bufs = self.bufs
         n = self.n
         if failed is not self._failed:
-            ids = self.ids
             self._failed = failed
-            self._alive = [i for i in range(n) if ids[i] not in failed]
-            self._weights = None
+            self._alive = [i for i in range(n) if self.ids[i] not in failed]
+            self.rule.refresh(self._alive, failed)
         alive = self._alive
         assigned = [0.0] * n
         arrivals = demand * cfg.tick
         n_full, rem = _split_arrivals(arrivals, cfg.quantum)
-        if n_full or rem:
-            if alive or self._preference:  # vrrp raises when nothing is up
-                dropped, reorder = self._assign(alive, failed, assigned, n_full, rem)
-            else:
-                dropped, reorder = arrivals, 0
-        else:
+        if not (n_full or rem):
             dropped, reorder = 0.0, 0
-            if self._preference:  # vrrp tracks its master on idle ticks too
-                vrrp_elect(self.group, self._preference, self.state, failed)
+        elif alive:
+            dropped, reorder = self.rule.assign(assigned, n_full, rem)
+        else:
+            dropped, reorder = arrivals, 0
 
         transmitted = [0.0] * n
         supplied = 0.0
@@ -451,8 +175,7 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     link drains up to capacity x tick.
     """
     validate_group(group.group_id, group.links, config.tick)
-    _check_wfq_quanta(config, [(t, demand_mbps)])
-    runner = _Runner(group, config, policy_state)
+    runner = _Runner(group, config, policy_state, [(t, demand_mbps)])
     assigned, tx, dropped, supplied, reorder = runner.tick(demand_mbps, frozenset(failed))
     for link, b in zip(group.links, runner.bufs):
         link.buffer = b
@@ -491,8 +214,7 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     work = AggregationGroup(pristine.group_id,
                             [replace(l, buffer=0.0) for l in pristine.links])
     events = _failure_timeline(work, failures)
-    _check_wfq_quanta(config, trace.samples)
-    runner = _Runner(work, config, PolicyState())
+    runner = _Runner(work, config, PolicyState(), trace.samples)
     # columns in field order: t, demand, supplied, dropped; reorder; per-link three
     res = SimulationResult(config, pristine, *(array("d") for _ in range(4)),
                            array("q"), *(array("d") for _ in range(3)))

@@ -1,4 +1,4 @@
-"""Per-quantum link selection policies.
+"""Link selection policies, one private class each.
 
 Four ways to pick an egress link for each unit of outgoing data:
 
@@ -11,16 +11,27 @@ Four ways to pick an egress link for each unit of outgoing data:
 * VRRP - single-master baseline: one link carries everything, the rest idle
          until the master fails.
 
-All policies are deterministic pure functions of the group snapshot and the
-policy state; there is no randomness anywhere.
+The engine builds one class from _RULES per run; it owns the policy's state,
+caches and input checks, and assigns each tick's quanta in per-link batches.
+RR and WFQ select first (RR in closed form, WFQ by replaying its deficit
+counters), then _admit keeps per link the full quanta that fit under its cap.
+On dyadic inputs every path equals the per-quantum rule bit for bit, which
+the tests check against an independent brute-force simulator. The public
+*_select functions make one selection through the same rule.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
+from operator import ne
 from typing import Optional, Sequence
 
 from .errors import AllLinksFailedError, BadParameterError, ZeroCostError
 from .links import AggregationGroup
+
+# wfq replays its deficit counters once per quantum, the one per-quantum loop
+# left; a run whose busiest tick would need more selections is rejected.
+MAX_WFQ_QUANTA_PER_TICK = 2**20
 
 
 class PolicyId(enum.Enum):
@@ -66,35 +77,219 @@ class PolicyState:
     vrrp_master: Optional[str] = None
 
 
-def olb_select(group: AggregationGroup) -> int:
-    """Index of the first link, in ascending priority order, whose buffer is
-    below its threshold.
+def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
+    """Batched buffer admission of one tick's selections.
 
-    When every buffer is at or above threshold the scan falls through and the
-    last link is returned anyway; the caller turns an over-cap enqueue there
-    into a drop.
+    targets[k] was selected for counts[k] full quanta and, when tail >= 0,
+    targets[tail] for the fractional rem after all of them. A link keeps
+    full quanta while they fit under its cap, so min(count,
+    floor(room / quantum)) of them, and drops the rest whole; the tail is
+    kept if it fits after that. Returns (dropped, kept, tail_kept) with
+    kept[k] the full quanta targets[k] kept; kept is counts itself when no
+    full quantum was dropped.
     """
-    links = group.links
-    for i, link in enumerate(links):
-        if link.buffer < link.threshold:
-            return i
-    return len(links) - 1
+    dropped = 0.0
+    kept = counts
+    for k, i in enumerate(targets):
+        c = counts[k]
+        if not c:
+            continue
+        b = bufs[i]
+        room = math.floor((bcaps[i] - b) / quantum)
+        if room < c:
+            if kept is counts:
+                kept = list(counts)
+            kept[k] = room
+            dropped += (c - room) * quantum
+            c = room
+            if not c:
+                continue
+        amt = c * quantum
+        bufs[i] = b + amt
+        assigned[i] += amt
+    tail_kept = False
+    if tail >= 0:
+        i = targets[tail]
+        if bufs[i] + rem > bcaps[i]:
+            dropped += rem
+        else:
+            bufs[i] += rem
+            assigned[i] += rem
+            tail_kept = True
+    return dropped, kept, tail_kept
 
 
-def rr_take(state: PolicyState, m: int, count: int) -> int:
-    """Start position of count consecutive round-robin selections over m links.
+class _Rule:
+    """One run of a policy over a group; bufs is the engine's buffer list.
+    Subclasses define assign(assigned, n_full, rem), which enqueues n_full full
+    quanta, then the fractional rem (0 if none), onto the live links (at least
+    one), adds to bufs and assigned per link and returns (dropped, reorder)."""
 
-    Selection s goes to position (start + s) % m; the cursor ends just past
-    the last one. Closed form, so a tick costs the same at any count.
+    def __init__(self, group: AggregationGroup, config, state: PolicyState, bufs: list, samples):
+        self.check(config, samples)
+        self.group = group
+        self.config = config
+        self.state = state
+        self.quantum = config.quantum
+        self.bufs = bufs
+        self.thrs = [l.threshold for l in group.links]
+        self.bcaps = [l.buffer_cap for l in group.links]
+        for link in group.links:
+            if link.threshold is None or link.buffer_cap is None:
+                raise BadParameterError(
+                    f"link {link.id}: group must go through validate_group before simulation")
+        if config.quantum > min(self.thrs):
+            raise BadParameterError(
+                f"quantum {config.quantum} exceeds smallest link threshold {min(self.thrs)}")
+
+    @staticmethod
+    def check(config, samples) -> None:
+        """Reject a run this policy cannot simulate; samples are (t, demand)."""
+
+    def refresh(self, alive: list, failed: frozenset) -> None:
+        """The failure set changed; alive lists the live links in priority order."""
+        self.alive = alive
+
+
+class _Olb(_Rule):
+    @staticmethod
+    def first_below(bufs, thrs, alive):
+        """The first link in alive below its threshold, else the last one."""
+        for i in alive:
+            if bufs[i] < thrs[i]:
+                return i
+        return alive[-1]
+
+    def assign(self, assigned, n_full, rem):
+        """Scan-order batch fill.
+
+        Mirrors the per-quantum rule exactly: each link in priority order
+        absorbs quanta while its buffer is below threshold; once every buffer
+        is at or above threshold the remainder lands on the last link; any
+        quantum that would push its target past the buffer cap is dropped in
+        full (the scan does not redirect it).
+        """
+        bufs, thrs, bcaps = self.bufs, self.thrs, self.bcaps
+        alive = self.alive
+        quantum = self.quantum
+        dropped = 0.0
+        reorder = 0
+        prev = -1
+        full = n_full
+        z = 0
+        while full > 0 and z < len(alive):
+            i = alive[z]
+            b = bufs[i]
+            if b >= thrs[i]:
+                z += 1
+                continue
+            k_thr = math.ceil((thrs[i] - b) / quantum)
+            k_cap = math.floor((bcaps[i] - b) / quantum)
+            if k_cap < k_thr:
+                # cap interferes before the threshold is reached: whatever fits
+                # goes in, every further full quantum is dropped right here
+                # (the link stays below threshold, so the scan keeps picking it)
+                k = k_cap if k_cap < full else full
+                if k > 0:
+                    amt = k * quantum
+                    bufs[i] = b + amt
+                    assigned[i] += amt
+                    if prev >= 0 and i != prev:
+                        reorder += 1
+                    prev = i
+                    full -= k
+                if full > 0:
+                    dropped += full * quantum
+                    full = 0
+                break
+            k = k_thr if k_thr < full else full
+            amt = k * quantum
+            bufs[i] = b + amt
+            assigned[i] += amt
+            if prev >= 0 and i != prev:
+                reorder += 1
+            prev = i
+            full -= k
+        if full > 0:
+            # fallthrough: every link at/above threshold, remainder to the last
+            i = alive[-1]
+            k_cap = math.floor((bcaps[i] - bufs[i]) / quantum)
+            k = k_cap if k_cap < full else full
+            if k > 0:
+                amt = k * quantum
+                bufs[i] += amt
+                assigned[i] += amt
+                if prev >= 0 and i != prev:
+                    reorder += 1
+                prev = i
+                full -= k
+            if full > 0:
+                dropped += full * quantum
+        if rem > 0:
+            i = self.first_below(bufs, thrs, alive)
+            if bufs[i] + rem > bcaps[i]:
+                dropped += rem
+            else:
+                bufs[i] += rem
+                assigned[i] += rem
+                if prev >= 0 and i != prev:
+                    reorder += 1
+        return dropped, reorder
+
+
+def _rr_reorder(kept, tail, tail_kept):
+    """Link switches among the quanta a round-robin tick kept, in O(m).
+
+    Rotation position k was selected at steps k, k+m, k+2m, ... and kept the
+    first kept[k] of them; a kept tail comes last. Round r thus holds, in
+    ascending order, every position with kept[k] > r. No round repeats a
+    link, and two consecutive rounds share one only when the later round is
+    a single position that also ended the earlier round. Only the position
+    with the unique largest count M can do that: once at each of its
+    M - 1 - M2 rounds after the others ran out (M2 the next largest count),
+    and once more if it ended round M2 - 1.
     """
-    start = state.rr_cursor % m
-    state.rr_cursor = (start + count) % m
-    return start
+    total = sum(kept)
+    if not total:
+        return 0
+    top = max(kept)
+    last = len(kept) - 1 - kept[::-1].index(top)  # ends the final round
+    switches = total - 1
+    if kept.count(top) == 1:
+        second = max([c for c in kept if c != top], default=0)
+        switches -= top - 1 - second
+        if second and last == max(k for k, c in enumerate(kept) if c >= second):
+            switches -= 1
+    if tail_kept and tail != last:
+        switches += 1
+    return switches
 
 
-def rr_select(group: AggregationGroup, state: PolicyState) -> int:
-    """Cyclic selection; advances the cursor modulo the group size."""
-    return rr_take(state, group.n, 1)
+class _RoundRobin(_Rule):
+    @staticmethod
+    def take(state, m, count):
+        """Start position of count consecutive round-robin selections over m
+        links. Selection s goes to position (start + s) % m; the cursor ends
+        just past the last one. Closed form, so a tick costs the same at any
+        count."""
+        start = state.rr_cursor % m
+        state.rr_cursor = (start + count) % m
+        return start
+
+    def assign(self, assigned, n_full, rem):
+        alive = self.alive
+        m = len(alive)
+        start = self.take(self.state, m, n_full + (1 if rem else 0))
+        # position k of the rotation is alive[(start + k) % m]
+        base, extra = divmod(n_full, m)
+        counts = [base + 1] * extra + [base] * (m - extra)
+        targets = alive[start:] + alive[:start] if start else alive
+        tail = extra if rem else -1
+        dropped, kept, tail_kept = _admit(targets, counts, tail, rem, self.quantum,
+                                          self.bufs, self.bcaps, assigned)
+        if dropped or m == 1:
+            return dropped, _rr_reorder(kept, tail, tail_kept)
+        return dropped, n_full - (0 if rem else 1)  # all kept, every step switches
 
 
 def wfq_weights(group: AggregationGroup,
@@ -117,28 +312,134 @@ def wfq_weights(group: AggregationGroup,
     return [r / total for r in raw]
 
 
-def wfq_replay(deficits: list, weights: Sequence[float], count: int) -> list:
-    """Run count largest-deficit-first selections on a list of counters.
+class _Wfq(_Rule):
+    @staticmethod
+    def check(config, samples):
+        """Reject a run whose busiest sample needs more than
+        MAX_WFQ_QUANTA_PER_TICK selections in one tick."""
+        t, peak = max(samples, key=lambda s: s[1])
+        arrivals = peak * config.tick
+        if arrivals / config.quantum <= MAX_WFQ_QUANTA_PER_TICK or not math.isfinite(arrivals):
+            return  # a non-finite demand is rejected by the tick itself
+        workable = arrivals / MAX_WFQ_QUANTA_PER_TICK
+        while arrivals / workable > MAX_WFQ_QUANTA_PER_TICK:
+            workable = math.nextafter(workable, math.inf)
+        raise BadParameterError(
+            f"wfq needs {arrivals / config.quantum:.6g} quanta for the sample at t={t}, "
+            f"above the limit of {MAX_WFQ_QUANTA_PER_TICK} per tick; "
+            f"use --quantum {workable!r} or larger")
 
-    Each selection credits every link with its weight, picks the largest
-    deficit (ties go to the lowest index), and debits one quantum from the
-    winner. deficits is updated in place; returns the selected indices in
-    order. The float operations and their order are the same for every
-    count, so one call of count k equals k calls of count 1 bit for bit.
+    @staticmethod
+    def replay(state, ids, weights, count):
+        """Run count largest-deficit-first selections over the links ids.
+
+        Each selection credits every link with its weight, picks the largest
+        deficit (ties go to the lowest index), and debits one quantum from
+        the winner. Updates state.wfq_deficits; returns the selected indices
+        into ids in order. The float operations and their order are the same
+        for every count, so one call of count k equals k of count 1 bit for bit.
+        """
+        known = state.wfq_deficits
+        deficits = [known.get(i, 0.0) for i in ids]
+        order = []
+        rest = range(1, len(deficits))
+        for _ in range(count):
+            best = 0
+            best_d = deficits[0] = deficits[0] + weights[0]
+            for i in rest:
+                d = deficits[i] = deficits[i] + weights[i]
+                if d > best_d:
+                    best = i
+                    best_d = d
+            deficits[best] = best_d - 1.0
+            order.append(best)
+        known.update(zip(ids, deficits))
+        return order
+
+    def refresh(self, alive, failed):
+        self.alive = alive
+        self.weights = None  # of the live links, built at the next tick with arrivals
+
+    def assign(self, assigned, n_full, rem):
+        alive = self.alive
+        if self.weights is None:
+            links = [self.group.links[i] for i in alive]
+            self.weights = wfq_weights(AggregationGroup(self.group.group_id, links),
+                                       self.config.wfq_direction)
+            self.ids = [l.id for l in links]
+        order = self.replay(self.state, self.ids, self.weights, n_full + (1 if rem else 0))
+        tail = order.pop() if rem else -1
+        counts = [0] * len(alive)
+        for k in order:
+            counts[k] += 1
+        dropped, kept, tail_kept = _admit(alive, counts, tail, rem, self.quantum,
+                                          self.bufs, self.bcaps, assigned)
+        if kept is not counts:
+            # link k kept its first kept[k] selections
+            left = list(kept)
+            kept_order = []
+            for k in order:
+                if left[k]:
+                    left[k] -= 1
+                    kept_order.append(k)
+            order = kept_order
+        if tail_kept:
+            order.append(tail)
+        return dropped, sum(map(ne, order, order[1:]))
+
+
+def vrrp_preference(group: AggregationGroup) -> list:
+    """Master preference order: highest capacity first, link id breaks ties."""
+    return sorted(range(group.n),
+                  key=lambda i: (-group.links[i].capacity, group.links[i].id))
+
+
+class _Vrrp(_Rule):
+    @staticmethod
+    def elect(group, state, failed):
+        """Index of the first link in preference order that is up; records
+        it as state.vrrp_master. Raises AllLinksFailedError when nothing is
+        up."""
+        links = group.links
+        for i in vrrp_preference(group):
+            link_id = links[i].id
+            if link_id not in failed:
+                state.vrrp_master = link_id
+                return i
+        raise AllLinksFailedError(f"group {group.group_id!r}: every link is down")
+
+    def refresh(self, alive, failed):
+        # the master depends on the failure set alone: elected here, idle ticks included
+        self.master = self.elect(self.group, self.state, failed)
+
+    def assign(self, assigned, n_full, rem):
+        # the one-link case of the shared admission
+        dropped, _, _ = _admit((self.master,), (n_full,), 0 if rem else -1, rem,
+                               self.quantum, self.bufs, self.bcaps, assigned)
+        return dropped, 0
+
+
+# the class that runs each policy
+_RULES = {PolicyId.OLB: _Olb, PolicyId.ROUND_ROBIN: _RoundRobin,
+          PolicyId.WFQ: _Wfq, PolicyId.VRRP: _Vrrp}
+
+
+def olb_select(group: AggregationGroup) -> int:
+    """Index of the first link, in ascending priority order, whose buffer is
+    below its threshold.
+
+    When every buffer is at or above threshold the scan falls through and the
+    last link is returned anyway; the caller turns an over-cap enqueue there
+    into a drop.
     """
-    order = []
-    rest = range(1, len(deficits))
-    for _ in range(count):
-        best = 0
-        best_d = deficits[0] = deficits[0] + weights[0]
-        for i in rest:
-            d = deficits[i] = deficits[i] + weights[i]
-            if d > best_d:
-                best = i
-                best_d = d
-        deficits[best] = best_d - 1.0
-        order.append(best)
-    return order
+    links = group.links
+    return _Olb.first_below([l.buffer for l in links], [l.threshold for l in links],
+                            range(len(links)))
+
+
+def rr_select(group: AggregationGroup, state: PolicyState) -> int:
+    """Cyclic selection; advances the cursor modulo the group size."""
+    return _RoundRobin.take(state, group.n, 1)
 
 
 def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[float]) -> int:
@@ -151,30 +452,7 @@ def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[fl
     if len(weights) != len(ids):
         raise BadParameterError(
             f"{len(weights)} weights for {len(ids)} links")
-    known = state.wfq_deficits
-    deficits = [known.get(i, 0.0) for i in ids]
-    best = wfq_replay(deficits, weights, 1)[0]
-    known.update(zip(ids, deficits))
-    return best
-
-
-def vrrp_preference(group: AggregationGroup) -> list:
-    """Master preference order: highest capacity first, link id breaks ties."""
-    return sorted(range(group.n),
-                  key=lambda i: (-group.links[i].capacity, group.links[i].id))
-
-
-def vrrp_elect(group: AggregationGroup, preference: Sequence[int], state: PolicyState,
-               failed: frozenset = frozenset()) -> int:
-    """Index of the first link in preference order that is up; records it as
-    state.vrrp_master. Raises AllLinksFailedError when nothing is up."""
-    links = group.links
-    for i in preference:
-        link_id = links[i].id
-        if link_id not in failed:
-            state.vrrp_master = link_id
-            return i
-    raise AllLinksFailedError(f"group {group.group_id!r}: every link is down")
+    return _Wfq.replay(state, ids, weights, 1)[0]
 
 
 def vrrp_select(group: AggregationGroup, state: PolicyState, failed: frozenset = frozenset()) -> int:
@@ -185,4 +463,4 @@ def vrrp_select(group: AggregationGroup, state: PolicyState, failed: frozenset =
     All quanta of a tick go to the master. Raises AllLinksFailedError when
     nothing is up.
     """
-    return vrrp_elect(group, vrrp_preference(group), state, failed)
+    return _Vrrp.elect(group, state, failed)

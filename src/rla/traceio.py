@@ -62,17 +62,23 @@ class DemandTrace:
         return [d for _, d in self.samples]
 
 
-def _rows(text: str):
-    """Yield (line_no, fields) for data rows; skips blanks and '#' comments."""
+def _rows(text: str, header: tuple):
+    """Yield (line_no, fields) for data rows; skips blanks, '#' comments and
+    a first row equal to header, and rejects rows without len(header) fields."""
+    first = True
+    width = len(header)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield line_no, next(csv.reader([raw]))
-
-
-def _is_header(fields, header) -> bool:
-    return tuple(f.strip().lower() for f in fields) == header
+        fields = next(csv.reader([raw]))
+        if first:
+            first = False
+            if tuple(f.strip().lower() for f in fields) == header:
+                continue
+        if len(fields) != width:
+            raise ParseError(line_no, f"expected {width} fields, got {len(fields)}")
+        yield line_no, fields
 
 
 def _float(fields, idx, line_no, what) -> float:
@@ -88,14 +94,7 @@ def _float(fields, idx, line_no, what) -> float:
 def parse_trace(text: str) -> DemandTrace:
     """Parse time_s,demand_mbps CSV into a DemandTrace."""
     samples = []
-    first = True
-    for line_no, fields in _rows(text):
-        if first:
-            first = False
-            if _is_header(fields, TRACE_HEADER):
-                continue
-        if len(fields) != 2:
-            raise ParseError(line_no, f"expected 2 fields, got {len(fields)}")
+    for line_no, fields in _rows(text, TRACE_HEADER):
         t = _float(fields, 0, line_no, "time_s")
         d = _float(fields, 1, line_no, "demand_mbps")
         samples.append((t, d))
@@ -115,14 +114,7 @@ def parse_links(text: str) -> list:
     fills the defaults (capacity x tick, and 4x threshold) later.
     """
     links = []
-    first = True
-    for line_no, fields in _rows(text):
-        if first:
-            first = False
-            if _is_header(fields, LINKS_HEADER):
-                continue
-        if len(fields) != 6:
-            raise ParseError(line_no, f"expected 6 fields, got {len(fields)}")
+    for line_no, fields in _rows(text, LINKS_HEADER):
         link_id = fields[0].strip()
         if not link_id:
             raise ParseError(line_no, "empty link id")
@@ -160,14 +152,7 @@ def links_to_csv(links) -> str:
 def parse_failures(text: str) -> list:
     """Parse time_s,link_id,event CSV into (time, link_id, event) tuples."""
     events = []
-    first = True
-    for line_no, fields in _rows(text):
-        if first:
-            first = False
-            if _is_header(fields, FAILURES_HEADER):
-                continue
-        if len(fields) != 3:
-            raise ParseError(line_no, f"expected 3 fields, got {len(fields)}")
+    for line_no, fields in _rows(text, FAILURES_HEADER):
         t = _float(fields, 0, line_no, "time_s")
         link_id = fields[1].strip()
         if not link_id:

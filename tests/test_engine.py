@@ -46,8 +46,7 @@ def cfg(policy="olb", **kw):
 
 # --- config validation ---
 
-@pytest.mark.parametrize("kw", [dict(tick=0.0), dict(tick=-1.0),
-                                dict(quantum=0.0), dict(warmup_ticks=-1)])
+@pytest.mark.parametrize("kw", [dict(tick=0.0), dict(tick=-1.0), dict(quantum=0.0)])
 def test_bad_config_rejected(kw):
     with pytest.raises(BadParameterError):
         cfg(**kw)
@@ -400,6 +399,34 @@ def test_rotating_policies_match_oracle_on_drop_ticks(policy):
             tail_drops += r.dropped % quantum != 0
     # the instances really exercise drops, including dropped fractional tails
     assert drop_ticks > 500 and tail_drops > 50
+
+
+@pytest.mark.parametrize("policy", ["rr", "wfq"])
+def test_idle_ticks_leave_rotation_state_alone(policy):
+    # the rr cursor and the wfq deficits move only per quantum, so idle ticks
+    # under a changed failure set must not re-normalise them
+    g = group(4.0, 4.0, 4.0, costs=[1.0, 2.0, 4.0], cap_factor=2.0)
+    trace = [(0.0, 2.0), (1.0, 0.0), (2.0, 0.0), (3.0, 2.0)]
+    fails = [(1.0, "l2", "down"), (2.0, "l2", "up")]
+    want = oracle_run(_as_dicts(g), policy, trace, failures=fails)
+    got = run(g, cfg(policy), DemandTrace(trace), failures=fails).records
+    assert [list(r.assigned) for r in got] == [w["assigned"] for w in want]
+    assert [r.reorder_events for r in got] == [w["reorder"] for w in want]
+
+
+def test_vrrp_raises_on_idle_tick_with_every_link_down():
+    g = group(5.0, 3.0)
+    with pytest.raises(AllLinksFailedError):
+        run(g, cfg("vrrp"), DemandTrace([(0.0, 4.0), (1.0, 0.0)]),
+            failures=[(1.0, "l0", "down"), (1.0, "l1", "down")])
+
+
+def test_vrrp_elects_master_on_idle_tick():
+    g = group(4.0, 16.0, 8.0)  # preference: l1, l2, l0
+    st = PolicyState()
+    rec = step(g, st, cfg("vrrp"), 0.0, failed=frozenset({"l1"}))
+    assert st.vrrp_master == "l2"
+    assert rec.assigned == (0.0, 0.0, 0.0)
 
 
 def test_wfq_quanta_per_tick_limit():

@@ -3,9 +3,13 @@
 The scenario-2 `sim-*` cases, `sim-wfq-q0.5-direct` and `compare-s1-600`
 were recorded from the CLI before the rr/wfq selection and admission passes
 were split; the scenario-1 `sim-s1-*` cases and `compare-s2-failures` before
-results were stored as columns. Every later engine or report change has to
-reproduce the old bytes exactly. Each case writes its output to stdout;
-`--report all` interleaves the four reports behind `# report: <name>` lines.
+results were stored as columns; `compare-s2-q0.3-t0.75-failures` before each
+policy's rule moved into one class. That case is non-dyadic: its quanta and
+tick are not powers of two, so its last bits depend on the order of every
+float operation, which the dyadic oracle checks cannot see. Every later
+engine or report change has to reproduce the old bytes exactly. Each case
+writes its output to stdout; `--report all` interleaves the four reports
+behind `# report: <name>` lines.
 """
 
 import hashlib
@@ -37,6 +41,8 @@ GOLDEN = {
         "e8f8cf18bc34eb1de87319301aa1d0808c8367440c61ec2eecde712b4ad4df8b",
     "compare-s2-failures":
         "d9c809609d07431ff66980c0e020cf7b6da39c30f6fa1d4c2df3b452916b221f",
+    "compare-s2-q0.3-t0.75-failures":
+        "697be6add8124d4dcce51bda5a49e747d0162b86011b304a4178f2e378e51ac9",
 }
 
 # scenario-2 outages: the primary, then both backups in turn, each restored
@@ -68,8 +74,9 @@ def _argv(case, d):
           "--trace", str(d / "s1" / "scenario1_trace.csv"), "--out", "-"]
     if case == "compare-s1-600":
         return ["compare", *s1, "--policies", "olb,rr,wfq,vrrp"]
-    if case == "compare-s2-failures":
-        return ["compare", *s2, "--policies", "olb,rr,wfq,vrrp",
+    if case.startswith("compare-s2-"):
+        extra = ["--quantum", "0.3", "--tick", "0.75"] if "-q0.3-" in case else []
+        return ["compare", *s2, "--policies", "olb,rr,wfq,vrrp", *extra,
                 "--failures", str(d / "s2_failures.csv")]
     if case.startswith("sim-s1-600-"):
         return ["simulate", *s1, "--policy", case.split("-")[3], "--report", "all"]
