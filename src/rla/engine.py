@@ -17,6 +17,7 @@ import math
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional
 
 from .errors import BadParameterError, EmptyTraceError
@@ -118,6 +119,20 @@ def _split_arrivals(arrivals: float, quantum: float):
     return n_full, (rem if rem > 0 else 0.0)
 
 
+def _check_arrivals(config: EngineConfig, t: float, demand: float) -> None:
+    """Reject a run whose busiest sample (t, demand) overflows a float in
+    demand x tick or in the quanta it splits into; the engine computes both
+    products the same way every tick, and they grow with demand."""
+    if not 0 <= demand < math.inf:
+        return  # rejected by the tick itself
+    arrivals = demand * config.tick
+    if not math.isfinite(arrivals / config.quantum):
+        raise BadParameterError(
+            f"demand {demand} Mbps at t={t} with tick {config.tick} and quantum "
+            f"{config.quantum} gives {arrivals} Mbit in {arrivals / config.quantum} quanta, "
+            f"beyond the float range")
+
+
 class _Runner:
     """Per-tick machinery bound to one group, config and policy state."""
 
@@ -128,7 +143,9 @@ class _Runner:
         self.bufs = [l.buffer for l in group.links]
         self.drain = [l.capacity * config.tick for l in group.links]
         self.ids = [l.id for l in group.links]
-        self.rule = _RULES[config.policy](group, config, state, self.bufs, samples)
+        peak = max(samples, key=itemgetter(1))
+        _check_arrivals(config, *peak)
+        self.rule = _RULES[config.policy](group, config, state, self.bufs, peak)
         self._failed = None  # so the first tick refreshes the live links
 
     def tick(self, demand: float, failed: frozenset):
@@ -177,6 +194,7 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     validate_group(group.group_id, group.links, config.tick)
     runner = _Runner(group, config, policy_state, [(t, demand_mbps)])
     assigned, tx, dropped, supplied, reorder = runner.tick(demand_mbps, frozenset(failed))
+    runner.rule.save()
     for link, b in zip(group.links, runner.bufs):
         link.buffer = b
     return TickRecord(t, demand_mbps, tuple(assigned), tuple(tx), tuple(runner.bufs),

@@ -6,15 +6,17 @@ Four ways to pick an egress link for each unit of outgoing data:
          below its threshold takes the quantum; lower-priority links absorb
          only what overflows. Stateless.
 * RR   - plain cyclic rotation over the group.
-* WFQ  - proportional split by link cost, realized with per-link deficit
-         counters (largest-deficit-first).
+* WFQ  - proportional split by link cost, realized with exact per-link
+         deficit counters (largest-deficit-first, smooth weighted round
+         robin).
 * VRRP - single-master baseline: one link carries everything, the rest idle
          until the master fails.
 
 The engine builds one class from _RULES per run; it owns the policy's state,
 caches and input checks, and assigns each tick's quanta in per-link batches.
-RR and WFQ select first (RR in closed form, WFQ by replaying its deficit
-counters), then _admit keeps per link the full quanta that fit under its cap.
+RR and WFQ select first (RR in closed form, WFQ from a table of its exact
+period, see swrr.py), then _admit keeps per link the full quanta that fit
+under its cap.
 On dyadic inputs every path equals the per-quantum rule bit for bit, which
 the tests check against an independent brute-force simulator. The public
 *_select functions make one selection through the same rule.
@@ -29,8 +31,9 @@ from typing import Optional, Sequence
 from .errors import AllLinksFailedError, BadParameterError, ZeroCostError
 from .links import AggregationGroup
 
-# wfq replays its deficit counters once per quantum, the one per-quantum loop
-# left; a run whose busiest tick would need more selections is rejected.
+# wfq still works per quantum where it replays its counters or lists a drop
+# tick's picks (see swrr.Swrr); a run whose busiest tick would need more
+# selections is rejected.
 MAX_WFQ_QUANTA_PER_TICK = 2**20
 
 
@@ -67,9 +70,10 @@ class PolicyState:
     """Mutable scheduling state carried across selection calls.
 
     rr_cursor is the round-robin position; wfq_deficits maps link id to its
-    deficit counter (counters may dip below zero by at most one quantum
-    between calls); vrrp_master records the link currently carrying all
-    traffic. OLB keeps no state: its scan variables are locals of one call.
+    deficit counter in quanta, an exact fraction held as a (numerator,
+    denominator) pair of ints in lowest terms, absent meaning 0;
+    vrrp_master records the link currently carrying all traffic. OLB keeps
+    no state: its scan variables are locals of one call.
     """
 
     rr_cursor: int = 0
@@ -125,8 +129,8 @@ class _Rule:
     quanta, then the fractional rem (0 if none), onto the live links (at least
     one), adds to bufs and assigned per link and returns (dropped, reorder)."""
 
-    def __init__(self, group: AggregationGroup, config, state: PolicyState, bufs: list, samples):
-        self.check(config, samples)
+    def __init__(self, group: AggregationGroup, config, state: PolicyState, bufs: list, peak):
+        self.check(config, peak)
         self.group = group
         self.config = config
         self.state = state
@@ -143,12 +147,16 @@ class _Rule:
                 f"quantum {config.quantum} exceeds smallest link threshold {min(self.thrs)}")
 
     @staticmethod
-    def check(config, samples) -> None:
-        """Reject a run this policy cannot simulate; samples are (t, demand)."""
+    def check(config, peak) -> None:
+        """Reject a run this policy cannot simulate; peak is the (t, demand)
+        sample with the largest demand."""
 
     def refresh(self, alive: list, failed: frozenset) -> None:
         """The failure set changed; alive lists the live links in priority order."""
         self.alive = alive
+
+    def save(self) -> None:
+        """Write state kept outside self.state back to it."""
 
 
 class _Olb(_Rule):
@@ -292,33 +300,39 @@ class _RoundRobin(_Rule):
         return dropped, n_full - (0 if rem else 1)  # all kept, every step switches
 
 
+def _cost_weights(costs, direction: WfqDirection) -> list:
+    """Integer wfq weights of links with these costs (see swrr.int_weights)."""
+    from .swrr import int_weights  # loaded only where wfq runs
+    inverse = direction is WfqDirection.INVERSE_COST
+    if inverse and any(c <= 0 for c in costs):
+        raise ZeroCostError("inverse-cost weighting needs cost_per_gb > 0 on every link")
+    if not any(costs):
+        raise ZeroCostError("direct-cost weighting needs at least one positive cost")
+    return int_weights(costs, inverse)
+
+
 def wfq_weights(group: AggregationGroup,
                 direction: WfqDirection = WfqDirection.INVERSE_COST) -> list:
     """Normalized per-link weights derived from link costs.
 
     inverse: weight ~ 1/cost, so cheap links carry more traffic.
-    direct: weight ~ cost. Weights sum to 1.
+    direct: weight ~ cost. Weights sum to 1. Each is the float nearest to
+    the exact share wfq schedules by, with costs read as written decimals.
     """
-    costs = [l.cost_per_gb for l in group.links]
-    if direction is WfqDirection.INVERSE_COST:
-        if any(c <= 0 for c in costs):
-            raise ZeroCostError("inverse-cost weighting needs cost_per_gb > 0 on every link")
-        raw = [1.0 / c for c in costs]
-    else:
-        if all(c == 0 for c in costs):
-            raise ZeroCostError("direct-cost weighting needs at least one positive cost")
-        raw = list(costs)
-    total = sum(raw)
-    return [r / total for r in raw]
+    ints = _cost_weights([l.cost_per_gb for l in group.links], direction)
+    total = sum(ints)
+    return [a / total for a in ints]
 
 
 class _Wfq(_Rule):
+    swrr = None  # the live links' swrr.Swrr, None until a tick with arrivals
+
     @staticmethod
-    def check(config, samples):
+    def check(config, peak):
         """Reject a run whose busiest sample needs more than
         MAX_WFQ_QUANTA_PER_TICK selections in one tick."""
-        t, peak = max(samples, key=lambda s: s[1])
-        arrivals = peak * config.tick
+        t, demand = peak
+        arrivals = demand * config.tick
         if arrivals / config.quantum <= MAX_WFQ_QUANTA_PER_TICK or not math.isfinite(arrivals):
             return  # a non-finite demand is rejected by the tick itself
         workable = arrivals / MAX_WFQ_QUANTA_PER_TICK
@@ -329,60 +343,49 @@ class _Wfq(_Rule):
             f"above the limit of {MAX_WFQ_QUANTA_PER_TICK} per tick; "
             f"use --quantum {workable!r} or larger")
 
-    @staticmethod
-    def replay(state, ids, weights, count):
-        """Run count largest-deficit-first selections over the links ids.
-
-        Each selection credits every link with its weight, picks the largest
-        deficit (ties go to the lowest index), and debits one quantum from
-        the winner. Updates state.wfq_deficits; returns the selected indices
-        into ids in order. The float operations and their order are the same
-        for every count, so one call of count k equals k of count 1 bit for bit.
-        """
-        known = state.wfq_deficits
-        deficits = [known.get(i, 0.0) for i in ids]
-        order = []
-        rest = range(1, len(deficits))
-        for _ in range(count):
-            best = 0
-            best_d = deficits[0] = deficits[0] + weights[0]
-            for i in rest:
-                d = deficits[i] = deficits[i] + weights[i]
-                if d > best_d:
-                    best = i
-                    best_d = d
-            deficits[best] = best_d - 1.0
-            order.append(best)
-        known.update(zip(ids, deficits))
-        return order
-
     def refresh(self, alive, failed):
+        self.save()
         self.alive = alive
-        self.weights = None  # of the live links, built at the next tick with arrivals
+        self.swrr = None
+
+    def save(self):
+        if self.swrr is not None:
+            self.swrr.save(self.state.wfq_deficits)
 
     def assign(self, assigned, n_full, rem):
         alive = self.alive
-        if self.weights is None:
+        swrr = self.swrr
+        if swrr is None:
             links = [self.group.links[i] for i in alive]
-            self.weights = wfq_weights(AggregationGroup(self.group.group_id, links),
-                                       self.config.wfq_direction)
-            self.ids = [l.id for l in links]
-        order = self.replay(self.state, self.ids, self.weights, n_full + (1 if rem else 0))
-        tail = order.pop() if rem else -1
-        counts = [0] * len(alive)
-        for k in order:
-            counts[k] += 1
+            from .swrr import Swrr
+            swrr = self.swrr = Swrr([l.id for l in links], _cost_weights(
+                [l.cost_per_gb for l in links], self.config.wfq_direction),
+                self.state.wfq_deficits)
+        order = None
+        if swrr.cycle is None:
+            order = swrr.select(n_full + (1 if rem else 0))
+            tail = order.pop() if rem else -1
+            counts = list(map(order.count, range(len(alive))))
+        else:
+            p = swrr.phase
+            counts, tail, switches, switches_tail = swrr.span(p, n_full)
+            if rem:
+                swrr.phase = (p + n_full + 1) % swrr.P
+            else:
+                swrr.phase = (p + n_full) % swrr.P
+                tail = -1
         dropped, kept, tail_kept = _admit(alive, counts, tail, rem, self.quantum,
                                           self.bufs, self.bcaps, assigned)
-        if kept is not counts:
-            # link k kept its first kept[k] selections
-            left = list(kept)
-            kept_order = []
-            for k in order:
-                if left[k]:
-                    left[k] -= 1
-                    kept_order.append(k)
-            order = kept_order
+        if order is None:
+            if kept is counts:
+                return dropped, switches_tail if tail_kept else switches
+            order = swrr.slice(p, n_full)
+            cuts = [(swrr.nth(p, k, c), k) for k, c in enumerate(kept) if c < counts[k]]
+            order = swrr.drop_after(order, cuts)
+        elif kept is not counts:
+            cuts = [([i for i, j in enumerate(order) if j == k][c], k)
+                    for k, c in enumerate(kept) if c < counts[k]]
+            order = swrr.drop_after(order, cuts)
         if tail_kept:
             order.append(tail)
         return dropped, sum(map(ne, order, order[1:]))
@@ -445,14 +448,24 @@ def rr_select(group: AggregationGroup, state: PolicyState) -> int:
 def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[float]) -> int:
     """Largest-deficit-first proportional selection of one link.
 
-    Over Q calls each link is selected within one quantum of Q times its
-    weight. Counters live in state.wfq_deficits, keyed by link id.
+    Runs wfq's exact rule (see swrr.Swrr) with shares in the ratio of weights,
+    each read as the decimal its repr writes, so [1, 2, 3] gives exact
+    shares 1/6, 1/3 and 1/2 and the float 1/6 does not. Over Q calls each
+    link is selected within one quantum of Q times its share. Counters live
+    in state.wfq_deficits, keyed by link id.
     """
     ids = group.link_ids()
     if len(weights) != len(ids):
         raise BadParameterError(
             f"{len(weights)} weights for {len(ids)} links")
-    return _Wfq.replay(state, ids, weights, 1)[0]
+    if not all(0 <= w < math.inf for w in weights) or not any(weights):
+        raise BadParameterError(
+            f"weights must be finite and nonnegative, not all zero: {list(weights)}")
+    from .swrr import Swrr, int_weights
+    swrr = Swrr(ids, int_weights(weights, False), state.wfq_deficits)
+    best, = swrr.replay(1)
+    swrr.save(state.wfq_deficits)
+    return best
 
 
 def vrrp_select(group: AggregationGroup, state: PolicyState, failed: frozenset = frozenset()) -> int:

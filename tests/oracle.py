@@ -7,7 +7,13 @@ engine tick for tick.
 Link dicts need: id, capacity, priority, cost, threshold, cap (buffer cap).
 Trace is a list of (t_seconds, demand_mbps). Failures are (t_seconds, link_id,
 "up"/"down") tuples applied to every tick whose t is >= the event time.
+
+wfq runs on exact rationals: each cost is read as the decimal it is written
+as (Fraction(repr(cost)), so 1.7 is 17/10) and the deficits are Fractions,
+so ties are real ties and go to the lowest index.
 """
+
+from fractions import Fraction
 
 
 def pick_olb(order, alive, buf):
@@ -22,8 +28,8 @@ def pick_vrrp(order, alive):
 
 
 def wfq_weights(order, alive, direction):
-    raw = [1.0 / order[i]["cost"] if direction == "inverse" else order[i]["cost"]
-           for i in alive]
+    costs = [Fraction(repr(order[i]["cost"])) for i in alive]
+    raw = [1 / c for c in costs] if direction == "inverse" else costs
     total = sum(raw)
     return [r / total for r in raw]
 
@@ -37,7 +43,7 @@ def oracle_run(links, policy, trace, tick=1.0, quantum=1.0,
     buf = [0.0] * n
     down = set()
     rr = 0
-    deficit = {l["id"]: 0.0 for l in order}
+    deficit = {l["id"]: Fraction(0) for l in order}
     events = sorted(failures, key=lambda e: e[0])
     ei = 0
     out = []
@@ -50,6 +56,7 @@ def oracle_run(links, policy, trace, tick=1.0, quantum=1.0,
         assigned = [0.0] * n
         dropped = 0.0
         seq = []
+        w = None  # wfq weights of this tick's live links
         remaining = demand * tick
         while remaining > 0.0:
             q = quantum if quantum < remaining else remaining
@@ -63,14 +70,15 @@ def oracle_run(links, policy, trace, tick=1.0, quantum=1.0,
                     rr = (k + 1) % len(alive)
                     i = alive[k]
                 elif policy == "wfq":
-                    w = wfq_weights(order, alive, wfq_direction)
+                    if w is None:
+                        w = wfq_weights(order, alive, wfq_direction)
                     best = None
                     for k, j in enumerate(alive):
                         deficit[order[j]["id"]] += w[k]
                         d = deficit[order[j]["id"]]
                         if best is None or d > deficit[order[best]["id"]]:
                             best = j
-                    deficit[order[best]["id"]] -= 1.0
+                    deficit[order[best]["id"]] -= 1
                     i = best
                 elif policy == "vrrp":
                     i = pick_vrrp(order, alive)

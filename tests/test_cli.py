@@ -220,6 +220,20 @@ def test_non_finite_input_exits_1_with_file_and_line(inputs, name, text, where):
     assert rc.stderr.startswith("rla: error:") and "Traceback" not in rc.stderr
 
 
+@pytest.mark.parametrize("policy", ["olb", "wfq"])
+def test_arrivals_overflow_exits_1(tmp_path, policy):
+    # 1e200 Mbps and a 1e200 s tick are each finite; their product is not
+    (tmp_path / "links.csv").write_text(
+        "id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit\nA,1,1,1,,\n")
+    (tmp_path / "trace.csv").write_text("time_s,demand_mbps\n0,1\n1,1e200\n")
+    rc = _cli("simulate", "--links", str(tmp_path / "links.csv"),
+              "--trace", str(tmp_path / "trace.csv"), "--policy", policy,
+              "--tick", "1e200", "--out", "-")
+    assert rc.returncode == 1
+    assert rc.stderr.startswith("rla: error:") and "t=1.0" in rc.stderr
+    assert "Traceback" not in rc.stderr
+
+
 @pytest.mark.parametrize("flag, value", [("--quantum", "nan"), ("--tick", "nan"),
                                          ("--tick", "inf")])
 def test_non_finite_flag_exits_1(inputs, flag, value):

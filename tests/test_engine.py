@@ -3,6 +3,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 from oracle import oracle_run
 
 from rla import (
@@ -414,6 +416,64 @@ def test_idle_ticks_leave_rotation_state_alone(policy):
     assert [r.reorder_events for r in got] == [w["reorder"] for w in want]
 
 
+WFQ_COSTS = (0.3, 0.7, 1.0, 1.1, 1.7, 2.0, 3.0, 4.2, 9.0)
+
+
+@hs.composite
+def wfq_instances(draw):
+    """Dyadic capacities, buffers, quanta and demands with non-dyadic costs,
+    so every record is exact and only the selection order is under test;
+    failure events may hit any link, all of them at once included."""
+    n = draw(hs.integers(1, 6))
+    tick = draw(hs.sampled_from((0.5, 1.0)))
+    caps = draw(hs.lists(hs.sampled_from((1.0, 2.0, 4.0, 8.0)), min_size=n, max_size=n))
+    links = [Link(id=f"l{i}", capacity=c, priority=i + 1,
+                  cost_per_gb=draw(hs.sampled_from(WFQ_COSTS)), threshold=c * tick,
+                  buffer_cap=c * tick * draw(hs.sampled_from((1.0, 2.0))))
+             for i, c in enumerate(caps)]
+    quantum = min(draw(hs.sampled_from((0.25, 0.5, 1.0))), min(caps) * tick)
+    n_ticks = draw(hs.integers(1, 24))
+    quarters = hs.integers(0, int(8 * sum(caps)))  # demand up to twice the capacity
+    trace = [(i * tick, q / 4.0) for i, q in enumerate(
+        draw(hs.lists(quarters, min_size=n_ticks, max_size=n_ticks)))]
+    fails = draw(hs.lists(hs.tuples(hs.integers(0, n_ticks - 1).map(lambda k: k * tick),
+                                    hs.sampled_from([l.id for l in links]),
+                                    hs.sampled_from(("up", "down"))), max_size=2 * n))
+    direction = draw(hs.sampled_from(list(WfqDirection)))
+    return validate_group("g", links, tick), tick, quantum, trace, fails, direction
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(wfq_instances())
+@example((validate_group("g", [Link(id="a", capacity=2.0, priority=1, cost_per_gb=1.7),
+                               Link(id="b", capacity=2.0, priority=2, cost_per_gb=0.3)]),
+          1.0, 0.5, [(0.0, 3.25), (1.0, 3.0), (2.0, 4.75)],
+          [(1.0, "a", "down"), (1.0, "b", "down"), (2.0, "a", "up")], WfqDirection.INVERSE_COST))
+def test_wfq_matches_exact_oracle(instance):
+    g, tick, quantum, trace, fails, direction = instance
+    want = oracle_run(_as_dicts(g), "wfq", trace, tick=tick, quantum=quantum,
+                      wfq_direction=direction.value, failures=fails)
+    got = run(g, cfg("wfq", tick=tick, quantum=quantum, wfq_direction=direction),
+              DemandTrace(trace), failures=fails).records
+    for w, r in zip(want, got):
+        assert (list(r.assigned), list(r.transmitted), list(r.buffer_end),
+                r.dropped, r.supplied_mbps, r.reorder_events) == \
+               (w["assigned"], w["transmitted"], w["buffers"],
+                w["dropped"], w["supplied"], w["reorder"]), r.t
+
+
+def test_wfq_exact_tie_goes_to_lowest_index():
+    # Direct costs 1, 2 and 3 give P4, S16 and T16 the shares 1/6, 1/3 and
+    # 1/2. From zero counters the ninth selection finds P4 and T16 both at
+    # exactly 1/2 and takes P4. Float counters would hold P4 at
+    # 0.4999999999999999 there and give the quantum to T16: (0.5, 1.5, 2.5).
+    state = PolicyState()
+    c = cfg("wfq", quantum=0.5, wfq_direction=WfqDirection.DIRECT_COST)
+    rec = step(scenario_group(2), state, c, 4.5)
+    assert rec.assigned == (1.0, 1.5, 2.0)
+    assert state.wfq_deficits == {"P4": (-1, 2), "S16": (0, 1), "T16": (1, 2)}
+
+
 def test_vrrp_raises_on_idle_tick_with_every_link_down():
     g = group(5.0, 3.0)
     with pytest.raises(AllLinksFailedError):
@@ -440,6 +500,18 @@ def test_wfq_quanta_per_tick_limit():
     rec = step(group(1.0), PolicyState(),
                cfg("wfq", quantum=1.0 / MAX_WFQ_QUANTA_PER_TICK), 1.0)
     assert rec.assigned == (1.0,)
+
+
+@pytest.mark.parametrize("tick, quantum", [(1e200, 1.0), (1.0, 1e-320)])
+def test_arrivals_beyond_float_range_rejected(tick, quantum):
+    # demand x tick, or the quanta it splits into, overflows to inf
+    g = validate_group("g", [Link(id="a", capacity=1.0, priority=1,
+                                  threshold=1.0, buffer_cap=4.0)], 1.0)
+    c = cfg("olb", tick=tick, quantum=quantum)
+    with pytest.raises(BadParameterError, match=r"t=1\.0.*float range"):
+        run(g, c, DemandTrace([(0.0, 1.0), (1.0, 1e200)]))
+    with pytest.raises(BadParameterError, match="float range"):
+        step(g, PolicyState(), c, 1e200, t=1.0)
 
 
 def test_rr_needs_no_quanta_limit():

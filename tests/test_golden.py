@@ -1,15 +1,17 @@
 """Golden sha256 digests of CLI output.
 
-The scenario-2 `sim-*` cases, `sim-wfq-q0.5-direct` and `compare-s1-600`
-were recorded from the CLI before the rr/wfq selection and admission passes
-were split; the scenario-1 `sim-s1-*` cases and `compare-s2-failures` before
-results were stored as columns; `compare-s2-q0.3-t0.75-failures` before each
-policy's rule moved into one class. That case is non-dyadic: its quanta and
-tick are not powers of two, so its last bits depend on the order of every
-float operation, which the dyadic oracle checks cannot see. Every later
-engine or report change has to reproduce the old bytes exactly. Each case
-writes its output to stdout; `--report all` interleaves the four reports
-behind `# report: <name>` lines.
+The scenario-2 `sim-*` cases and `compare-s1-600` were recorded from the
+CLI before the rr/wfq selection and admission passes were split; the
+scenario-1 `sim-s1-*` cases and `compare-s2-failures` before results were
+stored as columns; `compare-s2-q0.3-t0.75-failures` before each policy's
+rule moved into one class. That case is non-dyadic: its quanta and tick are
+not powers of two, so its last bits depend on the order of every float
+operation, which the dyadic oracle checks cannot see. `sim-wfq-q0.5-direct`
+was recorded when wfq became exact: its direct-cost shares 1/6, 1/3 and 1/2
+tie exactly, and float counters broke those ties by rounding (digest
+6ca9b456... with them). Every later engine or report change has to
+reproduce the recorded bytes exactly. Each case writes its output to stdout;
+`--report all` interleaves the four reports behind `# report: <name>` lines.
 """
 
 import hashlib
@@ -28,7 +30,7 @@ GOLDEN = {
     "sim-vrrp-all":
         "a1991ccb48446bce0cd63718e792da542627787bfd91ee0a74b19a28ad64afc4",
     "sim-wfq-q0.5-direct":
-        "6ca9b4567942a89abd4c9b6fcb2fbceb0b1c04e8ba965ce9ddbfd1e23793a576",
+        "f9888d98b20ef51dcdf46790438f8278d55dd96048f0bb42432fd508b188290e",
     "compare-s1-600":
         "7e7a20fc179c31be499430fd06a82415967f3e85c36033931611cc1e38297b8f",
     "sim-s1-600-olb-all":

@@ -138,6 +138,22 @@ def test_wfq_select_three_to_one_split():
     assert counts == [6, 2]
 
 
+def test_wfq_select_breaks_exact_ties_by_index():
+    # shares 1/6, 1/3, 1/2: the third and the ninth selection find links 0
+    # and 2 both at exactly 1/2 and take link 0
+    g = group(1.0, 1.0, 1.0)
+    st = PolicyState()
+    picks = [wfq_select(g, st, [1, 2, 3]) for _ in range(9)]
+    assert picks == [2, 1, 0, 2, 1, 2, 2, 1, 0]
+    assert st.wfq_deficits == {"l0": (-1, 2), "l1": (0, 1), "l2": (1, 2)}
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.0], [-0.25, 1.25], [float("nan"), 1.0]])
+def test_wfq_select_rejects_unusable_weights(weights):
+    with pytest.raises(BadParameterError, match="weights"):
+        wfq_select(group(1.0, 1.0), PolicyState(), weights)
+
+
 # --- single-master baseline ---
 
 def test_vrrp_prefers_highest_capacity():
