@@ -365,20 +365,18 @@ class _Wfq(_Rule):
         if swrr.cycle is None:
             order = swrr.select(n_full + (1 if rem else 0))
             tail = order.pop() if rem else -1
-            counts = list(map(order.count, range(len(alive))))
+            counts = [0] * len(alive)
+            for k in order:
+                counts[k] += 1
         else:
-            p = swrr.phase
-            counts, tail, switches, switches_tail = swrr.span(p, n_full)
-            if rem:
-                swrr.phase = (p + n_full + 1) % swrr.P
-            else:
-                swrr.phase = (p + n_full) % swrr.P
+            p, counts, tail = swrr.take(n_full, rem)
+            if not rem:
                 tail = -1
         dropped, kept, tail_kept = _admit(alive, counts, tail, rem, self.quantum,
                                           self.bufs, self.bcaps, assigned)
         if order is None:
             if kept is counts:
-                return dropped, switches_tail if tail_kept else switches
+                return dropped, swrr.switches(p, n_full + 1 if tail_kept else n_full)
             order = swrr.slice(p, n_full)
             cuts = [(swrr.nth(p, k, c), k) for k, c in enumerate(kept) if c < counts[k]]
             order = swrr.drop_after(order, cuts)
@@ -453,6 +451,15 @@ def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[fl
     shares 1/6, 1/3 and 1/2 and the float 1/6 does not. Over Q calls each
     link is selected within one quantum of Q times its share. Counters live
     in state.wfq_deficits, keyed by link id.
+
+    The floats wfq_weights returns are the doubles nearest the engine's
+    shares, not those shares: read as written, 0.16666666666666666 is a
+    17-digit decimal, so the shares differ from the engine's in the last
+    digits, the period runs to about 1e17, and each call builds its state
+    from such long integers. wfq_select(group, state, wfq_weights(group))
+    therefore does not follow the engine's schedule exactly. Integer or
+    short-decimal weights in the ratio the engine uses, such as the costs
+    themselves for direct weighting, give its exact shares and schedule.
     """
     ids = group.link_ids()
     if len(weights) != len(ids):

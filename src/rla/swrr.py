@@ -39,9 +39,6 @@ TABLE_MAX = 4096
 # Periods a failure set replays without its counters repeating before it
 # stops looking for its cycle and replays per quantum from then on.
 TRIES = 8
-# Ticks a failure set's cycle remembers by (phase, quanta) before it forgets
-# them all.
-MEMO_MAX = 4096
 
 
 class Swrr:
@@ -63,9 +60,9 @@ class Swrr:
     with those P selections before. Once they match, the last P picks are the
     cycle, repeated from then on, each link a[k] times per cycle. Ticks then
     read counts, the tail pick and switches in O(m) from prefix tables over
-    two copies of the cycle, and remember them by (phase, quanta). A set
-    whose P exceeds TABLE_MAX, or that has not repeated after
-    TRIES * P selections, keeps replaying one selection at a time.
+    two copies of the cycle. A set whose P exceeds TABLE_MAX, or that has
+    not repeated after TRIES * P selections, keeps replaying one selection
+    at a time.
     """
 
     def __init__(self, ids, weights, known):
@@ -94,9 +91,11 @@ class Swrr:
         num = float if max(-low, total + self.debit - (m - 1) * low) < 2**53 else int
         self.x = list(map(num, x))
         self.num_inc, self.num_debit = list(map(num, self.inc)), num(self.debit)
-        # the last P picks while looking for the cycle, else None
+        # every pick while looking for the cycle, else None; the window is
+        # picks[lo:], its last P or fewer, and held[k] counts k in it
         self.picks = [] if P <= TABLE_MAX else None
-        self.seen = 0  # picks made while looking
+        self.lo = 0
+        self.held = [0] * m
         self.cycle = None
 
     def replay(self, count) -> list:
@@ -124,15 +123,7 @@ class Swrr:
             chunk = self.replay(min(count, P))
             order += chunk
             count -= len(chunk)
-            self.seen += len(chunk)
-            window = (self.picks + chunk)[-P:]
-            # the counters equal those P picks ago iff each link took a[k] of them
-            if len(window) == P and list(map(window.count, range(len(self.x)))) == self.weights:
-                self.close(window)
-            elif self.seen >= TRIES * P:
-                self.picks = None
-            else:
-                self.picks = window
+            self.look(chunk)
         if count:
             if self.cycle is None:
                 order += self.replay(count)
@@ -140,6 +131,23 @@ class Swrr:
                 order += self.slice(self.phase, count)
                 self.phase = (self.phase + count) % P
         return order
+
+    def look(self, chunk):
+        """Slide the window over chunk, the next picks, and close the cycle
+        once the counters equal those P picks before, which holds iff each
+        link took a[k] of the last P picks. O(len(chunk) + m)."""
+        picks, held = self.picks, self.held
+        picks += chunk
+        for k in chunk:
+            held[k] += 1
+        lo = max(self.lo, len(picks) - self.P)
+        for k in picks[self.lo:lo]:
+            held[k] -= 1
+        self.lo = lo
+        if held == self.weights:
+            self.close(picks[lo:])
+        elif len(picks) >= TRIES * self.P:
+            self.picks = None
 
     def close(self, cycle):
         """cycle, the last P picks, repeats from here on; self.x is the
@@ -158,7 +166,6 @@ class Swrr:
         self.switches_before = list(accumulate(map(ne, c2, c2[1:]), initial=0))
         self.phase = 0
         self.picks = None
-        self.memo = {}
 
     def slice(self, p, n) -> list:
         """The n cycle picks from phase p on."""
@@ -171,23 +178,20 @@ class Swrr:
         q, r = divmod(self.rows[p][k] + j, self.weights[k])
         return q * self.P + self.where[k][r] - p
 
-    def span(self, p, n) -> tuple:
-        """(picks per link, the pick after them, switches among them, switches
-        with that pick appended) for the n cycle picks from phase p on.
-        Memoized per (p, n); callers must not change the counts."""
-        key = n * self.P + p
-        hit = self.memo.get(key)
-        if hit is None:
-            if len(self.memo) >= MEMO_MAX:
-                self.memo.clear()
-            q, r = divmod(n, self.P)
-            rows = self.rows
-            counts = tuple(map(sub, rows[p + r], rows[p]))
-            if q:
-                counts = tuple(c + q * a for c, a in zip(counts, self.weights))
-            hit = self.memo[key] = (counts, self.cycle[p + r],
-                                    self.switches(p, n), self.switches(p, n + 1))
-        return hit
+    def take(self, n, rem) -> tuple:
+        """Move the phase past the next n cycle picks, and past the pick
+        after them too if rem. Returns (the phase before, picks per link
+        among the n, the pick after them)."""
+        p = self.phase
+        q, r = divmod(n, self.P)
+        e = p + r
+        start, end = self.rows[p], self.rows[e]
+        if q:
+            counts = [b - a + q * w for b, a, w in zip(end, start, self.weights)]
+        else:
+            counts = list(map(sub, end, start))
+        self.phase = (e + 1 if rem else e) % self.P
+        return p, counts, self.cycle[e]
 
     def switches(self, p, n) -> int:
         """Adjacent pairs on different links among the n cycle picks from
