@@ -29,9 +29,6 @@ from .policies import (
     PolicyId,
     PolicyState,
     WfqDirection,
-    olb_select,
-    rr_select,
-    vrrp_preference,
     vrrp_select,
     wfq_select,
     wfq_weights,
@@ -51,13 +48,9 @@ from .reports import (
     CostReport,
     cost_report,
     cost_report_csv,
-    merge_supply,
     merge_supply_csv,
-    reorder_indicator,
     reorder_indicator_csv,
-    shortfall_series,
     shortfall_series_csv,
-    supply_series,
     supply_series_csv,
 )
 from .scenarios import scenario_group, scenario_trace
@@ -91,27 +84,20 @@ __all__ = [
     "default_threshold",
     "failures_to_csv",
     "links_to_csv",
-    "merge_supply",
     "merge_supply_csv",
-    "olb_select",
     "parse_failures",
     "parse_links",
     "parse_trace",
-    "reorder_indicator",
     "reorder_indicator_csv",
-    "rr_select",
     "run",
     "scenario_group",
     "scenario_trace",
-    "shortfall_series",
     "shortfall_series_csv",
     "step",
-    "supply_series",
     "supply_series_csv",
     "synth_diurnal",
     "trace_to_csv",
     "validate_group",
-    "vrrp_preference",
     "vrrp_select",
     "wfq_select",
     "wfq_weights",

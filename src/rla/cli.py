@@ -100,6 +100,13 @@ def _parse_file(path: str, parser_fn):
         raise InputError(f"{path}:{e.line}: {e.reason}") from None
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror or e}") from None
+
+
 def _stamp_header(args) -> str:
     now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     return f"# rla {__version__} {args.command} {now}\n"
@@ -119,7 +126,7 @@ def _emit(args, text: str, suffix: str = None):
     if suffix:
         path = path.with_suffix(f".{suffix}{path.suffix}") if path.suffix \
             else Path(f"{path}.{suffix}.csv")
-    path.write_text(text)
+    _write(path, text)
 
 
 def _load_run_inputs(args):
@@ -182,8 +189,8 @@ def _cmd_scenario(args) -> int:
         header = _stamp_header(args)
         links_text = header + links_text
         trace_text = header + trace_text
-    links_path.write_text(links_text)
-    trace_path.write_text(trace_text)
+    _write(links_path, links_text)
+    _write(trace_path, trace_text)
     print(links_path)
     print(trace_path)
     return 0

@@ -20,10 +20,9 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Optional
 
-from .errors import BadParameterError, EmptyTraceError
+from .errors import BadParameterError
 from .links import AggregationGroup, validate_group
 from .policies import _RULES, PolicyId, PolicyState, WfqDirection
-from .policies import MAX_WFQ_QUANTA_PER_TICK  # noqa: F401  (re-exported)
 from .traceio import DemandTrace
 
 
@@ -226,8 +225,6 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     (time_s, link_id, "up"/"down") take effect on the first sample at or
     after their time. Deterministic: identical inputs give identical results.
     """
-    if not trace.samples:
-        raise EmptyTraceError("demand trace has no samples")
     pristine = validate_group(group.group_id, group.links, config.tick)
     work = AggregationGroup(pristine.group_id,
                             [replace(l, buffer=0.0) for l in pristine.links])

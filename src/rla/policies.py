@@ -19,7 +19,7 @@ period, see swrr.py), then _admit keeps per link the full quanta that fit
 under its cap.
 On dyadic inputs every path equals the per-quantum rule bit for bit, which
 the tests check against an independent brute-force simulator. The public
-*_select functions make one selection through the same rule.
+wfq_select and vrrp_select make one selection through the same rule.
 """
 
 import enum
@@ -160,14 +160,6 @@ class _Rule:
 
 
 class _Olb(_Rule):
-    @staticmethod
-    def first_below(bufs, thrs, alive):
-        """The first link in alive below its threshold, else the last one."""
-        for i in alive:
-            if bufs[i] < thrs[i]:
-                return i
-        return alive[-1]
-
     def assign(self, assigned, n_full, rem):
         """Scan-order batch fill.
 
@@ -234,7 +226,9 @@ class _Olb(_Rule):
             if full > 0:
                 dropped += full * quantum
         if rem > 0:
-            i = self.first_below(bufs, thrs, alive)
+            for i in alive:  # the first link below threshold, else the last
+                if bufs[i] < thrs[i]:
+                    break
             if bufs[i] + rem > bcaps[i]:
                 dropped += rem
             else:
@@ -274,20 +268,13 @@ def _rr_reorder(kept, tail, tail_kept):
 
 
 class _RoundRobin(_Rule):
-    @staticmethod
-    def take(state, m, count):
-        """Start position of count consecutive round-robin selections over m
-        links. Selection s goes to position (start + s) % m; the cursor ends
-        just past the last one. Closed form, so a tick costs the same at any
-        count."""
-        start = state.rr_cursor % m
-        state.rr_cursor = (start + count) % m
-        return start
-
     def assign(self, assigned, n_full, rem):
         alive = self.alive
         m = len(alive)
-        start = self.take(self.state, m, n_full + (1 if rem else 0))
+        # selection s goes to position (start + s) % m and the cursor ends just
+        # past the last one: closed form, so a tick costs the same at any count
+        start = self.state.rr_cursor % m
+        self.state.rr_cursor = (start + n_full + (1 if rem else 0)) % m
         # position k of the rotation is alive[(start + k) % m]
         base, extra = divmod(n_full, m)
         counts = [base + 1] * extra + [base] * (m - extra)
@@ -389,20 +376,14 @@ class _Wfq(_Rule):
         return dropped, sum(map(ne, order, order[1:]))
 
 
-def vrrp_preference(group: AggregationGroup) -> list:
-    """Master preference order: highest capacity first, link id breaks ties."""
-    return sorted(range(group.n),
-                  key=lambda i: (-group.links[i].capacity, group.links[i].id))
-
-
 class _Vrrp(_Rule):
     @staticmethod
     def elect(group, state, failed):
-        """Index of the first link in preference order that is up; records
-        it as state.vrrp_master. Raises AllLinksFailedError when nothing is
-        up."""
+        """Index of the first link in preference order (highest capacity
+        first, link id breaks ties) that is up; records it as
+        state.vrrp_master. Raises AllLinksFailedError when nothing is up."""
         links = group.links
-        for i in vrrp_preference(group):
+        for i in sorted(range(group.n), key=lambda i: (-links[i].capacity, links[i].id)):
             link_id = links[i].id
             if link_id not in failed:
                 state.vrrp_master = link_id
@@ -425,24 +406,6 @@ _RULES = {PolicyId.OLB: _Olb, PolicyId.ROUND_ROBIN: _RoundRobin,
           PolicyId.WFQ: _Wfq, PolicyId.VRRP: _Vrrp}
 
 
-def olb_select(group: AggregationGroup) -> int:
-    """Index of the first link, in ascending priority order, whose buffer is
-    below its threshold.
-
-    When every buffer is at or above threshold the scan falls through and the
-    last link is returned anyway; the caller turns an over-cap enqueue there
-    into a drop.
-    """
-    links = group.links
-    return _Olb.first_below([l.buffer for l in links], [l.threshold for l in links],
-                            range(len(links)))
-
-
-def rr_select(group: AggregationGroup, state: PolicyState) -> int:
-    """Cyclic selection; advances the cursor modulo the group size."""
-    return _RoundRobin.take(state, group.n, 1)
-
-
 def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[float]) -> int:
     """Largest-deficit-first proportional selection of one link.
 
@@ -452,14 +415,11 @@ def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[fl
     link is selected within one quantum of Q times its share. Counters live
     in state.wfq_deficits, keyed by link id.
 
-    The floats wfq_weights returns are the doubles nearest the engine's
-    shares, not those shares: read as written, 0.16666666666666666 is a
-    17-digit decimal, so the shares differ from the engine's in the last
-    digits, the period runs to about 1e17, and each call builds its state
-    from such long integers. wfq_select(group, state, wfq_weights(group))
-    therefore does not follow the engine's schedule exactly. Integer or
-    short-decimal weights in the ratio the engine uses, such as the costs
-    themselves for direct weighting, give its exact shares and schedule.
+    The floats wfq_weights returns only approximate the engine's shares (read
+    as written, 0.16666666666666666 is not 1/6), so wfq_select fed with them
+    does not follow the engine's schedule exactly, and builds its state from
+    17-digit integers on each call. Integer or short-decimal weights in the
+    engine's ratio, such as the costs themselves for direct weighting, do.
     """
     ids = group.link_ids()
     if len(weights) != len(ids):

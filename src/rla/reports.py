@@ -2,7 +2,7 @@
 
 Four views: supply vs demand per tick, unmet demand per tick, the
 adjacent-quanta reordering count per tick, and a monetary cost breakdown
-per link. merge_supply lines up the supply column of several runs over the
+per link. merge_supply_csv lines up the supply column of several runs over the
 same trace for side-by-side policy comparison.
 
 All CSV is comma-separated with '.' decimals and '\n' line endings so
@@ -21,41 +21,26 @@ from .traceio import columns_to_csv, format_number
 MBIT_PER_GB = 8000.0  # 1 GB = 8 Gbit, decimal SI
 
 
-def supply_series(result) -> list:
-    """(time_s, demand_mbps, supplied_mbps) per tick."""
-    return list(zip(result.t, result.demand, result.supplied))
-
-
 def supply_series_csv(result) -> str:
+    """time_s, demand_mbps, supplied_mbps per tick."""
     return columns_to_csv(("time_s", "demand_mbps", "supplied_mbps"),
                           result.t, result.demand, result.supplied)
 
 
-def _unmet(result) -> list:
-    # d - s is positive exactly when d > s, so this equals max(0.0, d - s)
-    return [d - s if d > s else 0.0 for d, s in zip(result.demand, result.supplied)]
-
-
-def shortfall_series(result) -> list:
-    """(time_s, unmet_mbps) per tick, unmet = max(0, demand - supplied)."""
-    return list(zip(result.t, _unmet(result)))
-
-
 def shortfall_series_csv(result) -> str:
-    return columns_to_csv(("time_s", "unmet_mbps"), result.t, _unmet(result))
+    """time_s, unmet_mbps per tick, unmet = max(0, demand - supplied)."""
+    # d - s is positive exactly when d > s, so this equals max(0.0, d - s)
+    unmet = [d - s if d > s else 0.0 for d, s in zip(result.demand, result.supplied)]
+    return columns_to_csv(("time_s", "unmet_mbps"), result.t, unmet)
 
 
-def reorder_indicator(result) -> list:
-    """(time_s, reorder_events) per tick.
+def reorder_indicator_csv(result) -> str:
+    """time_s, reorder_events per tick.
 
     reorder_events counts consecutive quanta within the tick that went to
     different links — exposure to out-of-order delivery, not a packet-level
     sequence analysis.
     """
-    return list(zip(result.t, result.reorder))
-
-
-def reorder_indicator_csv(result) -> str:
     return columns_to_csv(("time_s", "reorder_events"), result.t, result.reorder)
 
 
@@ -106,32 +91,16 @@ def cost_report_csv(report: CostReport) -> str:
     return out.getvalue()
 
 
-def _merged_columns(labeled_results) -> tuple:
-    """merge_supply's (header, columns), once every run is checked to share the first's trace."""
+def merge_supply_csv(labeled_results) -> str:
+    """Join runs of one trace, an ordered sequence of (label, SimulationResult),
+    into a table of time_s, demand_mbps and one supplied_<label> per run."""
     labeled = list(labeled_results)
     if not labeled:
-        raise BadParameterError("merge_supply needs at least one result")
+        raise BadParameterError("merge_supply_csv needs at least one result")
     base = labeled[0][1]
     for label, res in labeled[1:]:
         if res.t != base.t or res.demand != base.demand:
             raise BadParameterError(f"result {label!r} was not run over the same trace "
                                     f"({len(res.t)} ticks, expected {len(base.t)})")
     header = ("time_s", "demand_mbps") + tuple(f"supplied_{label}" for label, _ in labeled)
-    return header, (base.t, base.demand) + tuple(res.supplied for _, res in labeled)
-
-
-def merge_supply(labeled_results) -> tuple:
-    """Join several runs of the same trace into one table.
-
-    labeled_results is an ordered sequence of (label, SimulationResult).
-    Returns (header, rows) where header is
-    ("time_s", "demand_mbps", "supplied_<label>", ...) and each row carries
-    every run's supplied_mbps for that tick.
-    """
-    header, columns = _merged_columns(labeled_results)
-    return header, list(zip(*columns))
-
-
-def merge_supply_csv(labeled_results) -> str:
-    header, columns = _merged_columns(labeled_results)
-    return columns_to_csv(header, *columns)
+    return columns_to_csv(header, base.t, base.demand, *(res.supplied for _, res in labeled))

@@ -7,8 +7,8 @@ All formats are plain comma-separated text with a fixed header row:
     failures: time_s,link_id,event        (event is "up" or "down")
 
 Readers skip blank lines and lines starting with '#'. Writers always emit the
-header and '\n' line endings, so a parse/serialize round trip is
-byte-identical. synth_diurnal generates the triangular day-long demand shape
+header and '\n' line endings, and reject an id that would not read back
+unchanged, so a parse/serialize round trip is byte-identical. synth_diurnal generates the triangular day-long demand shape
 used by the bundled scenarios.
 """
 
@@ -98,8 +98,6 @@ def parse_trace(text: str) -> DemandTrace:
         t = _float(fields, 0, line_no, "time_s")
         d = _float(fields, 1, line_no, "demand_mbps")
         samples.append((t, d))
-    if not samples:
-        raise EmptyTraceError("demand trace has no samples")
     return DemandTrace(samples)
 
 
@@ -136,13 +134,27 @@ def parse_links(text: str) -> list:
     return links
 
 
+def _writable_id(value, leads_row: bool):
+    """value, checked to read back unchanged: readers strip fields, split rows
+    at str.splitlines and skip a row led by '#' (leads_row: value leads its row)."""
+    if not isinstance(value, str) or not value or value != value.strip():
+        reason = "is not a nonempty string without surrounding whitespace"
+    elif value.splitlines() != [value]:
+        reason = "holds a line break"
+    elif leads_row and value.startswith("#"):
+        reason = "starts with '#', which marks a comment row"
+    else:
+        return value
+    raise BadParameterError(f"id {value!r} would not read back unchanged: it {reason}")
+
+
 def links_to_csv(links) -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(LINKS_HEADER)
     for l in links:
         w.writerow([
-            l.id, format_number(l.capacity), l.priority, format_number(l.cost_per_gb),
+            _writable_id(l.id, True), format_number(l.capacity), l.priority, format_number(l.cost_per_gb),
             "" if l.threshold is None else format_number(l.threshold),
             "" if l.buffer_cap is None else format_number(l.buffer_cap),
         ])
@@ -169,7 +181,7 @@ def failures_to_csv(events) -> str:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(FAILURES_HEADER)
     for t, link_id, event in events:
-        w.writerow([format_number(t), link_id, event])
+        w.writerow([format_number(t), _writable_id(link_id, False), event])
     return out.getvalue()
 
 

@@ -23,13 +23,14 @@ from rla import (
     EngineConfig,
     Link,
     PolicyId,
+    PolicyState,
     WfqDirection,
     cost_report,
     cost_report_csv,
-    olb_select,
     run,
     scenario_group,
     scenario_trace,
+    step,
     synth_diurnal,
     validate_group,
     wfq_weights,
@@ -257,8 +258,11 @@ def test_criterion_6_policy_properties():
     parts.append(f"wfq |served - Q*w| <= 1 ({ok_wfq})")
 
     # olb scan order: never pick j while a higher-priority link is below
-    # threshold; at/above-threshold pick only as last-link fallthrough
+    # threshold; at/above-threshold pick only as last-link fallthrough. The
+    # pick is read off one step() of one full quantum and, from the same
+    # buffers, of one fractional quantum; both must land whole on one link.
     ok_olb = True
+    q = 2.0 ** -10
     for _ in range(300):
         n = rng.randint(1, 6)
         links = []
@@ -270,9 +274,19 @@ def test_criterion_6_policy_properties():
         g = validate_group("ol", links)
         for l in g.links:
             l.buffer = rng.uniform(0.0, l.buffer_cap)
-        j = olb_select(g)
-        ahead_free = any(l.buffer < l.threshold for l in g.links[:j])
-        below = g.links[j].buffer < g.links[j].threshold
+        bufs = [l.buffer for l in g.links]
+        taken = []
+        for demand in (q, q / 2):
+            for l, b in zip(g.links, bufs):
+                l.buffer = b
+            rec = step(g, PolicyState(), cfg("olb", quantum=q), demand)
+            taken += [(i, a) for i, a in enumerate(rec.assigned) if a]
+        j = taken[0][0] if taken else None
+        if taken != [(j, q), (j, q / 2)]:
+            ok_olb = False
+            continue
+        ahead_free = any(b < l.threshold for b, l in zip(bufs[:j], g.links))
+        below = bufs[j] < g.links[j].threshold
         ok_olb = ok_olb and not ahead_free and (below or j == g.n - 1)
     parts.append(f"olb scan order ({ok_olb})")
 

@@ -262,3 +262,24 @@ def test_rr_tiny_quantum_on_capped_links_finishes_at_once(inputs, capsys):
     assert rc == 0 and time.perf_counter() - t0 < 1.0
     # at 30 Mbps each link is offered 10; P4 keeps its 4 and sheds the rest
     assert capsys.readouterr().out.splitlines()[1:] == ["0,0", "1,0", "2,6", "3,0"]
+
+
+@pytest.mark.parametrize("command, where", [
+    (("simulate", "--policy", "olb"), "missing_dir/x.csv"),  # no such directory
+    (("compare", "--policies", "olb,vrrp"), "links.csv/x.csv"),  # a file as directory
+])
+def test_unwritable_out_exits_1(inputs, command, where):
+    tmp, links, trace = inputs
+    out = str(tmp / where)
+    rc = _cli(command[0], "--links", links, "--trace", trace, *command[1:], "--out", out)
+    assert rc.returncode == 1
+    assert rc.stderr.startswith(f"rla: error: {out}: ")
+    assert "Traceback" not in rc.stderr
+
+
+def test_scenario_unwritable_file_exits_1(tmp_path):
+    (tmp_path / "scenario2_links.csv").mkdir()  # the links file's name is taken
+    rc = _cli("scenario", "--name", "2", "--out-dir", str(tmp_path))
+    assert rc.returncode == 1
+    assert rc.stderr.startswith(f"rla: error: {tmp_path / 'scenario2_links.csv'}: ")
+    assert "Traceback" not in rc.stderr

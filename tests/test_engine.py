@@ -21,7 +21,7 @@ from rla import (
     step,
     validate_group,
 )
-from rla.engine import MAX_WFQ_QUANTA_PER_TICK
+from rla.policies import MAX_WFQ_QUANTA_PER_TICK
 
 
 def group(*caps, costs=None, cap_factor=None):

@@ -5,15 +5,14 @@ import pytest
 from rla import (
     AllLinksFailedError,
     BadParameterError,
+    EngineConfig,
     Link,
     PolicyId,
     PolicyState,
     WfqDirection,
     ZeroCostError,
-    olb_select,
-    rr_select,
+    step,
     validate_group,
-    vrrp_preference,
     vrrp_select,
     wfq_select,
     wfq_weights,
@@ -43,29 +42,37 @@ def test_wfq_direction_parse():
         WfqDirection.parse("sideways")
 
 
+def pick(g, policy, state=None, buffers=None, demand=1.0):
+    """The link one step() of a single quantum, full at the default demand,
+    goes to, with the buffers set to buffers first."""
+    for l, b in zip(g.links, buffers or [0.0] * g.n):
+        l.buffer = b
+    rec = step(g, state or PolicyState(), EngineConfig(policy=PolicyId.parse(policy)), demand)
+    assert rec.dropped == 0.0
+    taken = [i for i, a in enumerate(rec.assigned) if a]
+    assert len(taken) == 1 and rec.assigned[taken[0]] == demand
+    return taken[0]
+
+
 # --- spillover selection ---
 
 def test_olb_picks_first_link_below_threshold():
     g = group(10.0, 10.0, 10.0)
-    assert olb_select(g) == 0
-    g.links[0].buffer = g.links[0].threshold
-    assert olb_select(g) == 1
-    g.links[1].buffer = g.links[1].threshold
-    assert olb_select(g) == 2
+    assert pick(g, "olb") == 0
+    assert pick(g, "olb", buffers=[10.0, 0.0, 0.0]) == 1
+    assert pick(g, "olb", buffers=[10.0, 10.0, 0.0]) == 2
+    assert pick(g, "olb", buffers=[10.0, 0.0, 0.0], demand=0.5) == 1  # a fractional quantum
 
 
 def test_olb_all_full_falls_through_to_last():
     g = group(10.0, 10.0)
-    for l in g.links:
-        l.buffer = l.threshold
-    assert olb_select(g) == 1
+    assert pick(g, "olb", buffers=[10.0, 10.0]) == 1
 
 
 def test_olb_ignores_lower_priority_backlog():
     # backlog on the backup must not push traffic off an idle primary
     g = group(10.0, 10.0)
-    g.links[1].buffer = g.links[1].threshold
-    assert olb_select(g) == 0
+    assert pick(g, "olb", buffers=[0.0, 10.0]) == 0
 
 
 # --- round robin ---
@@ -73,8 +80,9 @@ def test_olb_ignores_lower_priority_backlog():
 def test_rr_cycles_in_priority_order():
     g = group(1.0, 1.0, 1.0)
     st = PolicyState()
-    picks = [rr_select(g, st) for _ in range(7)]
-    assert picks == [0, 1, 2, 0, 1, 2, 0]
+    picks = [pick(g, "rr", st, demand=(1.0, 0.5)[k % 2]) for k in range(7)]
+    assert picks == [0, 1, 2, 0, 1, 2, 0]  # a fractional quantum moves the cursor too
+    assert st.rr_cursor == 1
 
 
 def test_rr_exact_fairness():
@@ -82,7 +90,7 @@ def test_rr_exact_fairness():
     st = PolicyState()
     counts = [0] * 4
     for _ in range(4 * 25):
-        counts[rr_select(g, st)] += 1
+        counts[pick(g, "rr", st)] += 1
     assert counts == [25, 25, 25, 25]
 
 
@@ -158,10 +166,21 @@ def test_wfq_select_rejects_unusable_weights(weights):
 
 def test_vrrp_prefers_highest_capacity():
     g = group(4.0, 16.0, 16.0)
-    assert vrrp_preference(g) == [1, 2, 0]
     st = PolicyState()
     assert vrrp_select(g, st) == 1
     assert st.vrrp_master == "l1"
+    # the full preference order: capacity first, the id breaks the 16/16 tie
+    order, failed = [], set()
+    for _ in range(g.n):
+        order.append(vrrp_select(g, st, frozenset(failed)))
+        failed.add(g.links[order[-1]].id)
+    assert order == [1, 2, 0]
+
+
+def test_vrrp_tie_broken_by_id_not_priority():
+    links = [Link(id=i, capacity=16.0, priority=p, cost_per_gb=1.0)
+             for i, p in (("b", 1), ("a", 2))]
+    assert vrrp_select(validate_group("g", links), PolicyState()) == 1
 
 
 def test_vrrp_fails_over_and_preempts_back():

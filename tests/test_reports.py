@@ -8,15 +8,11 @@ from rla import (
     PolicyId,
     cost_report,
     cost_report_csv,
-    merge_supply,
     merge_supply_csv,
-    reorder_indicator,
     reorder_indicator_csv,
     run,
     scenario_group,
-    shortfall_series,
     shortfall_series_csv,
-    supply_series,
     supply_series_csv,
     validate_group,
 )
@@ -30,6 +26,13 @@ def const(d, n=4):
     return DemandTrace([(float(i), float(d)) for i in range(n)])
 
 
+def table(text):
+    """A report's header and its rows, each value read back as a float (the
+    writers format floats by repr, so this is exact)."""
+    head, *rows = text.splitlines()
+    return tuple(head.split(",")), [tuple(map(float, r.split(","))) for r in rows]
+
+
 @pytest.fixture
 def scen1():
     return scenario_group(1)
@@ -37,32 +40,40 @@ def scen1():
 
 def test_supply_series_tracks_demand(scen1):
     res = run(scen1, cfg(), const(80.0))
-    rows = supply_series(res)
-    assert rows == [(float(i), 80.0, 80.0) for i in range(4)]
     text = supply_series_csv(res)
-    assert text.splitlines()[0] == "time_s,demand_mbps,supplied_mbps"
+    assert table(text) == (("time_s", "demand_mbps", "supplied_mbps"),
+                           [(float(i), 80.0, 80.0) for i in range(4)])
     assert text.splitlines()[1] == "0,80,80"
 
 
 def test_supply_series_zero_trace(scen1):
     res = run(scen1, cfg(), const(0.0))
-    assert all(s == 0.0 for _, _, s in supply_series(res))
+    _, rows = table(supply_series_csv(res))
+    assert len(rows) == 4 and all(s == 0.0 for _, _, s in rows)
 
 
 def test_shortfall_series(scen1):
     res = run(scen1, cfg("vrrp"), const(80.0))
-    assert shortfall_series(res) == [(float(i), 16.0) for i in range(4)]
+    assert table(shortfall_series_csv(res))[1] == [(float(i), 16.0) for i in range(4)]
     res = run(scen1, cfg(), const(80.0))
-    assert all(u == 0.0 for _, u in shortfall_series(res))
-    assert shortfall_series_csv(res).splitlines()[0] == "time_s,unmet_mbps"
+    header, rows = table(shortfall_series_csv(res))
+    assert header == ("time_s", "unmet_mbps")
+    assert len(rows) == 4 and all(u == 0.0 for _, u in rows)
+    # 80 Mbit in, 64 out, then the 16 left over drain in a silent second:
+    # supplied above demand is no shortfall, not a negative one
+    g = validate_group("g", [Link(id="a", capacity=64.0, priority=1)])  # cap 256
+    res = run(g, cfg(), DemandTrace([(0.0, 80.0), (1.0, 0.0)]))
+    assert table(shortfall_series_csv(res))[1] == [(0.0, 16.0), (1.0, 0.0)]
 
 
 def test_reorder_indicator(scen1):
     res = run(scen1, cfg("vrrp"), const(120.0))
-    assert all(c == 0 for _, c in reorder_indicator(res))
+    _, rows = table(reorder_indicator_csv(res))
+    assert len(rows) == 4 and all(c == 0 for _, c in rows)
     res = run(scen1, cfg(), const(30.0))  # all quanta fit the primary
-    assert all(c == 0 for _, c in reorder_indicator(res))
-    assert reorder_indicator_csv(res).splitlines()[0] == "time_s,reorder_events"
+    header, rows = table(reorder_indicator_csv(res))
+    assert header == ("time_s", "reorder_events")
+    assert len(rows) == 4 and all(c == 0 for _, c in rows)
 
 
 def test_cost_report_no_traffic(scen1):
@@ -101,15 +112,15 @@ def test_merge_supply(scen1):
     tr = const(80.0)
     olb = run(scen1, cfg(), tr)
     vrrp = run(scen1, cfg("vrrp"), tr)
-    header, rows = merge_supply([("olb", olb), ("vrrp", vrrp)])
+    text = merge_supply_csv([("olb", olb), ("vrrp", vrrp)])
+    header, rows = table(text)
     assert header == ("time_s", "demand_mbps", "supplied_olb", "supplied_vrrp")
     assert rows[0] == (0.0, 80.0, 80.0, 64.0)
-    text = merge_supply_csv([("olb", olb), ("vrrp", vrrp)])
     assert text.splitlines()[1] == "0,80,80,64"
 
 
 def test_merge_supply_single_policy(scen1):
-    header, rows = merge_supply([("olb", run(scen1, cfg(), const(10.0)))])
+    header, rows = table(merge_supply_csv([("olb", run(scen1, cfg(), const(10.0)))]))
     assert header == ("time_s", "demand_mbps", "supplied_olb")
     assert len(rows) == 4
 
@@ -118,9 +129,9 @@ def test_merge_supply_rejects_mismatched_traces(scen1):
     a = run(scen1, cfg(), const(10.0, 4))
     b = run(scen1, cfg(), const(10.0, 5))
     with pytest.raises(BadParameterError):
-        merge_supply([("a", a), ("b", b)])
+        merge_supply_csv([("a", a), ("b", b)])
     c = run(scen1, cfg(), const(20.0, 4))
     with pytest.raises(BadParameterError):
-        merge_supply([("a", a), ("c", c)])
+        merge_supply_csv([("a", a), ("c", c)])
     with pytest.raises(BadParameterError):
-        merge_supply([])
+        merge_supply_csv([])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as hs
 
 from rla import (
     BadParameterError,
@@ -6,6 +8,7 @@ from rla import (
     DemandTrace,
     EmptyGroupError,
     EmptyTraceError,
+    Link,
     ParseError,
     failures_to_csv,
     links_to_csv,
@@ -101,6 +104,73 @@ def test_parse_failures_rejects_unknown_event():
 def test_failures_round_trip():
     evs = [(10.0, "a", "down"), (20.5, "a", "up")]
     assert parse_failures(failures_to_csv(evs)) == evs
+
+
+# every character str.splitlines ends a line at, and its two-character "\r\n"
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+def one_link(link_id):
+    return [Link(id=link_id, capacity=8.0, priority=1, cost_per_gb=1.0)]
+
+
+@pytest.mark.parametrize("link_id", ["#a", " a", "a ", "", *(f"a{c}b" for c in LINE_BREAKS)])
+def test_links_writer_rejects_ids_that_read_back_changed(link_id):
+    # '#a' starts a row the reader skips as a comment, ' a' reads back as 'a',
+    # and a line break splits the row in two
+    with pytest.raises(BadParameterError, match="would not read back unchanged"):
+        links_to_csv(one_link(link_id))
+
+
+@pytest.mark.parametrize("link_id", [" y", "y\t", "", *(f"y{c}z" for c in LINE_BREAKS)])
+def test_failures_writer_rejects_ids_that_read_back_changed(link_id):
+    with pytest.raises(BadParameterError, match="would not read back unchanged"):
+        failures_to_csv([(1.0, link_id, "down")])
+
+
+@pytest.mark.parametrize("link_id", ["a#b", "a,b", 'a"b', '"a', "a b", "\x00"])
+def test_writers_keep_ids_the_reader_gives_back(link_id):
+    links = one_link(link_id)
+    assert parse_links(links_to_csv(links)) == links
+    events = [(1.0, link_id, "down"), (2.0, "#" + link_id, "up")]  # '#' leads no failures row
+    assert parse_failures(failures_to_csv(events)) == events
+
+
+finite = hs.floats(allow_nan=False, allow_infinity=False)
+ids = hs.text(max_size=6).map(str.lstrip)  # mostly writable; trailing space, breaks, '#' remain
+ROUND_TRIP = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+def assert_round_trip(x, write, parse):
+    try:
+        text = write(x)
+    except BadParameterError:
+        reject()  # an id that would not read back; pinned by the tests above
+    assert parse(text) == x
+    assert write(parse(text)) == text
+
+
+@ROUND_TRIP
+@given(hs.lists(hs.builds(Link, id=ids, capacity=finite, priority=hs.integers(),
+                          cost_per_gb=finite, threshold=hs.none() | finite,
+                          buffer_cap=hs.none() | finite), min_size=1, max_size=3))
+def test_links_round_trip_property(links):
+    assert_round_trip(links, links_to_csv, parse_links)
+
+
+@ROUND_TRIP
+@given(hs.lists(finite, min_size=1, max_size=8, unique=True).flatmap(
+    lambda ts: hs.lists(hs.floats(min_value=0.0, allow_infinity=False), min_size=len(ts),
+                        max_size=len(ts)).map(lambda ds: list(zip(sorted(ts), ds)))))
+def test_trace_round_trip_property(samples):
+    assert_round_trip(DemandTrace(samples), trace_to_csv, parse_trace)
+
+
+@ROUND_TRIP
+@given(hs.lists(hs.tuples(finite, ids, hs.sampled_from(("up", "down"))), max_size=6))
+def test_failures_round_trip_property(events):
+    assert_round_trip(events, failures_to_csv, parse_failures)
 
 
 def test_synth_diurnal_shape():
