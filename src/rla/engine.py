@@ -17,7 +17,6 @@ import math
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Optional
 
 from .errors import BadParameterError
@@ -136,13 +135,13 @@ class _Runner:
     """Per-tick machinery bound to one group, config and policy state."""
 
     def __init__(self, group: AggregationGroup, config: EngineConfig, state: PolicyState,
-                 samples):
+                 peak: tuple):
+        """peak is the run's busiest (t, demand) sample."""
         self.config = config
         self.n = group.n
         self.bufs = [l.buffer for l in group.links]
         self.drain = [l.capacity * config.tick for l in group.links]
         self.ids = [l.id for l in group.links]
-        peak = max(samples, key=itemgetter(1))
         _check_arrivals(config, *peak)
         self.rule = _RULES[config.policy](group, config, state, self.bufs, peak)
         self._failed = None  # so the first tick refreshes the live links
@@ -191,7 +190,7 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     link drains up to capacity x tick.
     """
     validate_group(group.group_id, group.links, config.tick)
-    runner = _Runner(group, config, policy_state, [(t, demand_mbps)])
+    runner = _Runner(group, config, policy_state, (t, demand_mbps))
     assigned, tx, dropped, supplied, reorder = runner.tick(demand_mbps, frozenset(failed))
     runner.rule.save()
     for link, b in zip(group.links, runner.bufs):
@@ -229,7 +228,9 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     work = AggregationGroup(pristine.group_id,
                             [replace(l, buffer=0.0) for l in pristine.links])
     events = _failure_timeline(work, failures)
-    runner = _Runner(work, config, PolicyState(), trace.samples)
+    times, demands = trace.t, trace.demand
+    k = demands.index(max(demands))  # the first busiest sample
+    runner = _Runner(work, config, PolicyState(), (times[k], demands[k]))
     # columns in field order: t, demand, supplied, dropped; reorder; per-link three
     res = SimulationResult(config, pristine, *(array("d") for _ in range(4)),
                            array("q"), *(array("d") for _ in range(3)))
@@ -244,7 +245,7 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     ei = 0
     n_events = len(events)
     tick = runner.tick
-    for t, demand in trace.samples:
+    for t, demand in zip(times, demands):
         if ei < n_events and events[ei][0] <= t:
             while ei < n_events and events[ei][0] <= t:
                 _, link_id, kind = events[ei]
@@ -258,6 +259,6 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
         add_dropped(dropped)
         add_supplied(supplied)
         add_reorder(reorder)
-    res.t.fromlist(trace.times())
-    res.demand.fromlist(trace.demands())
+    res.t.extend(times)
+    res.demand.extend(demands)
     return res

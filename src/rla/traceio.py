@@ -7,15 +7,18 @@ All formats are plain comma-separated text with a fixed header row:
     failures: time_s,link_id,event        (event is "up" or "down")
 
 Readers skip blank lines and lines starting with '#'. Writers always emit the
-header and '\n' line endings, and reject an id that would not read back
-unchanged, so a parse/serialize round trip is byte-identical. synth_diurnal generates the triangular day-long demand shape
+header and '\n' line endings, and reject what the readers reject (a number
+that is not finite, an event other than "up" or "down") or would read back
+changed (an id; see _writable_id), so a parse/serialize round trip is
+byte-identical. synth_diurnal generates the triangular day-long demand shape
 used by the bundled scenarios.
 """
 
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from .errors import (BadParameterError, BadWindowError, EmptyGroupError,
                      EmptyTraceError, ParseError)
@@ -29,56 +32,83 @@ FAILURES_HEADER = ("time_s", "link_id", "event")
 DAY_S = 86400.0
 
 
-@dataclass
+@dataclass(init=False)
 class DemandTrace:
-    """An ordered series of (time_s, demand_mbps) samples."""
+    """An ordered series of samples, held as two array('d') columns: t
+    (time_s, strictly increasing) and demand (demand_mbps, nonnegative).
 
-    samples: list = field(default_factory=list)
+    DemandTrace(samples) takes (time_s, demand_mbps) pairs and checks them;
+    samples gives them back as a list of tuples, built on each access.
+    """
 
-    def __post_init__(self):
-        if not self.samples:
-            raise EmptyTraceError("demand trace has no samples")
-        prev = None
-        inf = math.inf
-        for t, d in self.samples:
-            # chained comparisons are False for NaN, so each check also rejects it
-            if not -inf < t < inf:
-                raise BadParameterError(f"trace time {t} is not finite")
-            if prev is not None and t <= prev:
-                raise BadParameterError(
-                    f"trace times must be strictly increasing ({t} after {prev})")
-            if not 0 <= d < inf:
-                raise BadParameterError(
-                    f"demand at t={t} must be finite and nonnegative, got {d}")
+    t: array
+    demand: array
+
+    def __init__(self, samples):
+        self.t, self.demand = array("d"), array("d")
+        prev = -math.inf
+        for t, d in samples:
+            reason = _sample_fault(t, d, prev)
+            if reason:
+                raise BadParameterError(reason)
+            self.t.append(t)
+            self.demand.append(d)
             prev = t
+        if not self.t:
+            raise EmptyTraceError("demand trace has no samples")
+
+    @classmethod
+    def _of(cls, t: array, demand: array) -> "DemandTrace":
+        """A trace over columns the caller has already checked."""
+        trace = cls.__new__(cls)
+        trace.t, trace.demand = t, demand
+        return trace
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.t)
 
-    def times(self):
-        return [t for t, _ in self.samples]
+    @property
+    def samples(self) -> list:
+        return list(zip(self.t, self.demand))
 
-    def demands(self):
-        return [d for _, d in self.samples]
+
+def _sample_fault(t, d, prev):
+    """Why sample (t, d) may not follow one at time prev, or None if it may."""
+    inf = math.inf
+    # chained comparisons are False for NaN, so each check also rejects it
+    if not -inf < t < inf:
+        return f"trace time {t} is not finite"
+    if t <= prev:
+        return f"trace times must be strictly increasing ({t} after {prev})"
+    if not 0 <= d < inf:
+        return f"demand at t={t} must be finite and nonnegative, got {d}"
+    return None
+
+
+def _row(line_no: int, raw: str, header: tuple, first: bool):
+    """None for a blank or '#' comment line, [] for a header row (a row equal
+    to header, when first: no row came before it), else the row's
+    len(header) fields; rejects a row with any other field count."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    fields = next(csv.reader([raw]))
+    if first and tuple(f.strip().lower() for f in fields) == header:
+        return []
+    if len(fields) != len(header):
+        raise ParseError(line_no, f"expected {len(header)} fields, got {len(fields)}")
+    return fields
 
 
 def _rows(text: str, header: tuple):
-    """Yield (line_no, fields) for data rows; skips blanks, '#' comments and
-    a first row equal to header, and rejects rows without len(header) fields."""
+    """Yield (line_no, fields) for the data rows of text (see _row)."""
     first = True
-    width = len(header)
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = next(csv.reader([raw]))
-        if first:
+        fields = _row(line_no, raw, header, first)
+        if fields is not None:
             first = False
-            if tuple(f.strip().lower() for f in fields) == header:
-                continue
-        if len(fields) != width:
-            raise ParseError(line_no, f"expected {width} fields, got {len(fields)}")
-        yield line_no, fields
+            if fields:
+                yield line_no, fields
 
 
 def _float(fields, idx, line_no, what) -> float:
@@ -92,17 +122,51 @@ def _float(fields, idx, line_no, what) -> float:
 
 
 def parse_trace(text: str) -> DemandTrace:
-    """Parse time_s,demand_mbps CSV into a DemandTrace."""
-    samples = []
-    for line_no, fields in _rows(text, TRACE_HEADER):
+    """Parse time_s,demand_mbps CSV into a DemandTrace in one pass; a faulty
+    line, including one out of time order or with a negative demand, raises
+    ParseError with its line number."""
+    t_col, d_col = array("d"), array("d")
+    add_t, add_d = t_col.append, d_col.append
+    inf = math.inf
+    prev = -inf
+    first = True
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        # Fast path for a plain 'number,number' row. Both halves parse as
+        # floats only when the row holds one comma and no quote, so csv
+        # would split it the same way, and it is neither blank nor a comment.
+        time_s, _, demand = raw.partition(",")
+        try:
+            t, d = float(time_s), float(demand)
+        except ValueError:
+            pass
+        else:
+            if prev < t < inf and 0 <= d < inf:
+                add_t(t)
+                add_d(d)
+                prev = t
+                continue
+        # every other line: the readers' shared per-line rules, then the checks
+        fields = _row(line_no, raw, TRACE_HEADER, first and not t_col)
+        if fields is None:
+            continue
+        first = False
+        if not fields:
+            continue
         t = _float(fields, 0, line_no, "time_s")
         d = _float(fields, 1, line_no, "demand_mbps")
-        samples.append((t, d))
-    return DemandTrace(samples)
+        reason = _sample_fault(t, d, prev)
+        if reason:
+            raise ParseError(line_no, reason)
+        add_t(t)
+        add_d(d)
+        prev = t
+    if not t_col:
+        raise EmptyTraceError("demand trace has no samples")
+    return DemandTrace._of(t_col, d_col)
 
 
 def trace_to_csv(trace: DemandTrace) -> str:
-    return columns_to_csv(TRACE_HEADER, trace.times(), trace.demands())
+    return columns_to_csv(TRACE_HEADER, trace.t, trace.demand)
 
 
 def parse_links(text: str) -> list:
@@ -148,15 +212,23 @@ def _writable_id(value, leads_row: bool):
     raise BadParameterError(f"id {value!r} would not read back unchanged: it {reason}")
 
 
+def _writable_number(value, what: str) -> str:
+    """value as CSV text, checked to be finite, as the readers require."""
+    if not math.isfinite(value):
+        raise BadParameterError(f"{what} must be a finite number, got {value!r}")
+    return format_number(value)
+
+
 def links_to_csv(links) -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(LINKS_HEADER)
     for l in links:
         w.writerow([
-            _writable_id(l.id, True), format_number(l.capacity), l.priority, format_number(l.cost_per_gb),
-            "" if l.threshold is None else format_number(l.threshold),
-            "" if l.buffer_cap is None else format_number(l.buffer_cap),
+            _writable_id(l.id, True), _writable_number(l.capacity, "capacity_mbps"), l.priority,
+            _writable_number(l.cost_per_gb, "cost_per_gb"),
+            "" if l.threshold is None else _writable_number(l.threshold, "threshold_mbit"),
+            "" if l.buffer_cap is None else _writable_number(l.buffer_cap, "buffer_cap_mbit"),
         ])
     return out.getvalue()
 
@@ -181,7 +253,9 @@ def failures_to_csv(events) -> str:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(FAILURES_HEADER)
     for t, link_id, event in events:
-        w.writerow([format_number(t), _writable_id(link_id, False), event])
+        if event not in ("up", "down"):
+            raise BadParameterError(f"event must be 'up' or 'down', got {event!r}")
+        w.writerow([_writable_number(t, "time_s"), _writable_id(link_id, False), event])
     return out.getvalue()
 
 
@@ -215,9 +289,9 @@ def synth_diurnal(peak_start_s: float, peak_end_s: float, base_mbps: float,
     if not (0 <= peak_start_s < peak_end_s <= DAY_S):
         raise BadWindowError(
             f"peak window [{peak_start_s}, {peak_end_s}] must sit inside the day")
-    if base_mbps < 0 or peak_mbps < base_mbps:
+    if not 0 <= base_mbps <= peak_mbps < math.inf:
         raise BadWindowError(
-            f"need 0 <= base <= peak, got base={base_mbps} peak={peak_mbps}")
+            f"need 0 <= base <= peak < inf, got base={base_mbps} peak={peak_mbps}")
     if samples_per_hour < 1 or int(samples_per_hour) != samples_per_hour:
         raise BadWindowError(f"samples_per_hour must be a positive integer, got {samples_per_hour}")
     n = int(24 * samples_per_hour)
@@ -225,7 +299,7 @@ def synth_diurnal(peak_start_s: float, peak_end_s: float, base_mbps: float,
     mid = (peak_start_s + peak_end_s) / 2.0
     half = mid - peak_start_s
     rise = peak_mbps - base_mbps
-    samples = []
+    t_col, d_col = array("d"), array("d")
     for i in range(n):
         t = i * dt
         if t <= peak_start_s or t >= peak_end_s:
@@ -234,5 +308,8 @@ def synth_diurnal(peak_start_s: float, peak_end_s: float, base_mbps: float,
             d = base_mbps + rise * (t - peak_start_s) / half
         else:
             d = base_mbps + rise * (peak_end_s - t) / half
-        samples.append((t, d))
-    return DemandTrace(samples)
+        t_col.append(t)
+        d_col.append(d)
+    if not max(d_col) < math.inf:
+        raise BadWindowError(f"peak {peak_mbps} Mbps overflows the ramp's float range")
+    return DemandTrace._of(t_col, d_col)

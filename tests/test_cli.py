@@ -91,6 +91,22 @@ def test_parse_error_reports_file_and_line(inputs, capsys):
     assert "bad.csv:3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("time_s,demand_mbps\n0,1\n0,2\n", "3: trace times must be strictly increasing (0.0 after 0.0)"),
+    ("time_s,demand_mbps\n0,1\n# note\n2,5\n1,3\n",
+     "5: trace times must be strictly increasing (1.0 after 2.0)"),
+    ("0,1\n1,-2\n", "2: demand at t=1.0 must be finite and nonnegative, got -2.0"),
+])
+def test_trace_order_and_sign_errors_report_file_and_line(inputs, capsys, text, where):
+    tmp, links, _ = inputs
+    bad = tmp / "bad.csv"
+    bad.write_text(text)
+    rc = main(["simulate", "--links", links, "--trace", str(bad),
+               "--policy", "olb", "--out", "-"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"rla: error: {bad}:{where}\n"
+
+
 def test_missing_file_exits_1(inputs, capsys):
     _, links, _ = inputs
     rc = main(["simulate", "--links", links, "--trace", "nope.csv",

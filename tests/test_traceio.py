@@ -1,6 +1,11 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as hs
+
+import trace_reference
 
 from rla import (
     BadParameterError,
@@ -78,6 +83,47 @@ def test_parse_trace_errors():
         parse_trace("0,1,2\n")
 
 
+@pytest.mark.parametrize("text, line, reason", [
+    ("time_s,demand_mbps\n0,1\n0,2\n", 3, "trace times must be strictly increasing (0.0 after 0.0)"),
+    ("5,1\n\n# c\n4.5,2\n", 4, "trace times must be strictly increasing (4.5 after 5.0)"),
+    ("time_s,demand_mbps\n0,-1\n", 2, "demand at t=0.0 must be finite and nonnegative, got -1.0"),
+    ('0,1\n"1"," -0.5"\n', 2, "demand at t=1.0 must be finite and nonnegative, got -0.5"),
+    # several faults: the first faulty line is reported, not the parse fault after it
+    ("0,1\n1,-1\n2,x\n", 2, "demand at t=1.0 must be finite and nonnegative, got -1.0"),
+])
+def test_parse_trace_reports_order_and_sign_faults_at_their_line(text, line, reason):
+    with pytest.raises(ParseError) as ei:
+        parse_trace(text)
+    assert (ei.value.line, ei.value.reason) == (line, reason)
+
+
+def test_parse_trace_columns():
+    tr = parse_trace("time_s,demand_mbps\n0,20\n 1 ,\t20.5\n\"2\",1_2e1\n")
+    assert list(tr.t) == [0.0, 1.0, 2.0] and list(tr.demand) == [20.0, 20.5, 120.0]
+    assert tr == DemandTrace([(0, 20), (1.0, 20.5), (2.0, 120.0)])
+    assert tr != DemandTrace([(0.0, 20.0), (1.0, 20.5), (2.5, 120.0)])
+
+
+def test_parse_trace_memory_is_columnar():
+    # 16 bytes per sample: one float in each of the two columns; 1.25x leaves
+    # room for the arrays' growth slack
+    n = 100_000
+    text = "time_s,demand_mbps\n" + "".join(f"{i},{i % 97}.5\n" for i in range(n))
+    parse_trace("0,1\n")  # first-call set-up stays out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = parse_trace(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    bound = 1.25 * 16 * n + 16 * 1024
+    assert retained <= bound, f"{retained / n:.0f} B per sample retained"
+
+
 def test_trace_must_increase_and_be_nonnegative():
     with pytest.raises(BadParameterError):
         DemandTrace([(0.0, 5.0), (0.0, 6.0)])
@@ -99,6 +145,24 @@ def test_parse_failures_rejects_unknown_event():
     with pytest.raises(ParseError) as ei:
         parse_failures("5,L64,flap\n")
     assert "up" in ei.value.reason and ei.value.line == 1
+
+
+@pytest.mark.parametrize("field, value", [("capacity", float("nan")), ("cost_per_gb", float("inf")),
+                                          ("threshold", -float("inf")), ("buffer_cap", float("nan"))])
+def test_links_writer_rejects_non_finite_numbers(field, value):
+    link = Link(id="a", capacity=8.0, priority=1, cost_per_gb=1.0, threshold=8.0, buffer_cap=8.0)
+    setattr(link, field, value)
+    with pytest.raises(BadParameterError, match="must be a finite number"):
+        links_to_csv([link])
+
+
+@pytest.mark.parametrize("event, match", [((float("inf"), "a", "down"), "time_s must be a finite"),
+                                          ((float("nan"), "a", "up"), "time_s must be a finite"),
+                                          ((1.0, "a", "FLAP"), "'up' or 'down'"),
+                                          ((1.0, "a", "UP"), "'up' or 'down'")])
+def test_failures_writer_rejects_what_the_reader_rejects(event, match):
+    with pytest.raises(BadParameterError, match=match):
+        failures_to_csv([event])
 
 
 def test_failures_round_trip():
@@ -173,16 +237,89 @@ def test_failures_round_trip_property(events):
     assert_round_trip(events, failures_to_csv, parse_failures)
 
 
+HEADERS = ["time_s,demand_mbps", " Time_S , DEMAND_MBPS\t", '"time_s","demand_mbps"']
+SKIPPED = ["# note", "  #0,1", "#", "", " ", "\t \x1f"]
+# a line that breaks a trace, or a field that breaks a row, wherever it lands
+ODD_LINES = HEADERS + ["time_s,demand_mbps,extra", "time_s", "1", "1,2,3", "1,", ",1", '"1,5",2']
+ODD_FIELDS = ["nan", "-inf", "Infinity", "-0", ".5", "5.", "0x10", "x", "", "\x00", "1\x00",
+              "\u0661\u0662", "1 2", '"3', '1"', ' "3"', "-1", "0", "1e308", "9"]
+
+
+@hs.composite
+def trace_texts(draw):
+    """Trace-shaped text: increasing numeric rows with decorated fields,
+    headers, comments and blanks, every line break, and up to three faults
+    anywhere: an odd line or field, a repeated line or a negated field."""
+    lines = draw(hs.lists(hs.sampled_from(SKIPPED), max_size=1))
+    lines += draw(hs.lists(hs.sampled_from(HEADERS), max_size=1))
+    t = 0
+    for _ in range(draw(hs.integers(0, 6))):
+        lines += draw(hs.lists(hs.sampled_from(SKIPPED), max_size=1))
+        t += draw(hs.sampled_from([1, 2]))
+        fields = [draw(hs.sampled_from([str(t), f"{t}.5", f"{t}e0", f"{t}_0", f"0{t}"])),
+                  draw(hs.sampled_from(["0", "7.25", "1e3", "12_5", "2.5E-1"]))]
+        lines.append(",".join(draw(hs.sampled_from(["{}", " {}", "{}\t", '"{}"'])).format(f)
+                              for f in fields))
+    for _ in range(draw(hs.integers(0, 3))):
+        at = draw(hs.integers(0, len(lines)))
+        how = draw(hs.sampled_from(["line", "field", "repeat", "negate"]))
+        if how == "line" or at == len(lines):
+            lines.insert(at, draw(hs.sampled_from(ODD_LINES)))
+        elif how == "repeat":
+            lines.insert(at, lines[at])
+        else:
+            fields = lines[at].split(",")
+            k = draw(hs.integers(0, len(fields) - 1))
+            fields[k] = draw(hs.sampled_from(ODD_FIELDS)) if how == "field" else "-" + fields[k]
+            lines[at] = ",".join(fields)
+    ends = draw(hs.lists(hs.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    if ends and draw(hs.booleans()):
+        ends[-1] = ""  # no break after the last line
+    return "".join(map(str.__add__, lines, ends))
+
+
+def reference_outcome(text):
+    """The reference reader's columns, or the (line, reason) of its rejection.
+    Two deliberate differences: an order or sign fault is reported at its
+    line, and ahead of any parse fault on a later line."""
+    rows, fault = [], None
+    try:
+        for row in trace_reference.trace_rows(text):
+            rows.append(row)  # the rows before a parse fault count for sample_fault
+    except trace_reference.ParseError as e:
+        fault = (e.line, e.reason)
+    fault = trace_reference.sample_fault(rows) or fault
+    if fault or not rows:
+        return fault
+    return [t for _, t, _ in rows], [d for _, _, d in rows]
+
+
+@settings(ROUND_TRIP, max_examples=400)
+@given(trace_texts())
+def test_parse_trace_matches_reference_reader(text):
+    want = reference_outcome(text)
+    if want is None:
+        with pytest.raises(EmptyTraceError):
+            parse_trace(text)
+    elif isinstance(want[0], int):
+        with pytest.raises(ParseError) as ei:
+            parse_trace(text)
+        assert (ei.value.line, ei.value.reason) == want
+    else:
+        tr = parse_trace(text)
+        assert (tr.t.tolist(), tr.demand.tolist()) == want
+
+
 def test_synth_diurnal_shape():
     tr = synth_diurnal(36000.0, 57600.0, 20.0, 120.0, samples_per_hour=60)
     assert len(tr) == 24 * 60
     demands = dict(tr.samples)
     assert demands[0.0] == 20.0                # flat base before the window
     assert demands[35940.0] == 20.0
-    assert max(tr.demands()) == 120.0          # peak at window midpoint
+    assert max(tr.demand) == 120.0          # peak at window midpoint
     assert demands[(36000.0 + 57600.0) / 2] == 120.0
     assert demands[60000.0] == 20.0            # back to base after the window
-    assert all(20.0 <= d <= 120.0 for d in tr.demands())
+    assert all(20.0 <= d <= 120.0 for d in tr.demand)
 
 
 def test_synth_diurnal_is_symmetric_about_midpoint():
