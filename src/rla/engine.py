@@ -1,14 +1,15 @@
 """Discrete-time simulation engine.
 
-Each tick checks the demand, refreshes the list of live links when the
-failure set has changed, splits demand x tick megabits into full quanta and
-a fractional tail, hands them to the active policy's assign (or drops them
-all when no link is live), then drains each live link by up to
-capacity x tick and records the result. How a policy picks links, what state
-it keeps and what it checks lives in its class in policies.py; the engine
-has no policy-specific branch.
+One loop, _simulate, runs the ticks of both run() and step(). Per (t, demand)
+sample it checks the demand, applies the failure events due by t (then
+refreshes the list of live links), splits demand x tick megabits into full
+quanta and a fractional tail, hands them to the active policy's assign (or
+drops them all when no link is live), drains each live link by up to
+capacity x tick and appends the tick to the result's columns. How a policy
+picks links, what state it keeps and what it checks lives in its class in
+policies.py; the engine has no policy-specific branch.
 
-run() keeps no object per tick: t, demand, supplied (Mbps), dropped and
+A result keeps no object per tick: t, demand, supplied (Mbps), dropped and
 reorder (int64) are one array value per tick; assigned, transmitted and
 buffer_end are n float values per tick, tick k at [k*n, (k+1)*n).
 """
@@ -117,92 +118,89 @@ def _split_arrivals(arrivals: float, quantum: float):
     return n_full, (rem if rem > 0 else 0.0)
 
 
-def _check_arrivals(config: EngineConfig, t: float, demand: float) -> None:
-    """Reject a run whose busiest sample (t, demand) overflows a float in
-    demand x tick or in the quanta it splits into; the engine computes both
-    products the same way every tick, and they grow with demand."""
-    if not 0 <= demand < math.inf:
-        return  # rejected by the tick itself
+def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
+              times: Sequence, demands: Sequence, events: list,
+              res: SimulationResult) -> None:
+    """One tick per (t, demand) sample on a validated group, from its links'
+    buffers, with the events _failure_timeline gives; appends each tick to
+    res's columns, so the final buffers are res.buffer_end's last n values."""
+    n = group.n
+    ids = group.link_ids()
+    bufs = [l.buffer for l in group.links]
+    drain = [l.capacity * config.tick for l in group.links]
+    k = demands.index(max(demands))  # the first busiest sample
+    peak = t, demand = times[k], demands[k]
+    # demand x tick, and the quanta it splits into, grow with demand: if the
+    # busiest sample's stay in float range, every sample's do
     arrivals = demand * config.tick
-    if not math.isfinite(arrivals / config.quantum):
+    if 0 <= demand < math.inf and not math.isfinite(arrivals / config.quantum):
         raise BadParameterError(
             f"demand {demand} Mbps at t={t} with tick {config.tick} and quantum "
             f"{config.quantum} gives {arrivals} Mbit in {arrivals / config.quantum} quanta, "
             f"beyond the float range")
-
-
-class _Runner:
-    """Per-tick machinery bound to one group, config and policy state."""
-
-    def __init__(self, group: AggregationGroup, config: EngineConfig, state: PolicyState,
-                 peak: tuple):
-        """peak is the run's busiest (t, demand) sample."""
-        self.config = config
-        self.n = group.n
-        self.bufs = [l.buffer for l in group.links]
-        self.drain = [l.capacity * config.tick for l in group.links]
-        self.ids = [l.id for l in group.links]
-        _check_arrivals(config, *peak)
-        self.rule = _RULES[config.policy](group, config, state, self.bufs, peak)
-        self._failed = None  # so the first tick refreshes the live links
-
-    def tick(self, demand: float, failed: frozenset):
-        """Returns (assigned, transmitted, dropped, supplied_mbps, reorder); updates self.bufs."""
+    rule = _RULES[config.policy](group, config, state, bufs, peak)
+    refresh, assign = rule.refresh, rule.assign
+    # bound once; fromlist copies the per-link lists without building tuples
+    add_dropped, add_supplied, add_reorder = (
+        res.dropped.append, res.supplied.append, res.reorder.append)
+    add_assigned, add_transmitted, add_buffer_end = (
+        res.assigned.fromlist, res.transmitted.fromlist, res.buffer_end.fromlist)
+    tick, quantum = config.tick, config.quantum
+    failed = set()
+    alive = None  # so the first tick refreshes the live links
+    ei, n_events = 0, len(events)
+    for t, demand in zip(times, demands):
         if not 0.0 <= demand < math.inf:
             raise BadParameterError(f"demand must be finite and nonnegative, got {demand}")
-        cfg = self.config
-        bufs = self.bufs
-        n = self.n
-        if failed is not self._failed:
-            self._failed = failed
-            self._alive = [i for i in range(n) if self.ids[i] not in failed]
-            self.rule.refresh(self._alive, failed)
-        alive = self._alive
+        if alive is None or ei < n_events and events[ei][0] <= t:
+            while ei < n_events and events[ei][0] <= t:
+                _, link_id, kind = events[ei]
+                (failed.add if kind == "down" else failed.discard)(link_id)
+                ei += 1
+            alive = [i for i in range(n) if ids[i] not in failed]
+            refresh(alive, frozenset(failed))
         assigned = [0.0] * n
-        arrivals = demand * cfg.tick
-        n_full, rem = _split_arrivals(arrivals, cfg.quantum)
+        arrivals = demand * tick
+        n_full, rem = _split_arrivals(arrivals, quantum)
         if not (n_full or rem):
             dropped, reorder = 0.0, 0
         elif alive:
-            dropped, reorder = self.rule.assign(assigned, n_full, rem)
+            dropped, reorder = assign(assigned, n_full, rem)
         else:
             dropped, reorder = arrivals, 0
-
         transmitted = [0.0] * n
         supplied = 0.0
         for i in alive:
             tx = bufs[i]
-            cap = self.drain[i]
+            cap = drain[i]
             if tx > cap:
                 tx = cap
             bufs[i] -= tx
             transmitted[i] = tx
             supplied += tx
-        return assigned, transmitted, dropped, supplied / cfg.tick, reorder
+        add_assigned(assigned)
+        add_transmitted(transmitted)
+        add_buffer_end(bufs)
+        add_dropped(dropped)
+        add_supplied(supplied / tick)
+        add_reorder(reorder)
+    rule.save()
+    res.t.extend(times)
+    res.demand.extend(demands)
 
 
-def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfig,
-         demand_mbps: float, failed: frozenset = frozenset(), t: float = 0.0) -> TickRecord:
-    """Advance one tick on a live group, mutating link buffers in place.
-
-    Arrivals of demand x tick megabits are split into quanta, each assigned
-    by the configured policy against live buffer state, then every non-failed
-    link drains up to capacity x tick.
-    """
-    validate_group(group.group_id, group.links, config.tick)
-    runner = _Runner(group, config, policy_state, (t, demand_mbps))
-    assigned, tx, dropped, supplied, reorder = runner.tick(demand_mbps, frozenset(failed))
-    runner.rule.save()
-    for link, b in zip(group.links, runner.bufs):
-        link.buffer = b
-    return TickRecord(t, demand_mbps, tuple(assigned), tuple(tx), tuple(runner.bufs),
-                      dropped, supplied, reorder)
+def _result(config: EngineConfig, group: AggregationGroup) -> SimulationResult:
+    """An empty result, its columns typed in field order."""
+    return SimulationResult(config, group, *map(array, "ddddqddd"))
 
 
 def _failure_timeline(group: AggregationGroup, failures) -> list:
+    """failures as (t, link_id, kind) events sorted by time, each checked."""
+    if not failures:
+        return []
     ids = set(group.link_ids())
     events = []
-    for ev in failures or ():
+    for ev in failures:
         t, link_id, kind = float(ev[0]), str(ev[1]), str(ev[2])
         if not math.isfinite(t):
             raise BadParameterError(f"failure event time must be finite, got {t}")
@@ -213,6 +211,31 @@ def _failure_timeline(group: AggregationGroup, failures) -> list:
         events.append((t, link_id, kind))
     events.sort(key=lambda e: e[0])
     return events
+
+
+def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfig,
+         demand_mbps: float, failed: frozenset = frozenset(), t: float = 0.0) -> TickRecord:
+    """Advance one tick on a live group, mutating link buffers in place.
+
+    The group must be validate_group's output, its links resolved and in
+    priority order; the ids in failed are down for this tick. Arrivals of
+    demand x tick megabits are split into quanta, each assigned by the
+    configured policy against live buffer state, then every non-failed link
+    drains up to capacity x tick.
+    """
+    checked = validate_group(group.group_id, group.links, config.tick)
+    for live, ok in zip(group.links, checked.links):
+        # ids are unique, and validate_group keeps a threshold or cap it is given
+        if live.id != ok.id or live.threshold is None or live.buffer_cap is None:
+            raise BadParameterError(
+                f"link {live.id}: group must go through validate_group before simulation")
+    res = _result(config, group)
+    events = _failure_timeline(group, [(t, link_id, "down") for link_id in failed])
+    _simulate(group, config, policy_state, (t,), (demand_mbps,), events, res)
+    for link, b in zip(group.links, res.buffer_end):
+        link.buffer = b
+    return TickRecord(t, demand_mbps, tuple(res.assigned), tuple(res.transmitted),
+                      tuple(res.buffer_end), res.dropped[0], res.supplied[0], res.reorder[0])
 
 
 def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
@@ -228,37 +251,6 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     work = AggregationGroup(pristine.group_id,
                             [replace(l, buffer=0.0) for l in pristine.links])
     events = _failure_timeline(work, failures)
-    times, demands = trace.t, trace.demand
-    k = demands.index(max(demands))  # the first busiest sample
-    runner = _Runner(work, config, PolicyState(), (times[k], demands[k]))
-    # columns in field order: t, demand, supplied, dropped; reorder; per-link three
-    res = SimulationResult(config, pristine, *(array("d") for _ in range(4)),
-                           array("q"), *(array("d") for _ in range(3)))
-    # bound once; fromlist copies the per-link lists without building tuples
-    add_dropped, add_supplied, add_reorder = (
-        res.dropped.append, res.supplied.append, res.reorder.append)
-    add_assigned, add_transmitted, add_buffer_end = (
-        res.assigned.fromlist, res.transmitted.fromlist, res.buffer_end.fromlist)
-    bufs = runner.bufs
-    failed = set()
-    fsnap = frozenset()
-    ei = 0
-    n_events = len(events)
-    tick = runner.tick
-    for t, demand in zip(times, demands):
-        if ei < n_events and events[ei][0] <= t:
-            while ei < n_events and events[ei][0] <= t:
-                _, link_id, kind = events[ei]
-                (failed.add if kind == "down" else failed.discard)(link_id)
-                ei += 1
-            fsnap = frozenset(failed)
-        assigned, transmitted, dropped, supplied, reorder = tick(demand, fsnap)
-        add_assigned(assigned)
-        add_transmitted(transmitted)
-        add_buffer_end(bufs)
-        add_dropped(dropped)
-        add_supplied(supplied)
-        add_reorder(reorder)
-    res.t.extend(times)
-    res.demand.extend(demands)
+    res = _result(config, pristine)
+    _simulate(work, config, PolicyState(), trace.t, trace.demand, events, res)
     return res

@@ -8,7 +8,7 @@ arrivals are dropped.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import BadParameterError, DuplicatePriorityError, EmptyGroupError
@@ -104,7 +104,9 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
         if not 0 <= link.buffer <= buffer_cap:
             raise BadParameterError(
                 f"link {link.id}: buffer {link.buffer} outside [0, {buffer_cap}]")
-        resolved.append(replace(link, threshold=threshold, buffer_cap=buffer_cap))
+        # a new Link, not dataclasses.replace, which costs ~4x as much per link
+        resolved.append(Link(link.id, link.capacity, link.priority, link.cost_per_gb,
+                             threshold, buffer_cap, link.buffer))
 
     if not resolved:
         raise EmptyGroupError(f"group {group_id!r} has no links")

@@ -124,7 +124,7 @@ def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
 
 
 class _Rule:
-    """One run of a policy over a group; bufs is the engine's buffer list.
+    """One run of a policy over a validated group; bufs is the engine's buffer list.
     Subclasses define assign(assigned, n_full, rem), which enqueues n_full full
     quanta, then the fractional rem (0 if none), onto the live links (at least
     one), adds to bufs and assigned per link and returns (dropped, reorder)."""
@@ -138,10 +138,6 @@ class _Rule:
         self.bufs = bufs
         self.thrs = [l.threshold for l in group.links]
         self.bcaps = [l.buffer_cap for l in group.links]
-        for link in group.links:
-            if link.threshold is None or link.buffer_cap is None:
-                raise BadParameterError(
-                    f"link {link.id}: group must go through validate_group before simulation")
         if config.quantum > min(self.thrs):
             raise BadParameterError(
                 f"quantum {config.quantum} exceeds smallest link threshold {min(self.thrs)}")

@@ -92,7 +92,10 @@ def _row(line_no: int, raw: str, header: tuple, first: bool):
     line = raw.strip()
     if not line or line.startswith("#"):
         return None
-    fields = next(csv.reader([raw]))
+    try:
+        fields = next(csv.reader([raw]))
+    except csv.Error as e:  # a field past csv's size limit, say
+        raise ParseError(line_no, f"bad CSV row: {e}") from None
     if first and tuple(f.strip().lower() for f in fields) == header:
         return []
     if len(fields) != len(header):

@@ -107,6 +107,17 @@ def test_trace_order_and_sign_errors_report_file_and_line(inputs, capsys, text, 
     assert capsys.readouterr().err == f"rla: error: {bad}:{where}\n"
 
 
+def test_oversized_csv_field_exits_1_with_file_and_line(inputs, capsys):
+    tmp, links, _ = inputs
+    bad = tmp / "bad.csv"
+    bad.write_text("time_s,demand_mbps\n0,5\n" + "x" * 140000 + ",2\n")
+    rc = main(["simulate", "--links", links, "--trace", str(bad),
+               "--policy", "olb", "--out", "-"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"rla: error: {bad}:3: bad CSV row: field larger than field limit")
+
+
 def test_missing_file_exits_1(inputs, capsys):
     _, links, _ = inputs
     rc = main(["simulate", "--links", links, "--trace", "nope.csv",

@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 from oracle import oracle_run
 
 from rla import (
+    AggregationGroup,
     AllLinksFailedError,
     BadParameterError,
     DemandTrace,
@@ -65,6 +66,24 @@ def test_unresolved_group_rejected_by_step():
     g.links[0].threshold = None
     with pytest.raises(BadParameterError):
         step(g, PolicyState(), cfg(), 4.0)
+
+
+def test_out_of_priority_order_group_rejected_by_step():
+    # validate_group would put a first; stepping in list order would give
+    # everything to the priority-2 link b
+    g = AggregationGroup("g", [Link("b", 10.0, 2, 1.0, 10.0, 40.0),
+                               Link("a", 10.0, 1, 1.0, 10.0, 40.0)])
+    with pytest.raises(BadParameterError, match="validate_group"):
+        step(g, PolicyState(), cfg(), 5.0)
+    assert [l.buffer for l in g.links] == [0.0, 0.0]
+
+
+def test_step_rejects_unknown_failed_id():
+    g = group(5.0, 3.0)
+    with pytest.raises(BadParameterError, match="unknown link 'zzz'"):
+        step(g, PolicyState(), cfg(), 4.0, failed=frozenset({"zzz"}))
+    with pytest.raises(BadParameterError, match="unknown link 'zzz'"):
+        run(g, cfg(), const(4.0), failures=[(0.0, "zzz", "down")])
 
 
 # --- single-tick semantics ---
@@ -263,16 +282,25 @@ def test_three_link_staircase_values():
         assert active == want_active
 
 
-def test_step_sequence_matches_run():
-    g = group(5.0, 3.0, cap_factor=4.0)
-    c = cfg()
-    tr = [(0.0, 7.0), (1.0, 12.0), (2.0, 0.5), (3.0, 9.0)]
-    live = validate_group(g.group_id, g.links)
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_step_sequence_matches_run(policy):
+    # one tick path: stepping each sample with the run's failure set at that
+    # tick gives run's records exactly, wfq counters and vrrp masters included
+    g = group(5.0, 3.0, 4.0, costs=[1.7, 3.0, 1.0], cap_factor=4.0)
+    c = cfg(policy, quantum=0.5)
+    tr = [(0.0, 7.0), (1.0, 12.0), (2.0, 0.5), (3.0, 9.0), (4.0, 20.25),
+          (5.0, 0.0), (6.0, 13.75), (7.0, 6.0), (8.0, 30.0)]
+    failures = [(1.0, "l0", "down"), (2.5, "l2", "down"), (4.0, "l0", "up"),
+                (4.0, "l1", "down"), (6.0, "l2", "up"), (7.0, "l1", "up")]
     st = PolicyState()
-    stepped = [step(live, st, c, d, t=t) for t, d in tr]
-    ran = run(g, c, DemandTrace(tr)).records
-    assert [(r.assigned, r.buffer_end, r.dropped) for r in stepped] == \
-           [(r.assigned, r.buffer_end, r.dropped) for r in ran]
+    stepped = []
+    for t, d in tr:
+        failed = set()
+        for et, link_id, kind in failures:
+            if et <= t:
+                (failed.add if kind == "down" else failed.discard)(link_id)
+        stepped.append(step(g, st, c, d, failed=frozenset(failed), t=t))
+    assert stepped == run(g, c, DemandTrace(tr), failures).records[:]
 
 
 # --- columnar result storage ---

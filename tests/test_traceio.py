@@ -364,3 +364,18 @@ def test_parse_links_and_failures_reject_non_finite():
 def test_demand_trace_rejects_non_finite(sample):
     with pytest.raises(BadParameterError, match="finite"):
         DemandTrace([sample])
+
+
+# one field longer than csv's field size limit (131072 characters)
+HUGE_FIELD = "x" * 140000
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_trace, f"time_s,demand_mbps\n0,1\n{HUGE_FIELD},2\n"),
+    (parse_links, LINKS_CSV + f"{HUGE_FIELD},8,3,1,,\n"),
+    (parse_failures, f"time_s,link_id,event\n0,L64,down\n1,{HUGE_FIELD},up\n"),
+], ids=["trace", "links", "failures"])
+def test_oversized_csv_field_is_parse_error(parse, text):
+    with pytest.raises(ParseError, match="field larger than field limit") as ei:
+        parse(text)
+    assert ei.value.line == text.count("\n")
