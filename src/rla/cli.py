@@ -137,14 +137,14 @@ def _load_run_inputs(args):
     return group, trace, failures
 
 
-def _config(args, policy: str) -> EngineConfig:
-    return EngineConfig(policy=PolicyId.parse(policy), tick=args.tick, quantum=args.quantum,
+def _config(args, policy: PolicyId) -> EngineConfig:
+    return EngineConfig(policy=policy, tick=args.tick, quantum=args.quantum,
                         wfq_direction=WfqDirection.parse(args.wfq_direction))
 
 
 def _cmd_simulate(args) -> int:
     group, trace, failures = _load_run_inputs(args)
-    result = run(group, _config(args, args.policy), trace, failures=failures)
+    result = run(group, _config(args, PolicyId.parse(args.policy)), trace, failures=failures)
     renderers = {
         "supply": lambda: supply_series_csv(result),
         "shortfall": lambda: shortfall_series_csv(result),
@@ -164,10 +164,11 @@ def _cmd_compare(args) -> int:
     names = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
     if not names:
         raise InputError("--policies needs at least one policy")
-    if len(set(names)) != len(names):
+    policies = [PolicyId.parse(name) for name in names]  # labels stay as typed
+    if len(set(policies)) != len(policies):
         raise InputError(f"duplicate policy in --policies: {args.policies}")
-    labeled = [(name, run(group, _config(args, name), trace, failures=failures))
-               for name in names]
+    labeled = [(name, run(group, _config(args, policy), trace, failures=failures))
+               for name, policy in zip(names, policies)]
     _emit(args, merge_supply_csv(labeled))
     return 0
 

@@ -41,6 +41,10 @@ class EngineConfig:
     wfq_direction: WfqDirection = WfqDirection.INVERSE_COST
 
     def __post_init__(self):
+        for name, kind in (("policy", PolicyId), ("wfq_direction", WfqDirection)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):  # a name string is not coerced
+                raise BadParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
         if not 0 < self.tick < math.inf:
             raise BadParameterError(f"tick must be positive and finite, got {self.tick}")
         if not 0 < self.quantum < math.inf:

@@ -307,6 +307,24 @@ def wfq_weights(group: AggregationGroup,
     return [a / total for a in ints]
 
 
+def _kept_switches(order, kept, tail, tail_kept):
+    """Link switches among the picks a wfq tick kept, in one pass over order.
+
+    order lists the tick's full-quantum picks. _admit keeps each link's
+    first kept[k] of them, all of one size, so the kept picks are exactly
+    those, in order, then the tail if it was kept.
+    """
+    left = list(kept)
+    picks = []
+    for k in order:
+        if left[k]:
+            left[k] -= 1
+            picks.append(k)
+    if tail_kept:
+        picks.append(tail)
+    return sum(map(ne, picks, picks[1:]))
+
+
 class _Wfq(_Rule):
     swrr = None  # the live links' swrr.Swrr, None until a tick with arrivals
 
@@ -361,15 +379,7 @@ class _Wfq(_Rule):
             if kept is counts:
                 return dropped, swrr.switches(p, n_full + 1 if tail_kept else n_full)
             order = swrr.slice(p, n_full)
-            cuts = [(swrr.nth(p, k, c), k) for k, c in enumerate(kept) if c < counts[k]]
-            order = swrr.drop_after(order, cuts)
-        elif kept is not counts:
-            cuts = [([i for i, j in enumerate(order) if j == k][c], k)
-                    for k, c in enumerate(kept) if c < counts[k]]
-            order = swrr.drop_after(order, cuts)
-        if tail_kept:
-            order.append(tail)
-        return dropped, sum(map(ne, order, order[1:]))
+        return dropped, _kept_switches(order, kept, tail, tail_kept)
 
 
 class _Vrrp(_Rule):

@@ -7,7 +7,7 @@ rla and the other policies do not compile it.
 """
 
 import math
-from itertools import accumulate, filterfalse
+from itertools import accumulate
 from operator import ne, sub
 
 
@@ -155,14 +155,10 @@ class Swrr:
         self.cycle = c2 = cycle * 2
         counts = [0] * len(self.x)
         rows = [tuple(counts)]
-        where = [[] for _ in counts]  # where[k]: the phases at which k is picked
-        for i, k in enumerate(cycle):
-            where[k].append(i)
         for k in c2:
             counts[k] += 1
             rows.append(tuple(counts))
         self.rows = rows  # rows[i][k]: picks of k among c2[:i]
-        self.where = where
         self.switches_before = list(accumulate(map(ne, c2, c2[1:]), initial=0))
         self.phase = 0
         self.picks = None
@@ -172,11 +168,6 @@ class Swrr:
         q, r = divmod(n, self.P)
         c2 = self.cycle
         return c2[p:p + self.P] * q + c2[p:p + r] if q else c2[p:p + r]
-
-    def nth(self, p, k, j) -> int:
-        """Offset from phase p of link k's j-th pick (from 0) after it."""
-        q, r = divmod(self.rows[p][k] + j, self.weights[k])
-        return q * self.P + self.where[k][r] - p
 
     def take(self, n, rem) -> tuple:
         """Move the phase past the next n cycle picks, and past the pick
@@ -212,15 +203,3 @@ class Swrr:
             n = (v - r) // m * self.unit + rest
             g = math.gcd(n, scale)
             known[i] = (n // g, scale // g)
-
-    @staticmethod
-    def drop_after(order, cuts) -> list:
-        """order without link k's picks from index i on, for each (i, k) in
-        cuts; a link whose cap filled keeps only its picks before the cut."""
-        cuts = sorted(cuts) + [(len(order), -1)]
-        kept = order[:cuts[0][0]]
-        gone = set()
-        for (i, k), (end, _) in zip(cuts, cuts[1:]):
-            gone.add(k)
-            kept += filterfalse(gone.__contains__, order[i:end])
-        return kept

@@ -8,10 +8,10 @@ All formats are plain comma-separated text with a fixed header row:
 
 Readers skip blank lines and lines starting with '#'. Writers always emit the
 header and '\n' line endings, and reject what the readers reject (a number
-that is not finite, an event other than "up" or "down") or would read back
-changed (an id; see _writable_id), so a parse/serialize round trip is
-byte-identical. synth_diurnal generates the triangular day-long demand shape
-used by the bundled scenarios.
+that is not finite, a priority that is not an int, an event other than "up"
+or "down") or would read back changed (an id; see _writable_id), so a
+parse/serialize round trip is byte-identical. synth_diurnal generates the
+triangular day-long demand shape used by the bundled scenarios.
 """
 
 import csv
@@ -227,6 +227,8 @@ def links_to_csv(links) -> str:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(LINKS_HEADER)
     for l in links:
+        if isinstance(l.priority, bool) or not isinstance(l.priority, int):  # True is written 'True'
+            raise BadParameterError(f"priority must be an int, got {l.priority!r}")
         w.writerow([
             _writable_id(l.id, True), _writable_number(l.capacity, "capacity_mbps"), l.priority,
             _writable_number(l.cost_per_gb, "cost_per_gb"),

@@ -174,6 +174,7 @@ def test_criterion_4_conservation_suite():
                              wfq_direction=WfqDirection.parse(direction)),
                   DemandTrace(trace), failures=failures)
         alive = _alive_per_tick(res.group, trace, failures)
+        caps = [l.buffer_cap for l in res.group.links]
         prev = [0.0] * group.n
         for k, r in enumerate(res.records):
             gap = abs(sum(r.assigned) + r.dropped - r.demand * tick)
@@ -184,6 +185,8 @@ def test_criterion_4_conservation_suite():
                                               - r.transmitted[i]))
                 worst = max(worst, flow)
                 assert flow <= 1e-6, (policy, r)
+                assert 0 <= r.buffer_end[i], (policy, r)
+                assert prev[i] + r.assigned[i] <= caps[i], (policy, r, caps[i])
             ceiling = sum(l.capacity for l in alive[k])
             assert r.supplied_mbps <= ceiling + 1e-9, (policy, r, ceiling)
             prev = list(r.buffer_end)
@@ -191,7 +194,7 @@ def test_criterion_4_conservation_suite():
     criterion(4, checked == 1000,
               f"{checked} randomized instances: arrivals=assigned+dropped and "
               f"buffer flow balance within 1e-6 (worst gap {worst:.2e}), "
-              f"supply never above live capacity sum")
+              f"buffers within [0, cap], supply never above live capacity sum")
 
 
 # --- criterion 5: exact agreement with the brute-force reference ---------------

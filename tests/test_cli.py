@@ -154,9 +154,12 @@ def test_compare_merges_policies(inputs, capsys):
 
 def test_compare_rejects_duplicates(inputs, capsys):
     _, links, trace = inputs
-    rc = main(["compare", "--links", links, "--trace", trace,
-               "--policies", "olb,olb", "--out", "-"])
-    assert rc == 1
+    # duplicates are found on the parsed policy, so case and spaces do not hide one
+    for policies in ["olb,olb", "olb,OLB", "wfq, Wfq "]:
+        rc = main(["compare", "--links", links, "--trace", trace,
+                   "--policies", policies, "--out", "-"])
+        assert rc == 1
+        assert "duplicate policy" in capsys.readouterr().err
 
 
 def test_scenario_writes_bundle(tmp_path, capsys):

@@ -55,6 +55,16 @@ def test_bad_config_rejected(kw):
         cfg(**kw)
 
 
+@pytest.mark.parametrize("kw", [dict(policy="olb"), dict(policy="OLB"), dict(policy=None),
+                                dict(policy=PolicyId.WFQ, wfq_direction="inverse"),
+                                dict(policy=PolicyId.WFQ, wfq_direction="direct")])
+def test_config_rejects_names_in_place_of_enums(kw):
+    # a string is not coerced: an unchecked "inverse" fails the policies'
+    # identity test on WfqDirection and would run direct-cost weighting
+    with pytest.raises(BadParameterError, match="must be a (PolicyId|WfqDirection)"):
+        EngineConfig(**kw)
+
+
 def test_quantum_larger_than_threshold_rejected():
     g = group(2.0, 8.0)
     with pytest.raises(BadParameterError, match="quantum"):

@@ -156,6 +156,13 @@ def test_links_writer_rejects_non_finite_numbers(field, value):
         links_to_csv([link])
 
 
+@pytest.mark.parametrize("priority", [1.5, True])
+def test_links_writer_rejects_priorities_the_reader_rejects(priority):
+    # written as they were, these read back as "bad priority: '1.5'" and "'True'"
+    with pytest.raises(BadParameterError, match="priority must be an int"):
+        links_to_csv([Link("a", 1.0, priority)])
+
+
 @pytest.mark.parametrize("event, match", [((float("inf"), "a", "down"), "time_s must be a finite"),
                                           ((float("nan"), "a", "up"), "time_s must be a finite"),
                                           ((1.0, "a", "FLAP"), "'up' or 'down'"),
