@@ -225,7 +225,8 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     priority order; the ids in failed are down for this tick. Arrivals of
     demand x tick megabits are split into quanta, each assigned by the
     configured policy against live buffer state, then every non-failed link
-    drains up to capacity x tick.
+    drains up to capacity x tick. The tick comes back as run()'s records
+    give it, t and demand as floats.
     """
     checked = validate_group(group.group_id, group.links, config.tick)
     for live, ok in zip(group.links, checked.links):
@@ -238,8 +239,7 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     _simulate(group, config, policy_state, (t,), (demand_mbps,), events, res)
     for link, b in zip(group.links, res.buffer_end):
         link.buffer = b
-    return TickRecord(t, demand_mbps, tuple(res.assigned), tuple(res.transmitted),
-                      tuple(res.buffer_end), res.dropped[0], res.supplied[0], res.reorder[0])
+    return res.records[0]
 
 
 def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,

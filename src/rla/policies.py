@@ -4,7 +4,8 @@ Four ways to pick an egress link for each unit of outgoing data:
 
 * OLB  - spillover scan: the highest-priority link whose buffer is still
          below its threshold takes the quantum; lower-priority links absorb
-         only what overflows. Stateless.
+         only what overflows, and the last link what all of them leave.
+         Stateless.
 * RR   - plain cyclic rotation over the group.
 * WFQ  - proportional split by link cost, realized with exact per-link
          deficit counters (largest-deficit-first, smooth weighted round
@@ -14,9 +15,13 @@ Four ways to pick an egress link for each unit of outgoing data:
 
 The engine builds one class from _RULES per run; it owns the policy's state,
 caches and input checks, and assigns each tick's quanta in per-link batches.
-RR and WFQ select first (RR in closed form, WFQ from a table of its exact
-period, see swrr.py), then _admit keeps per link the full quanta that fit
-under its cap.
+OLB and VRRP share one spillover scan over (link, threshold) entries: OLB's
+are the live links in priority order, then the last one again with no
+threshold; VRRP's is its master alone, with no threshold. Each entry adds
+its quanta in one step, so the last link's fallthrough is a second addition
+after its threshold fill. RR and WFQ select first (RR in closed form, WFQ
+from a table of its exact period, see swrr.py), then _admit keeps per link
+the full quanta that fit under its cap.
 On dyadic inputs every path equals the per-quantum rule bit for bit, which
 the tests check against an independent brute-force simulator. The public
 wfq_select and vrrp_select make one selection through the same rule.
@@ -101,6 +106,7 @@ def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
         b = bufs[i]
         room = math.floor((bcaps[i] - b) / quantum)
         if room < c:
+            room = room if room > 0 else 0  # rounding can leave b an ulp past the cap
             if kept is counts:
                 kept = list(counts)
             kept[k] = room
@@ -129,6 +135,8 @@ class _Rule:
     quanta, then the fractional rem (0 if none), onto the live links (at least
     one), adds to bufs and assigned per link and returns (dropped, reorder)."""
 
+    max_quanta = math.inf  # the most quanta one tick may split into
+
     def __init__(self, group: AggregationGroup, config, state: PolicyState, bufs: list, peak):
         self.check(config, peak)
         self.group = group
@@ -142,10 +150,22 @@ class _Rule:
             raise BadParameterError(
                 f"quantum {config.quantum} exceeds smallest link threshold {min(self.thrs)}")
 
-    @staticmethod
-    def check(config, peak) -> None:
-        """Reject a run this policy cannot simulate; peak is the (t, demand)
-        sample with the largest demand."""
+    def check(self, config, peak) -> None:
+        """Reject a run whose busiest sample, peak = (t, demand), needs more
+        than max_quanta quanta in one tick, naming the smallest quantum that
+        would do."""
+        t, demand = peak
+        arrivals = demand * config.tick
+        limit = self.max_quanta
+        if arrivals / config.quantum <= limit or not math.isfinite(arrivals):
+            return  # a non-finite demand is rejected by the tick itself
+        workable = arrivals / limit
+        while arrivals / workable > limit:
+            workable = math.nextafter(workable, math.inf)
+        raise BadParameterError(
+            f"{config.policy.value} needs {arrivals / config.quantum:.6g} quanta for the "
+            f"sample at t={t}, above the limit of {limit} per tick; "
+            f"use --quantum {workable!r} or larger")
 
     def refresh(self, alive: list, failed: frozenset) -> None:
         """The failure set changed; alive lists the live links in priority order."""
@@ -156,74 +176,50 @@ class _Rule:
 
 
 class _Olb(_Rule):
-    def assign(self, assigned, n_full, rem):
-        """Scan-order batch fill.
+    def refresh(self, alive, failed):
+        # the live links with their thresholds, then the last one again with
+        # none: it takes whatever the others leave
+        self.scan = [(i, self.thrs[i]) for i in alive] + [(i, math.inf) for i in alive[-1:]]
 
-        Mirrors the per-quantum rule exactly: each link in priority order
-        absorbs quanta while its buffer is below threshold; once every buffer
-        is at or above threshold the remainder lands on the last link; any
-        quantum that would push its target past the buffer cap is dropped in
-        full (the scan does not redirect it).
+    def assign(self, assigned, n_full, rem):
+        """Spillover scan in per-link batches.
+
+        Mirrors the per-quantum rule exactly: each quantum goes to the first
+        scan entry whose buffer is below its threshold, so an entry takes
+        quanta until its buffer reaches the threshold. A quantum that would
+        push it past its buffer cap is dropped in full and not redirected:
+        the entry stays below its threshold and takes the rest of the tick.
         """
-        bufs, thrs, bcaps = self.bufs, self.thrs, self.bcaps
-        alive = self.alive
-        quantum = self.quantum
+        bufs, bcaps, quantum = self.bufs, self.bcaps, self.quantum
         dropped = 0.0
         reorder = 0
         prev = -1
         full = n_full
-        z = 0
-        while full > 0 and z < len(alive):
-            i = alive[z]
+        for i, thr in self.scan:
             b = bufs[i]
-            if b >= thrs[i]:
-                z += 1
-                continue
-            k_thr = math.ceil((thrs[i] - b) / quantum)
-            k_cap = math.floor((bcaps[i] - b) / quantum)
-            if k_cap < k_thr:
-                # cap interferes before the threshold is reached: whatever fits
-                # goes in, every further full quantum is dropped right here
-                # (the link stays below threshold, so the scan keeps picking it)
-                k = k_cap if k_cap < full else full
+            while full and b < thr:  # again if rounding left b just below thr
+                need = (thr - b) / quantum
+                room = math.floor((bcaps[i] - b) / quantum)
+                # every remaining quantum when the cap comes first or the rest
+                # does not reach the threshold, else just enough to reach it
+                k = full if room < need or full < math.ceil(need) else math.ceil(need)
+                full -= k
+                if room < k:  # keep what fits, drop the rest whole; full is 0 now
+                    room = room if room > 0 else 0  # rounding can leave b an ulp past the cap
+                    dropped += (k - room) * quantum
+                    k = room
                 if k > 0:
                     amt = k * quantum
-                    bufs[i] = b + amt
+                    b = bufs[i] = b + amt
                     assigned[i] += amt
                     if prev >= 0 and i != prev:
                         reorder += 1
                     prev = i
-                    full -= k
-                if full > 0:
-                    dropped += full * quantum
-                    full = 0
+            if not full:
                 break
-            k = k_thr if k_thr < full else full
-            amt = k * quantum
-            bufs[i] = b + amt
-            assigned[i] += amt
-            if prev >= 0 and i != prev:
-                reorder += 1
-            prev = i
-            full -= k
-        if full > 0:
-            # fallthrough: every link at/above threshold, remainder to the last
-            i = alive[-1]
-            k_cap = math.floor((bcaps[i] - bufs[i]) / quantum)
-            k = k_cap if k_cap < full else full
-            if k > 0:
-                amt = k * quantum
-                bufs[i] += amt
-                assigned[i] += amt
-                if prev >= 0 and i != prev:
-                    reorder += 1
-                prev = i
-                full -= k
-            if full > 0:
-                dropped += full * quantum
         if rem > 0:
-            for i in alive:  # the first link below threshold, else the last
-                if bufs[i] < thrs[i]:
+            for i, thr in self.scan:
+                if bufs[i] < thr:
                     break
             if bufs[i] + rem > bcaps[i]:
                 dropped += rem
@@ -264,6 +260,8 @@ def _rr_reorder(kept, tail, tail_kept):
 
 
 class _RoundRobin(_Rule):
+    max_quanta = 2**63 - 1  # a tick's switches, up to its quanta, go in an int64 column
+
     def assign(self, assigned, n_full, rem):
         alive = self.alive
         m = len(alive)
@@ -328,21 +326,7 @@ def _kept_switches(order, kept, tail, tail_kept):
 class _Wfq(_Rule):
     swrr = None  # the live links' swrr.Swrr, None until a tick with arrivals
 
-    @staticmethod
-    def check(config, peak):
-        """Reject a run whose busiest sample needs more than
-        MAX_WFQ_QUANTA_PER_TICK selections in one tick."""
-        t, demand = peak
-        arrivals = demand * config.tick
-        if arrivals / config.quantum <= MAX_WFQ_QUANTA_PER_TICK or not math.isfinite(arrivals):
-            return  # a non-finite demand is rejected by the tick itself
-        workable = arrivals / MAX_WFQ_QUANTA_PER_TICK
-        while arrivals / workable > MAX_WFQ_QUANTA_PER_TICK:
-            workable = math.nextafter(workable, math.inf)
-        raise BadParameterError(
-            f"wfq needs {arrivals / config.quantum:.6g} quanta for the sample at t={t}, "
-            f"above the limit of {MAX_WFQ_QUANTA_PER_TICK} per tick; "
-            f"use --quantum {workable!r} or larger")
+    max_quanta = MAX_WFQ_QUANTA_PER_TICK
 
     def refresh(self, alive, failed):
         self.save()
@@ -382,7 +366,7 @@ class _Wfq(_Rule):
         return dropped, _kept_switches(order, kept, tail, tail_kept)
 
 
-class _Vrrp(_Rule):
+class _Vrrp(_Olb):
     @staticmethod
     def elect(group, state, failed):
         """Index of the first link in preference order (highest capacity
@@ -397,14 +381,9 @@ class _Vrrp(_Rule):
         raise AllLinksFailedError(f"group {group.group_id!r}: every link is down")
 
     def refresh(self, alive, failed):
-        # the master depends on the failure set alone: elected here, idle ticks included
-        self.master = self.elect(self.group, self.state, failed)
-
-    def assign(self, assigned, n_full, rem):
-        # the one-link case of the shared admission
-        dropped, _, _ = _admit((self.master,), (n_full,), 0 if rem else -1, rem,
-                               self.quantum, self.bufs, self.bcaps, assigned)
-        return dropped, 0
+        # the master depends on the failure set alone: elected here, idle ticks
+        # included; olb's scan over it alone, with no threshold, is vrrp's rule
+        self.scan = [(self.elect(self.group, self.state, failed), math.inf)]
 
 
 # the class that runs each policy

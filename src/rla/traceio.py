@@ -30,6 +30,9 @@ TRACE_HEADER = ("time_s", "demand_mbps")
 FAILURES_HEADER = ("time_s", "link_id", "event")
 
 DAY_S = 86400.0
+# one sample per 10 ms, 8.64 million a day: synth_diurnal builds its trace in
+# memory and rejects a finer resolution before making any sample
+MAX_SAMPLES_PER_HOUR = 360_000
 
 
 @dataclass(init=False)
@@ -229,8 +232,12 @@ def links_to_csv(links) -> str:
     for l in links:
         if isinstance(l.priority, bool) or not isinstance(l.priority, int):  # True is written 'True'
             raise BadParameterError(f"priority must be an int, got {l.priority!r}")
+        try:
+            priority = str(l.priority)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise BadParameterError(f"priority of link {l.id!r} has too many digits") from None
         w.writerow([
-            _writable_id(l.id, True), _writable_number(l.capacity, "capacity_mbps"), l.priority,
+            _writable_id(l.id, True), _writable_number(l.capacity, "capacity_mbps"), priority,
             _writable_number(l.cost_per_gb, "cost_per_gb"),
             "" if l.threshold is None else _writable_number(l.threshold, "threshold_mbit"),
             "" if l.buffer_cap is None else _writable_number(l.buffer_cap, "buffer_cap_mbit"),
@@ -289,7 +296,8 @@ def synth_diurnal(peak_start_s: float, peak_end_s: float, base_mbps: float,
     window midpoint where demand hits peak_mbps, ramp back down to base at
     peak_end, flat base for the rest of the day.
 
-    Samples are spaced 3600/samples_per_hour seconds apart over [0, 86400).
+    Samples are spaced 3600/samples_per_hour seconds apart over [0, 86400);
+    samples_per_hour is at most MAX_SAMPLES_PER_HOUR.
     """
     if not (0 <= peak_start_s < peak_end_s <= DAY_S):
         raise BadWindowError(
@@ -297,8 +305,10 @@ def synth_diurnal(peak_start_s: float, peak_end_s: float, base_mbps: float,
     if not 0 <= base_mbps <= peak_mbps < math.inf:
         raise BadWindowError(
             f"need 0 <= base <= peak < inf, got base={base_mbps} peak={peak_mbps}")
-    if samples_per_hour < 1 or int(samples_per_hour) != samples_per_hour:
-        raise BadWindowError(f"samples_per_hour must be a positive integer, got {samples_per_hour}")
+    if not 1 <= samples_per_hour <= MAX_SAMPLES_PER_HOUR \
+            or int(samples_per_hour) != samples_per_hour:
+        raise BadWindowError(f"samples_per_hour must be an integer from 1 to "
+                             f"{MAX_SAMPLES_PER_HOUR}, got {samples_per_hour}")
     n = int(24 * samples_per_hour)
     dt = 3600.0 / samples_per_hour
     mid = (peak_start_s + peak_end_s) / 2.0

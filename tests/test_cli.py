@@ -178,6 +178,15 @@ def test_scenario_unknown_name(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_scenario_samples_per_hour_bound(tmp_path, capsys):
+    rc = main(["scenario", "--name", "2", "--out-dir", str(tmp_path / "s"),
+               "--samples-per-hour", "100000000000"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "rla: error: samples_per_hour must be an integer from 1 to 360000, got 100000000000\n")
+    assert not (tmp_path / "s").exists()
+
+
 def test_scenario_files_feed_simulate(tmp_path, capsys):
     assert main(["scenario", "--name", "1", "--out-dir", str(tmp_path),
                  "--samples-per-hour", "2"]) == 0
@@ -292,6 +301,20 @@ def test_rr_tiny_quantum_on_capped_links_finishes_at_once(inputs, capsys):
     assert rc == 0 and time.perf_counter() - t0 < 1.0
     # at 30 Mbps each link is offered 10; P4 keeps its 4 and sheds the rest
     assert capsys.readouterr().out.splitlines()[1:] == ["0,0", "1,0", "2,6", "3,0"]
+
+
+def test_rr_quanta_beyond_int64_exits_1(tmp_path):
+    # rr reports a tick's link switches, here ~3e19, in the int64 reorder column
+    assert main(["scenario", "--name", "2", "--out-dir", str(tmp_path)]) == 0
+    files = ("--links", str(tmp_path / "scenario2_links.csv"),
+             "--trace", str(tmp_path / "scenario2_trace.csv"))
+    rc = _cli("simulate", *files, "--policy", "rr", "--quantum", "1e-18", "--out", "-")
+    assert rc.returncode == 1 and "Traceback" not in rc.stderr
+    assert rc.stderr.startswith("rla: error: rr needs 3e+19 quanta for the sample at t=47700.0")
+    assert rc.stderr.endswith("use --quantum 3.2526065174565137e-18 or larger\n")
+    assert len(rc.stderr.splitlines()) == 1
+    olb = _cli("simulate", *files, "--policy", "olb", "--quantum", "1e-18", "--out", "-")
+    assert olb.returncode == 0 and olb.stderr == ""
 
 
 @pytest.mark.parametrize("command, where", [

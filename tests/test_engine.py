@@ -140,6 +140,17 @@ def test_conservation_every_tick():
         prev = list(rec.buffer_end)
 
 
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_link_left_past_its_cap_takes_nothing(policy):
+    # 39 x 0.4 rounds to 15.600000000000001, an ulp past the cap, and a drain
+    # of 1e-20 Mbit leaves it there: the next tick's room is -1 quantum
+    g = validate_group("g", [Link("a", 1e-20, 1, cost_per_gb=1.0,
+                                  threshold=15.6, buffer_cap=15.6)])
+    res = run(g, cfg(policy, quantum=0.4), DemandTrace([(0.0, 16.8), (1.0, 16.8)]))
+    assert res.assigned[0] + res.dropped[0] == pytest.approx(16.8)
+    assert (res.assigned[1], res.dropped[1]) == (0.0, 16.8)
+
+
 def test_fractional_quantum_tail():
     g = group(5.0)
     rec = step(g, PolicyState(), cfg(), 2.75)
@@ -364,6 +375,12 @@ def test_step_equals_first_record_of_run(policy):
     g = group(5.0, 3.0, cap_factor=4.0)
     rec = step(validate_group(g.group_id, g.links), PolicyState(), cfg(policy), 12.5)
     assert rec == run(g, cfg(policy), DemandTrace([(0.0, 12.5)])).records[0]
+
+
+def test_step_returns_time_and_demand_as_floats():
+    rec = step(group(5.0, 3.0), PolicyState(), cfg(), 7, t=3)
+    assert (rec.t, rec.demand) == (3.0, 7.0)
+    assert type(rec.t) is float and type(rec.demand) is float
 
 
 # --- agreement with the brute-force reference ---

@@ -75,6 +75,16 @@ def test_olb_ignores_lower_priority_backlog():
     assert pick(g, "olb", buffers=[0.0, 10.0]) == 0
 
 
+def test_olb_last_link_fills_to_threshold_then_falls_through_in_two_adds():
+    # B takes 1 quantum to reach its threshold, then the 5 left over: 0.1 + 0.5
+    # is 0.6, where one add of 6 x 0.1 would give 0.6000000000000001
+    g = validate_group("g", [Link("A", 1.0, 1, threshold=1.0, buffer_cap=1.0),
+                             Link("B", 0.05, 2, threshold=0.1, buffer_cap=10.0)])
+    rec = step(g, PolicyState(), EngineConfig(PolicyId.OLB, quantum=0.1), 1.6)
+    assert rec.assigned == (1.0, 0.6) and rec.dropped == 0.0
+    assert rec.reorder_events == 1
+
+
 # --- round robin ---
 
 def test_rr_cycles_in_priority_order():

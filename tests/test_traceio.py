@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -161,6 +162,13 @@ def test_links_writer_rejects_priorities_the_reader_rejects(priority):
     # written as they were, these read back as "bad priority: '1.5'" and "'True'"
     with pytest.raises(BadParameterError, match="priority must be an int"):
         links_to_csv([Link("a", 1.0, priority)])
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="ints convert to str at any length before Python 3.11")
+def test_links_writer_rejects_priorities_too_long_to_write():
+    with pytest.raises(BadParameterError, match="priority of link 'a' has too many digits"):
+        links_to_csv([Link("a", 1.0, 10**5000)])
 
 
 @pytest.mark.parametrize("event, match", [((float("inf"), "a", "down"), "time_s must be a finite"),
