@@ -12,29 +12,26 @@ setup (links + diurnal trace CSV) to a directory.
 Exit codes: 0 success, 1 bad input (unparseable CSV, unknown policy, bad
 flag), 2 runtime failure (e.g. every link down under the single-master
 policy). Output files for identical invocations are byte-identical; pass
---stamp to prepend a '# ...' comment header with a timestamp.
+--stamp to prepend a '# ...' comment header with a timestamp. Reports are
+written as they are rendered, traceio.ROWS rows at a time. Failure events
+that a run applies to no tick are reported as warnings on stderr.
 """
 
 import argparse
 import sys
+from contextlib import ExitStack
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .engine import EngineConfig, run
+from .engine import EngineConfig, _unapplied_events, run
 from .errors import InputError, ParseError, RlaError
 from .links import validate_group
 from .policies import PolicyId, WfqDirection
-from .reports import (
-    cost_report,
-    cost_report_csv,
-    merge_supply_csv,
-    reorder_indicator_csv,
-    shortfall_series_csv,
-    supply_series_csv,
-)
+from .reports import _merged_chunks, _report_chunks
 from .scenarios import scenario_group, scenario_trace
-from .traceio import links_to_csv, parse_failures, parse_links, parse_trace, trace_to_csv
+from .traceio import (format_number, links_to_csv, parse_failures, parse_links, parse_trace,
+                      trace_to_csv)
 
 _REPORTS = ("supply", "shortfall", "cost", "reorder")
 
@@ -112,21 +109,48 @@ def _stamp_header(args) -> str:
     return f"# rla {__version__} {args.command} {now}\n"
 
 
-def _emit(args, text: str, suffix: str = None):
-    """Write one report to --out; suffix derives per-report file names for
-    --report all (results.csv -> results.supply.csv)."""
-    if args.stamp:
-        text = _stamp_header(args) + text
+def _emit(args, names, chunks) -> None:
+    """Write reports to --out as they are rendered: chunks yields lists of
+    texts, one per name in names. One report goes to --out as it is. Several
+    (--report all) go one file each (results.csv -> results.supply.csv), all
+    open together, or to stdout one after another behind '# report: <name>'
+    lines. --stamp puts its comment header first in each."""
+    stamp = _stamp_header(args) if args.stamp else ""
+    several = len(names) > 1
     if args.out == "-":
-        if suffix:
-            sys.stdout.write(f"# report: {suffix}\n")
-        sys.stdout.write(text)
+        reports = zip(names, zip(*chunks)) if several else [(None, (text for text, in chunks))]
+        for name, texts in reports:
+            sys.stdout.write(f"# report: {name}\n{stamp}" if name else stamp)
+            sys.stdout.writelines(texts)
         return
-    path = Path(args.out)
-    if suffix:
-        path = path.with_suffix(f".{suffix}{path.suffix}") if path.suffix \
-            else Path(f"{path}.{suffix}.csv")
-    _write(path, text)
+    out = Path(args.out)
+    paths = [out.with_suffix(f".{name}{out.suffix}") if out.suffix else
+             Path(f"{out}.{name}.csv") for name in names] if several else [out]
+    try:
+        with ExitStack() as stack:
+            files = []
+            for path in paths:
+                files.append(stack.enter_context(open(path, "w")))
+                files[-1].write(stamp)
+            for texts in chunks:
+                for path, f, text in zip(paths, files, texts):
+                    f.write(text)
+            for path, f in zip(paths, files):
+                f.close()
+    except OSError as e:  # path is the file being opened, written or closed
+        raise InputError(f"{path}: {e.strerror or e}") from None
+
+
+def _warn_unapplied(group, trace, failures) -> None:
+    """One stderr warning per kind of failure event no tick sees."""
+    last_t = trace.t[-1]
+    late, repeats = _unapplied_events(group, failures, last_t)
+    for events, what in ((late, f"after the last sample (t={format_number(last_t)})"),
+                         (repeats, "that leave their link as it was (down when down, up when up)")):
+        if events:
+            t, link_id, kind = events[0]
+            print(f"rla: warning: ignored {len(events)} failure event(s) {what}; "
+                  f"the first: {format_number(t)},{link_id},{kind}", file=sys.stderr)
 
 
 def _load_run_inputs(args):
@@ -145,17 +169,9 @@ def _config(args, policy: PolicyId) -> EngineConfig:
 def _cmd_simulate(args) -> int:
     group, trace, failures = _load_run_inputs(args)
     result = run(group, _config(args, PolicyId.parse(args.policy)), trace, failures=failures)
-    renderers = {
-        "supply": lambda: supply_series_csv(result),
-        "shortfall": lambda: shortfall_series_csv(result),
-        "cost": lambda: cost_report_csv(cost_report(result)),
-        "reorder": lambda: reorder_indicator_csv(result),
-    }
-    if args.report == "all":
-        for name in _REPORTS:
-            _emit(args, renderers[name](), suffix=name)
-    else:
-        _emit(args, renderers[args.report]())
+    _warn_unapplied(group, trace, failures)
+    names = _REPORTS if args.report == "all" else (args.report,)
+    _emit(args, names, _report_chunks(result, names))
     return 0
 
 
@@ -169,7 +185,8 @@ def _cmd_compare(args) -> int:
         raise InputError(f"duplicate policy in --policies: {args.policies}")
     labeled = [(name, run(group, _config(args, policy), trace, failures=failures))
                for name, policy in zip(names, policies)]
-    _emit(args, merge_supply_csv(labeled))
+    _warn_unapplied(group, trace, failures)
+    _emit(args, ["compare"], _merged_chunks(labeled))
     return 0
 
 

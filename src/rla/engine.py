@@ -217,6 +217,24 @@ def _failure_timeline(group: AggregationGroup, failures) -> list:
     return events
 
 
+def _unapplied_events(group: AggregationGroup, failures, last_t: float):
+    """The failure events a run over samples up to last_t applies to no
+    tick, in the order the run meets them: (late, repeats), the events after
+    the last sample and the events that leave their link as it was (a down
+    on a down link, an up on an up one; links start up)."""
+    late, repeats = [], []
+    failed = set()
+    for ev in _failure_timeline(group, failures):
+        t, link_id, kind = ev
+        if t > last_t:
+            late.append(ev)
+        elif (kind == "down") == (link_id in failed):
+            repeats.append(ev)
+        else:
+            (failed.add if kind == "down" else failed.discard)(link_id)
+    return late, repeats
+
+
 def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfig,
          demand_mbps: float, failed: frozenset = frozenset(), t: float = 0.0) -> TickRecord:
     """Advance one tick on a live group, mutating link buffers in place.

@@ -16,22 +16,59 @@ from functools import reduce
 from operator import add
 
 from .errors import BadParameterError
-from .traceio import columns_to_csv, format_number
+from .traceio import _csv_chunks, format_number
 
 MBIT_PER_GB = 8000.0  # 1 GB = 8 Gbit, decimal SI
 
 
+class _Unmet:
+    """The unmet column, max(0, demand - supplied) per tick, computed one
+    slice at a time as _csv_chunks asks for it, so no whole column is held."""
+
+    def __init__(self, result):
+        self.demand, self.supplied = result.demand, result.supplied
+
+    def __len__(self):
+        return len(self.demand)
+
+    def __getitem__(self, ticks: slice) -> list:
+        # d - s is positive exactly when d > s, so this equals max(0.0, d - s)
+        return [d - s if d > s else 0.0
+                for d, s in zip(self.demand[ticks], self.supplied[ticks])]
+
+
+# each per-tick report as a (header, columns) table of a result
+_SERIES = {
+    "supply": lambda r: (("time_s", "demand_mbps", "supplied_mbps"),
+                         (r.t, r.demand, r.supplied)),
+    "shortfall": lambda r: (("time_s", "unmet_mbps"), (r.t, _Unmet(r))),
+    "reorder": lambda r: (("time_s", "reorder_events"), (r.t, r.reorder)),
+}
+
+
+def _report_chunks(result, names):
+    """The reports of result named in names ('supply', 'shortfall', 'cost'
+    or 'reorder') as texts to write in order: one list per chunk, with one
+    text per name. The per-tick reports are rendered in lockstep, so their
+    shared time_s column is formatted once per chunk; the cost report, a
+    fold over every tick, comes whole in the last list."""
+    series = [name for name in names if name in _SERIES]
+    for texts in _csv_chunks([_SERIES[name](result) for name in series]):
+        by_name = dict(zip(series, texts))
+        yield [by_name.get(name, "") for name in names]
+    if "cost" in names:
+        cost = cost_report_csv(cost_report(result))
+        yield [cost if name == "cost" else "" for name in names]
+
+
 def supply_series_csv(result) -> str:
     """time_s, demand_mbps, supplied_mbps per tick."""
-    return columns_to_csv(("time_s", "demand_mbps", "supplied_mbps"),
-                          result.t, result.demand, result.supplied)
+    return "".join(text for text, in _report_chunks(result, ("supply",)))
 
 
 def shortfall_series_csv(result) -> str:
     """time_s, unmet_mbps per tick, unmet = max(0, demand - supplied)."""
-    # d - s is positive exactly when d > s, so this equals max(0.0, d - s)
-    unmet = [d - s if d > s else 0.0 for d, s in zip(result.demand, result.supplied)]
-    return columns_to_csv(("time_s", "unmet_mbps"), result.t, unmet)
+    return "".join(text for text, in _report_chunks(result, ("shortfall",)))
 
 
 def reorder_indicator_csv(result) -> str:
@@ -41,7 +78,7 @@ def reorder_indicator_csv(result) -> str:
     different links — exposure to out-of-order delivery, not a packet-level
     sequence analysis.
     """
-    return columns_to_csv(("time_s", "reorder_events"), result.t, result.reorder)
+    return "".join(text for text, in _report_chunks(result, ("reorder",)))
 
 
 @dataclass
@@ -91,9 +128,9 @@ def cost_report_csv(report: CostReport) -> str:
     return out.getvalue()
 
 
-def merge_supply_csv(labeled_results) -> str:
-    """Join runs of one trace, an ordered sequence of (label, SimulationResult),
-    into a table of time_s, demand_mbps and one supplied_<label> per run."""
+def _merged_chunks(labeled_results):
+    """merge_supply_csv's table as _csv_chunks renders it, one text per chunk;
+    the checks run on the call, before the first chunk is asked for."""
     labeled = list(labeled_results)
     if not labeled:
         raise BadParameterError("merge_supply_csv needs at least one result")
@@ -103,4 +140,10 @@ def merge_supply_csv(labeled_results) -> str:
             raise BadParameterError(f"result {label!r} was not run over the same trace "
                                     f"({len(res.t)} ticks, expected {len(base.t)})")
     header = ("time_s", "demand_mbps") + tuple(f"supplied_{label}" for label, _ in labeled)
-    return columns_to_csv(header, base.t, base.demand, *(res.supplied for _, res in labeled))
+    return _csv_chunks([(header, (base.t, base.demand, *(res.supplied for _, res in labeled)))])
+
+
+def merge_supply_csv(labeled_results) -> str:
+    """Join runs of one trace, an ordered sequence of (label, SimulationResult),
+    into a table of time_s, demand_mbps and one supplied_<label> per run."""
+    return "".join(text for text, in _merged_chunks(labeled_results))

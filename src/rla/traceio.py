@@ -6,12 +6,14 @@ All formats are plain comma-separated text with a fixed header row:
     demand:   time_s,demand_mbps
     failures: time_s,link_id,event        (event is "up" or "down")
 
-Readers skip blank lines and lines starting with '#'. Writers always emit the
-header and '\n' line endings, and reject what the readers reject (a number
-that is not finite, a priority that is not an int, an event other than "up"
-or "down") or would read back changed (an id; see _writable_id), so a
-parse/serialize round trip is byte-identical. synth_diurnal generates the
-triangular day-long demand shape used by the bundled scenarios.
+Readers skip blank lines and lines starting with '#', and reject a number
+written with a digit-group underscore ('1_0'), which float() and int() would
+read as 10. Writers always emit the header and '\n' line endings, and reject
+what the readers reject (a number that is not finite, a priority that is not
+an int, an event other than "up" or "down") or would read back changed (an
+id; see _writable_id), so a parse/serialize round trip is byte-identical.
+synth_diurnal generates the triangular day-long demand shape used by the
+bundled scenarios. _csv_chunks renders the per-tick report tables.
 """
 
 import csv
@@ -28,6 +30,9 @@ LINKS_HEADER = ("id", "capacity_mbps", "priority", "cost_per_gb",
                 "threshold_mbit", "buffer_cap_mbit")
 TRACE_HEADER = ("time_s", "demand_mbps")
 FAILURES_HEADER = ("time_s", "link_id", "event")
+
+# rows per chunk of a rendered table: see _csv_chunks
+ROWS = 4096
 
 DAY_S = 86400.0
 # one sample per 10 ms, 8.64 million a day: synth_diurnal builds its trace in
@@ -117,9 +122,28 @@ def _rows(text: str, header: tuple):
                 yield line_no, fields
 
 
+def _number(text: str, kind=float):
+    """kind(text), float or int, but a ValueError for a digit-group
+    underscore, which both would accept ('1_0' is 10) and no writer emits."""
+    if "_" in text:
+        raise ValueError(f"underscore in number {text!r}")
+    return kind(text)
+
+
+def _grouped_digits(text: str) -> bool:
+    """Whether text holds a '_' between two digits, the only place float()
+    and int() accept one; a header's or a comment's '_' does not count."""
+    i = text.find("_")
+    while i != -1:
+        if text[i - 1:i].isdigit() and text[i + 1:i + 2].isdigit():
+            return True
+        i = text.find("_", i + 1)
+    return False
+
+
 def _float(fields, idx, line_no, what) -> float:
     try:
-        value = float(fields[idx])  # float() itself ignores surrounding whitespace
+        value = _number(fields[idx])  # float() itself ignores surrounding whitespace
     except ValueError:
         raise ParseError(line_no, f"bad {what}: {fields[idx]!r}") from None
     if not math.isfinite(value):
@@ -133,6 +157,8 @@ def parse_trace(text: str) -> DemandTrace:
     ParseError with its line number."""
     t_col, d_col = array("d"), array("d")
     add_t, add_d = t_col.append, d_col.append
+    # one scan per file, so a file without a number like 1_0 pays no per-line check
+    to_float = _number if _grouped_digits(text) else float
     inf = math.inf
     prev = -inf
     first = True
@@ -142,7 +168,7 @@ def parse_trace(text: str) -> DemandTrace:
         # would split it the same way, and it is neither blank nor a comment.
         time_s, _, demand = raw.partition(",")
         try:
-            t, d = float(time_s), float(demand)
+            t, d = to_float(time_s), to_float(demand)
         except ValueError:
             pass
         else:
@@ -189,7 +215,7 @@ def parse_links(text: str) -> list:
         capacity = _float(fields, 1, line_no, "capacity_mbps")
         prio_raw = fields[2].strip()
         try:
-            priority = int(prio_raw)
+            priority = _number(prio_raw, int)
         except ValueError:
             raise ParseError(line_no, f"bad priority: {prio_raw!r}") from None
         cost = _float(fields, 3, line_no, "cost_per_gb")
@@ -271,23 +297,47 @@ def failures_to_csv(events) -> str:
     return out.getvalue()
 
 
+def _csv_chunks(tables):
+    """Render tables, a sequence of (header, columns) pairs over the same
+    rows, in lockstep: yield one text per table, first each header row, then
+    each run of up to ROWS rows. Per chunk, each distinct column (a column
+    shared by several tables counts once) is taken once as a list, and each
+    distinct number in the chunk is formatted once, into one dict that every
+    table's cells are looked up in; equal numbers format alike (1 and 1.0,
+    -0.0 and 0.0), and a NaN cell is found in it because its lookup uses the
+    very object that went into it. The rows stop at the shortest column."""
+    texts = []
+    for header, _ in tables:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(header)
+        texts.append(out.getvalue())
+    yield texts
+    distinct = list({id(c): c for _, columns in tables for c in columns}.values())
+    slot = {id(c): i for i, c in enumerate(distinct)}
+    layout = [[slot[id(c)] for c in columns] for _, columns in tables]
+    n = min(map(len, distinct), default=0)
+    for lo in range(0, n, ROWS):
+        parts = [list(c[lo:lo + ROWS]) for c in distinct]
+        text_of = {}
+        for part in parts:
+            new = set(part).difference(text_of)
+            text_of.update(zip(new, map(format_number, new)))
+        cells = [list(map(text_of.__getitem__, part)) for part in parts]
+        yield ["\n".join(map(",".join, zip(*[cells[i] for i in row]))) + "\n"
+               for row in layout]
+
+
 def columns_to_csv(header, *columns) -> str:
-    """A header row over equal-length number columns, one row per index;
-    each column is formatted once, lazily, as the rows are joined."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(header)
-    lines = list(map(",".join, zip(*[map(format_number, c) for c in columns])))
-    lines.append("")  # the last row's line end; no rows, no text
-    out.write("\n".join(lines))
-    return out.getvalue()
+    """A header row over equal-length number columns, one row per index."""
+    return "".join(text for text, in _csv_chunks([(header, columns)]))
 
 
 def format_number(x) -> str:
     """A number as CSV text: ints as str, integral floats without the
     trailing .0 (str(int(x)), so -0.0 is '0'), other floats as repr."""
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x))
-    return repr(x) if isinstance(x, float) else str(x)
+    if isinstance(x, float):
+        return str(int(x)) if x.is_integer() else repr(x)
+    return str(x)
 
 
 def synth_diurnal(peak_start_s: float, peak_end_s: float, base_mbps: float,

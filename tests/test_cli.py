@@ -209,6 +209,62 @@ def test_stamp_adds_comment_header(inputs, capsys):
     assert first.startswith("# rla ")
 
 
+def test_stamp_leads_each_report(inputs, capsys):
+    tmp, links, trace = inputs
+    names = ("supply", "shortfall", "cost", "reorder")
+    argv = ["simulate", "--links", links, "--trace", trace, "--policy", "olb",
+            "--report", "all", "--stamp", "--out"]
+    assert main(argv + [str(tmp / "r.csv")]) == 0
+    files = [(tmp / f"r.{name}.csv").read_text() for name in names]
+    assert all(text.startswith("# rla ") for text in files)
+    assert main(argv + ["-"]) == 0
+    # stdout: per report in order, '# report: <name>', the stamp, the report
+    lines = iter(capsys.readouterr().out.splitlines(keepends=True))
+    for name, text in zip(names, files):
+        assert next(lines) == f"# report: {name}\n"
+        assert next(lines).startswith("# rla ")
+        body = text.split("\n", 1)[1]
+        assert "".join(next(lines) for _ in range(body.count("\n"))) == body
+    assert next(lines, None) is None
+
+
+def _events(tmp, text):
+    path = tmp / "fails.csv"
+    path.write_text("time_s,link_id,event\n" + text)
+    return str(path)
+
+
+@pytest.mark.parametrize("events, warning", [
+    # the trace's last sample is at t=3
+    ("9,S16,down\n1,P4,down\n7,T16,down\n",
+     "rla: warning: ignored 2 failure event(s) after the last sample (t=3); "
+     "the first: 7,T16,down\n"),
+    ("2,P4,down\n1,P4,down\n1.5,S16,up\n3,P4,up\n",
+     "rla: warning: ignored 2 failure event(s) that leave their link as it was "
+     "(down when down, up when up); the first: 1.5,S16,up\n"),
+])
+def test_unapplied_failure_events_warn_once_per_kind(inputs, capsys, events, warning):
+    tmp, links, trace = inputs
+    for command in (["simulate", "--policy", "olb", "--report", "all"],
+                    ["compare", "--policies", "olb,vrrp"]):
+        argv = [*command, "--links", links, "--trace", trace, "--out", "-"]
+        assert main(argv + ["--failures", _events(tmp, events)]) == 0
+        out, err = capsys.readouterr()
+        assert err == warning
+        # the ignored events change nothing: the run with the applied ones alone
+        applied = "1,P4,down\n" if "9,S16" in events else "1,P4,down\n3,P4,up\n"
+        assert main(argv + ["--failures", _events(tmp, applied)]) == 0
+        assert capsys.readouterr() == (out, "")
+
+
+def test_clean_failure_schedule_gives_no_warning(inputs, capsys):
+    tmp, links, trace = inputs
+    fails = _events(tmp, "3,P4,up\n0,P4,down\n1,S16,down\n2,S16,up\n")
+    assert main(["simulate", "--links", links, "--trace", trace, "--policy", "olb",
+                 "--failures", fails, "--out", "-"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_repeat_runs_byte_identical(inputs):
     tmp, links, trace = inputs
     a, b = tmp / "a.csv", tmp / "b.csv"
@@ -327,6 +383,16 @@ def test_unwritable_out_exits_1(inputs, command, where):
     rc = _cli(command[0], "--links", links, "--trace", trace, *command[1:], "--out", out)
     assert rc.returncode == 1
     assert rc.stderr.startswith(f"rla: error: {out}: ")
+    assert "Traceback" not in rc.stderr
+
+
+def test_unwritable_report_file_exits_1(inputs):
+    tmp, links, trace = inputs
+    (tmp / "r.shortfall.csv").mkdir()  # the second report's name is taken
+    rc = _cli("simulate", "--links", links, "--trace", trace, "--policy", "olb",
+              "--report", "all", "--out", str(tmp / "r.csv"))
+    assert rc.returncode == 1
+    assert rc.stderr.startswith(f"rla: error: {tmp / 'r.shortfall.csv'}: ")
     assert "Traceback" not in rc.stderr
 
 

@@ -12,13 +12,16 @@ tie exactly, and float counters broke those ties by rounding (digest
 6ca9b456... with them). Every later engine or report change has to
 reproduce the recorded bytes exactly. Each case writes its output to stdout;
 `--report all` interleaves the four reports behind `# report: <name>` lines.
+Each case also runs with `--out FILE`, which streams the reports into files
+chunk by chunk; the stdout stream rebuilt from those files must give the same
+digest. The `sim-s1-600-*` cases run 14,400 ticks, several chunks.
 """
 
 import hashlib
 
 import pytest
 
-from rla.cli import main
+from rla.cli import _REPORTS, main
 
 GOLDEN = {
     "sim-olb-all":
@@ -94,4 +97,19 @@ def test_cli_output_matches_golden_digest(case, scenarios, capsys):
     capsys.readouterr()
     assert main(_argv(case, scenarios)) == 0
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_cli_files_match_golden_digest(case, scenarios, tmp_path, capsys):
+    argv = _argv(case, scenarios)
+    argv[argv.index("--out") + 1] = str(tmp_path / "out.csv")
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    if "all" in argv:
+        out = "".join(f"# report: {name}\n" + (tmp_path / f"out.{name}.csv").read_text()
+                      for name in _REPORTS)
+    else:
+        out = (tmp_path / "out.csv").read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case]

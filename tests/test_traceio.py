@@ -1,6 +1,11 @@
+import csv
 import gc
+import io
+import math
+import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, reject, settings
@@ -24,6 +29,7 @@ from rla import (
     synth_diurnal,
     trace_to_csv,
 )
+from rla.traceio import ROWS, _csv_chunks, format_number
 
 LINKS_CSV = """id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit
 L64,64,1,1,64,64
@@ -99,10 +105,32 @@ def test_parse_trace_reports_order_and_sign_faults_at_their_line(text, line, rea
 
 
 def test_parse_trace_columns():
-    tr = parse_trace("time_s,demand_mbps\n0,20\n 1 ,\t20.5\n\"2\",1_2e1\n")
+    tr = parse_trace("time_s,demand_mbps\n0,20\n 1 ,\t20.5\n\"2\",12e1\n")
     assert list(tr.t) == [0.0, 1.0, 2.0] and list(tr.demand) == [20.0, 20.5, 120.0]
     assert tr == DemandTrace([(0, 20), (1.0, 20.5), (2.0, 120.0)])
     assert tr != DemandTrace([(0.0, 20.0), (1.0, 20.5), (2.5, 120.0)])
+
+
+@pytest.mark.parametrize("parse, text, line, reason", [
+    (parse_trace, "time_s,demand_mbps\n0,5\n1_0,5\n", 3, "bad time_s: '1_0'"),
+    (parse_trace, "# a_comment\n0,1_2e1\n", 2, "bad demand_mbps: '1_2e1'"),
+    (parse_trace, '0,5\n1," 2_5"\n', 2, "bad demand_mbps: ' 2_5'"),
+    (parse_links, LINKS_CSV.replace("L64,64,1", "L64,6_4,1"), 2, "bad capacity_mbps: '6_4'"),
+    (parse_links, LINKS_CSV.replace("L32,32,2", "L32,32,1_0"), 3, "bad priority: '1_0'"),
+    (parse_links, LINKS_CSV.replace("2,2,,", "2,2,1_6,"), 3, "bad threshold_mbit: '1_6'"),
+    (parse_failures, "time_s,link_id,event\n1_0,L64,down\n", 2, "bad time_s: '1_0'"),
+])
+def test_readers_reject_underscores_in_numbers(parse, text, line, reason):
+    # float() and int() read '1_0' as 10, which no writer would give back
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert (ei.value.line, ei.value.reason) == (line, reason)
+
+
+def test_underscores_outside_numbers_still_read():
+    assert parse_trace("# my_trace\n0,5\n1,6\n").samples == [(0.0, 5.0), (1.0, 6.0)]
+    assert parse_trace("# run_1\n0,5\n").samples == [(0.0, 5.0)]
+    assert parse_failures("time_s,link_id,event\n0,L_1,down\n") == [(0.0, "L_1", "down")]
 
 
 def test_parse_trace_memory_is_columnar():
@@ -394,3 +422,39 @@ def test_oversized_csv_field_is_parse_error(parse, text):
     with pytest.raises(ParseError, match="field larger than field limit") as ei:
         parse(text)
     assert ei.value.line == text.count("\n")
+
+
+def naive_csv(header, columns):
+    """One format_number call per cell, the rendering _csv_chunks must equal."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(header)
+    for row in zip(*columns):
+        out.write(",".join(map(format_number, row)) + "\n")
+    return out.getvalue()
+
+
+# equal values of both types, both zeros, integral floats past 2**53, and
+# the non-finite cells a library caller may pass
+SPECIAL = [0, 0.0, -0.0, 1, 1.0, 3, 3.0, 10**16, 1e16, 2.0**60, 2**60, 0.5, -2.25,
+           math.inf, -math.inf, math.nan]
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(n=hs.sampled_from([0, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5]),
+       pool=hs.lists(hs.one_of(hs.sampled_from(SPECIAL), hs.floats(),
+                               hs.integers(-2**63, 2**63 - 1)), min_size=1, max_size=6),
+       seed=hs.integers(0, 2**32))
+def test_chunk_renderer_equals_one_format_per_cell(n, pool, seed):
+    rng = random.Random(seed)
+    floats = [float(x) for x in pool]
+    ints = [int(x) for x in floats if math.isfinite(x) and -2**63 <= x < 2**63] or [0]
+    t = array("d", range(n))
+    mixed = [rng.choice(pool + SPECIAL) for _ in range(n)]  # ints and floats, NaN objects shared
+    as_float = array("d", [rng.choice(floats) for _ in range(n)])  # a fresh NaN per access
+    as_int = array("q", [rng.choice(ints) for _ in range(n)])
+    tables = [(("time_s", "demand_mbps", "supplied_a,b"), (t, as_float, mixed)),
+              (("time_s", "count"), (t, as_int)),
+              (('say "x"', "time_s", "again"), (as_float, t, as_float)),
+              (("ints_as_floats",), (array("d", as_int),))]
+    got = ["".join(texts) for texts in zip(*_csv_chunks(tables))]
+    assert got == [naive_csv(header, columns) for header, columns in tables]

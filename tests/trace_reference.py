@@ -4,7 +4,9 @@ rla.parse_trace replaced, kept to check the one-pass parser against.
 Deliberately plain and self-contained, with no imports from the package
 under test. trace_rows(text) yields (line_no, time_s, demand_mbps) for each
 data row and raises ParseError where that reader did: on a row with the wrong
-field count, a number float() refuses, or a number that is not finite.
+field count, a number float() refuses, or a number that is not finite; and,
+unlike that reader, on a number with a digit-group underscore ('1_0'), which
+float() reads as 10.
 sample_fault(rows) is the check that reader ran afterwards over all samples.
 It returned no line, so here it returns (line_no, reason) for the first
 sample out of time order or with a negative demand, or None.
@@ -41,6 +43,8 @@ def _rows(text):
 
 def _float(fields, idx, line_no, what):
     try:
+        if "_" in fields[idx]:
+            raise ValueError(fields[idx])
         value = float(fields[idx])
     except ValueError:
         raise ParseError(line_no, f"bad {what}: {fields[idx]!r}") from None
