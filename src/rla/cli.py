@@ -24,14 +24,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .engine import EngineConfig, _unapplied_events, run
+from .engine import EngineConfig, _failure_timeline, run
 from .errors import InputError, ParseError, RlaError
 from .links import validate_group
 from .policies import PolicyId, WfqDirection
 from .reports import _merged_chunks, _report_chunks
 from .scenarios import scenario_group, scenario_trace
-from .traceio import (format_number, links_to_csv, parse_failures, parse_links, parse_trace,
-                      trace_to_csv)
+from .traceio import (_number, format_number, links_to_csv, parse_failures, parse_links,
+                      parse_trace, trace_to_csv)
 
 _REPORTS = ("supply", "shortfall", "cost", "reorder")
 
@@ -44,6 +44,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _float(text: str) -> float:
+    """A flag's number, read by the file readers' rule: '1_0' is an error, not 10."""
+    try:
+        return _number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="rla", description="Redundant link aggregation simulator.")
     p.add_argument("--version", action="version", version=f"rla {__version__}")
@@ -52,8 +60,8 @@ def _build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--links", required=True, help="link group CSV")
         sp.add_argument("--trace", required=True, help="demand trace CSV")
-        sp.add_argument("--tick", type=float, default=1.0, help="tick length in seconds")
-        sp.add_argument("--quantum", type=float, default=1.0,
+        sp.add_argument("--tick", type=_float, default=1.0, help="tick length in seconds")
+        sp.add_argument("--quantum", type=_float, default=1.0,
                         help="assignment unit in megabits")
         sp.add_argument("--wfq-direction", default="inverse",
                         help="wfq weighting: inverse (cheap carries more) or direct")
@@ -144,7 +152,7 @@ def _emit(args, names, chunks) -> None:
 def _warn_unapplied(group, trace, failures) -> None:
     """One stderr warning per kind of failure event no tick sees."""
     last_t = trace.t[-1]
-    late, repeats = _unapplied_events(group, failures, last_t)
+    _, late, repeats = _failure_timeline(group, failures, last_t)
     for events, what in ((late, f"after the last sample (t={format_number(last_t)})"),
                          (repeats, "that leave their link as it was (down when down, up when up)")):
         if events:

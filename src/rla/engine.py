@@ -1,13 +1,22 @@
 """Discrete-time simulation engine.
 
 One loop, _simulate, runs the ticks of both run() and step(). Per (t, demand)
-sample it checks the demand, applies the failure events due by t (then
-refreshes the list of live links), splits demand x tick megabits into full
-quanta and a fractional tail, hands them to the active policy's assign (or
-drops them all when no link is live), drains each live link by up to
+sample it checks the demand, takes the down set of the last change due by t
+(then refreshes the list of live links), splits demand x tick megabits into
+full quanta and a fractional tail, hands them to the active policy's assign
+(or drops them all when no link is live), drains each live link by up to
 capacity x tick and appends the tick to the result's columns. How a policy
 picks links, what state it keeps and what it checks lives in its class in
 policies.py; the engine has no policy-specific branch.
+
+A failure schedule is folded once, by _failure_timeline, for the tick loop
+and the CLI's warnings alike. Events apply in stable time order, simultaneous
+ones in the order given; each takes effect on the first sample at or after
+its time. The fold gives changes, one (t, frozenset of down ids) per event
+that changes the down set, after (-inf, frozenset()) and before (inf, None),
+so the loop's one failure test is whether the next change is due. Events
+that leave their link as it was (repeats) and events after the last sample
+(late) change nothing and come back apart.
 
 A result keeps no object per tick: t, demand, supplied (Mbps), dropped and
 reorder (int64) are one array value per tick; assigned, transmitted and
@@ -123,26 +132,17 @@ def _split_arrivals(arrivals: float, quantum: float):
 
 
 def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
-              times: Sequence, demands: Sequence, events: list,
+              times: Sequence, demands: Sequence, changes: list,
               res: SimulationResult) -> None:
     """One tick per (t, demand) sample on a validated group, from its links'
-    buffers, with the events _failure_timeline gives; appends each tick to
+    buffers, with the changes _failure_timeline gives; appends each tick to
     res's columns, so the final buffers are res.buffer_end's last n values."""
     n = group.n
     ids = group.link_ids()
     bufs = [l.buffer for l in group.links]
     drain = [l.capacity * config.tick for l in group.links]
     k = demands.index(max(demands))  # the first busiest sample
-    peak = t, demand = times[k], demands[k]
-    # demand x tick, and the quanta it splits into, grow with demand: if the
-    # busiest sample's stay in float range, every sample's do
-    arrivals = demand * config.tick
-    if 0 <= demand < math.inf and not math.isfinite(arrivals / config.quantum):
-        raise BadParameterError(
-            f"demand {demand} Mbps at t={t} with tick {config.tick} and quantum "
-            f"{config.quantum} gives {arrivals} Mbit in {arrivals / config.quantum} quanta, "
-            f"beyond the float range")
-    rule = _RULES[config.policy](group, config, state, bufs, peak)
+    rule = _RULES[config.policy](group, config, state, bufs, (times[k], demands[k]))
     refresh, assign = rule.refresh, rule.assign
     # bound once; fromlist copies the per-link lists without building tuples
     add_dropped, add_supplied, add_reorder = (
@@ -150,19 +150,17 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     add_assigned, add_transmitted, add_buffer_end = (
         res.assigned.fromlist, res.transmitted.fromlist, res.buffer_end.fromlist)
     tick, quantum = config.tick, config.quantum
-    failed = set()
-    alive = None  # so the first tick refreshes the live links
-    ei, n_events = 0, len(events)
+    ci, due = 0, -math.inf  # the next change and its time: the first is due at once
     for t, demand in zip(times, demands):
         if not 0.0 <= demand < math.inf:
             raise BadParameterError(f"demand must be finite and nonnegative, got {demand}")
-        if alive is None or ei < n_events and events[ei][0] <= t:
-            while ei < n_events and events[ei][0] <= t:
-                _, link_id, kind = events[ei]
-                (failed.add if kind == "down" else failed.discard)(link_id)
-                ei += 1
-            alive = [i for i in range(n) if ids[i] not in failed]
-            refresh(alive, frozenset(failed))
+        if due <= t:
+            while changes[ci][0] <= t:
+                ci += 1
+            due = changes[ci][0]
+            down = changes[ci - 1][1]
+            alive = [i for i in range(n) if ids[i] not in down]
+            refresh(alive, down)
         assigned = [0.0] * n
         arrivals = demand * tick
         n_full, rem = _split_arrivals(arrivals, quantum)
@@ -198,13 +196,14 @@ def _result(config: EngineConfig, group: AggregationGroup) -> SimulationResult:
     return SimulationResult(config, group, *map(array, "ddddqddd"))
 
 
-def _failure_timeline(group: AggregationGroup, failures) -> list:
-    """failures as (t, link_id, kind) events sorted by time, each checked."""
-    if not failures:
-        return []
+def _failure_timeline(group: AggregationGroup, failures, last_t: float):
+    """failures, (t, link_id, "up"/"down") events, each checked and folded
+    in stable time order over a run whose last sample is at last_t, links
+    starting up: (changes, late, repeats) as the module docstring gives
+    them, late and repeats in the order the run meets them."""
     ids = set(group.link_ids())
     events = []
-    for ev in failures:
+    for ev in failures or ():
         t, link_id, kind = float(ev[0]), str(ev[1]), str(ev[2])
         if not math.isfinite(t):
             raise BadParameterError(f"failure event time must be finite, got {t}")
@@ -214,25 +213,19 @@ def _failure_timeline(group: AggregationGroup, failures) -> list:
             raise BadParameterError(f"failure event must be 'up' or 'down', got {kind!r}")
         events.append((t, link_id, kind))
     events.sort(key=lambda e: e[0])
-    return events
-
-
-def _unapplied_events(group: AggregationGroup, failures, last_t: float):
-    """The failure events a run over samples up to last_t applies to no
-    tick, in the order the run meets them: (late, repeats), the events after
-    the last sample and the events that leave their link as it was (a down
-    on a down link, an up on an up one; links start up)."""
-    late, repeats = [], []
-    failed = set()
-    for ev in _failure_timeline(group, failures):
+    down = frozenset()
+    changes, late, repeats = [(-math.inf, down)], [], []
+    for ev in events:
         t, link_id, kind = ev
         if t > last_t:
             late.append(ev)
-        elif (kind == "down") == (link_id in failed):
+        elif (kind == "down") == (link_id in down):
             repeats.append(ev)
         else:
-            (failed.add if kind == "down" else failed.discard)(link_id)
-    return late, repeats
+            down = down | {link_id} if kind == "down" else down - {link_id}
+            changes.append((t, down))
+    changes.append((math.inf, None))
+    return changes, late, repeats
 
 
 def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfig,
@@ -252,9 +245,11 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
         if live.id != ok.id or live.threshold is None or live.buffer_cap is None:
             raise BadParameterError(
                 f"link {live.id}: group must go through validate_group before simulation")
+    if not math.isfinite(t):
+        raise BadParameterError(f"step time must be finite, got {t}")
     res = _result(config, group)
-    events = _failure_timeline(group, [(t, link_id, "down") for link_id in failed])
-    _simulate(group, config, policy_state, (t,), (demand_mbps,), events, res)
+    changes, _, _ = _failure_timeline(group, [(t, link_id, "down") for link_id in failed], t)
+    _simulate(group, config, policy_state, (t,), (demand_mbps,), changes, res)
     for link, b in zip(group.links, res.buffer_end):
         link.buffer = b
     return res.records[0]
@@ -272,7 +267,7 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     pristine = validate_group(group.group_id, group.links, config.tick)
     work = AggregationGroup(pristine.group_id,
                             [replace(l, buffer=0.0) for l in pristine.links])
-    events = _failure_timeline(work, failures)
+    changes, _, _ = _failure_timeline(work, failures, trace.t[-1])
     res = _result(config, pristine)
-    _simulate(work, config, PolicyState(), trace.t, trace.demand, events, res)
+    _simulate(work, config, PolicyState(), trace.t, trace.demand, changes, res)
     return res

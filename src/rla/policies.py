@@ -104,7 +104,11 @@ def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
         if not c:
             continue
         b = bufs[i]
-        room = math.floor((bcaps[i] - b) / quantum)
+        cap = bcaps[i]
+        room = math.floor((cap - b) / quantum)
+        if room <= c:  # a larger room still fits all c with one less
+            while room > 0 and b + room * quantum > cap:  # the floor rounded up
+                room -= 1
         if room < c:
             room = room if room > 0 else 0  # rounding can leave b an ulp past the cap
             if kept is counts:
@@ -151,19 +155,28 @@ class _Rule:
                 f"quantum {config.quantum} exceeds smallest link threshold {min(self.thrs)}")
 
     def check(self, config, peak) -> None:
-        """Reject a run whose busiest sample, peak = (t, demand), needs more
-        than max_quanta quanta in one tick, naming the smallest quantum that
-        would do."""
+        """Reject a run whose busiest sample, peak = (t, demand), gives
+        megabits or quanta beyond the float range, or needs more than
+        max_quanta quanta in one tick, naming the smallest quantum that
+        would do. Both grow with demand, so every other sample passes too."""
         t, demand = peak
+        if not 0 <= demand < math.inf:
+            return  # rejected by the tick itself
         arrivals = demand * config.tick
+        quanta = arrivals / config.quantum
+        if not math.isfinite(quanta):
+            raise BadParameterError(
+                f"demand {demand} Mbps at t={t} with tick {config.tick} and quantum "
+                f"{config.quantum} gives {arrivals} Mbit in {quanta} quanta, "
+                f"beyond the float range")
         limit = self.max_quanta
-        if arrivals / config.quantum <= limit or not math.isfinite(arrivals):
-            return  # a non-finite demand is rejected by the tick itself
+        if quanta <= limit:
+            return
         workable = arrivals / limit
         while arrivals / workable > limit:
             workable = math.nextafter(workable, math.inf)
         raise BadParameterError(
-            f"{config.policy.value} needs {arrivals / config.quantum:.6g} quanta for the "
+            f"{config.policy.value} needs {quanta:.6g} quanta for the "
             f"sample at t={t}, above the limit of {limit} per tick; "
             f"use --quantum {workable!r} or larger")
 
@@ -200,6 +213,9 @@ class _Olb(_Rule):
             while full and b < thr:  # again if rounding left b just below thr
                 need = (thr - b) / quantum
                 room = math.floor((bcaps[i] - b) / quantum)
+                if room <= full:  # a larger room still fits all full with one less
+                    while room > 0 and b + room * quantum > bcaps[i]:  # the floor rounded up
+                        room -= 1
                 # every remaining quantum when the cap comes first or the rest
                 # does not reach the threshold, else just enough to reach it
                 k = full if room < need or full < math.ceil(need) else math.ceil(need)

@@ -340,6 +340,19 @@ def test_non_finite_flag_exits_1(inputs, flag, value):
     assert "Traceback" not in rc.stderr
 
 
+@pytest.mark.parametrize("flag", ["--tick", "--quantum"])
+def test_digit_group_underscore_in_flag_exits_1(inputs, capsys, flag):
+    # float() reads 1_0 as 10; the flags follow the file readers' rule
+    _, links, trace = inputs
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--links", links, "--trace", trace,
+              "--policy", "olb", flag, "1_0", "--out", "-"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: rla simulate")
+    assert err.endswith(f"rla simulate: error: argument {flag}: invalid float value: '1_0'\n")
+
+
 def test_wfq_quanta_limit_exits_1(inputs, capsys):
     _, links, trace = inputs
     rc = main(["simulate", "--links", links, "--trace", trace,

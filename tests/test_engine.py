@@ -22,6 +22,7 @@ from rla import (
     step,
     validate_group,
 )
+from rla.engine import _failure_timeline
 from rla.policies import MAX_WFQ_QUANTA_PER_TICK
 
 
@@ -141,9 +142,22 @@ def test_conservation_every_tick():
 
 
 @pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_full_quanta_never_fill_past_the_cap(policy):
+    # 15.6 / 0.4 is 39.0 in floats, but 39 x 0.4 rounds to
+    # 15.600000000000001, an ulp past the cap: 38 quanta fit, and the 39th
+    # is dropped with the other three
+    g = validate_group("g", [Link("a", 16.8, 1, cost_per_gb=1.0,
+                                  threshold=15.6, buffer_cap=15.6)])
+    rec = run(g, cfg(policy, quantum=0.4), DemandTrace([(0.0, 16.8)])).records[0]
+    assert rec.assigned == (38 * 0.4,) and rec.dropped == 1.6
+    assert rec.assigned[0] <= 15.6
+
+
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
 def test_link_left_past_its_cap_takes_nothing(policy):
-    # 39 x 0.4 rounds to 15.600000000000001, an ulp past the cap, and a drain
-    # of 1e-20 Mbit leaves it there: the next tick's room is -1 quantum
+    # the first tick fills 38 x 0.4 = 15.200000000000001 of the 15.6 cap, and
+    # a drain of 1e-20 Mbit leaves it there: the next tick's room is under
+    # one quantum
     g = validate_group("g", [Link("a", 1e-20, 1, cost_per_gb=1.0,
                                   threshold=15.6, buffer_cap=15.6)])
     res = run(g, cfg(policy, quantum=0.4), DemandTrace([(0.0, 16.8), (1.0, 16.8)]))
@@ -216,6 +230,87 @@ def test_run_rejects_unknown_failure_link():
         run(g, cfg(), const(1.0), failures=[(0.0, "nope", "down")])
     with pytest.raises(BadParameterError):
         run(g, cfg(), const(1.0), failures=[(0.0, "l0", "flap")])
+
+
+@hs.composite
+def schedules(draw):
+    """A group of 1 to 5 links, a dyadic trace and a failure schedule whose
+    times fall before the first sample, on and between samples and after
+    the last, few enough apart that simultaneous events, repeats and late
+    events are common; simultaneous events come in either file order."""
+    n = draw(hs.integers(1, 5))
+    caps = draw(hs.lists(hs.sampled_from((1.0, 2.0, 4.0, 8.0)), min_size=n, max_size=n))
+    links = [Link(id=f"l{i}", capacity=c, priority=i + 1,
+                  cost_per_gb=draw(hs.sampled_from((0.5, 1.0, 1.7, 3.0))),
+                  threshold=draw(hs.sampled_from((None, c))),
+                  buffer_cap=draw(hs.sampled_from((None, 2 * c))))
+             for i, c in enumerate(caps)]
+    n_ticks = draw(hs.integers(1, 8))
+    trace = [(float(k), q / 4.0) for k, q in enumerate(draw(hs.lists(
+        hs.integers(0, int(8 * sum(caps))), min_size=n_ticks, max_size=n_ticks)))]
+    times = hs.sampled_from((-1.0, *(k / 2.0 for k in range(2 * n_ticks + 1))))
+    events = draw(hs.lists(hs.tuples(times, hs.sampled_from([l.id for l in links]),
+                                     hs.sampled_from(("up", "down"))), max_size=3 * n))
+    return validate_group("g", links), trace, events
+
+
+def _behind(changes):
+    """The one event behind each change of a _failure_timeline."""
+    return [(t, next(iter(was ^ now)), "down" if now > was else "up")
+            for (_, was), (t, now) in zip(changes, changes[1:-1])]
+
+
+def _run_or_error(g, c, trace, events):
+    try:
+        return run(g, c, DemandTrace(trace), failures=events)
+    except AllLinksFailedError as e:
+        return str(e)
+
+
+_COLUMNS = ("t", "demand", "supplied", "dropped", "reorder", "assigned", "transmitted",
+            "buffer_end")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(schedules())
+@example((group(4.0, 2.0), [(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)],
+          [(1.0, "l0", "down"), (1.0, "l0", "up"), (-1.0, "l1", "down"), (0.5, "l1", "up"),
+           (1.5, "l0", "up"), (2.0, "l1", "up"), (2.0, "l0", "down"), (2.5, "l0", "up")]))
+@example((group(4.0, 2.0), [(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)],
+          [(1.0, "l0", "up"), (1.0, "l0", "down"), (1.0, "l1", "down")]))
+def test_failure_schedule_folds_into_its_changes(instance):
+    g, trace, events = instance
+    last_t = trace[-1][0]
+    changes, late, repeats = _failure_timeline(g, events, last_t)
+    # brute force: an event after the last sample is late, and one of the
+    # same kind as the event before it on its link (links start up) a repeat
+    in_time = sorted(events, key=lambda e: e[0])
+    state = {l.id: "up" for l in g.links}
+    want_late, want_repeats = [], []
+    for ev in in_time:
+        t, link_id, kind = ev
+        if t > last_t:
+            want_late.append(ev)
+        elif state[link_id] == kind:
+            want_repeats.append(ev)
+        state[link_id] = kind
+    assert (late, repeats) == (want_late, want_repeats)
+    assert len(changes) - 2 + len(late) + len(repeats) == len(events)
+    for policy in ("olb", "rr", "wfq", "vrrp"):
+        c = cfg(policy, quantum=0.5)
+        got = _run_or_error(g, c, trace, events)
+        want = _run_or_error(g, c, trace, _behind(changes))
+        if isinstance(got, str):
+            assert got == want
+            continue
+        assert [getattr(got, col).tobytes() for col in _COLUMNS] == \
+               [getattr(want, col).tobytes() for col in _COLUMNS]
+        # stepping each sample with the down set changes gives at that tick
+        stepped = validate_group("g", g.links)  # fresh links, empty buffers
+        st = PolicyState()
+        recs = [step(stepped, st, c, d, [down for ct, down in changes if ct <= t][-1], t)
+                for t, d in trace]
+        assert recs == got.records[:]
 
 
 # --- run bookkeeping ---
@@ -588,6 +683,12 @@ def test_non_finite_config_rejected(kw):
 def test_step_rejects_bad_demand(demand):
     with pytest.raises(BadParameterError, match="demand"):
         step(group(4.0), PolicyState(), cfg(), demand)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_step_rejects_non_finite_time(t):
+    with pytest.raises(BadParameterError, match="step time must be finite"):
+        step(group(4.0), PolicyState(), cfg(), 1.0, t=t)
 
 
 def test_run_rejects_non_finite_failure_time():
