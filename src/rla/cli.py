@@ -20,7 +20,6 @@ that a run applies to no tick are reported as warnings on stderr.
 import argparse
 import sys
 from contextlib import ExitStack
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -113,6 +112,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _stamp_header(args) -> str:
+    from datetime import datetime, timezone  # imported here: only --stamp pays for it
     now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     return f"# rla {__version__} {args.command} {now}\n"
 

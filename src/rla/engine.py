@@ -26,17 +26,15 @@ buffer_end are n float values per tick, tick k at [k*n, (k+1)*n).
 import math
 from array import array
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import BadParameterError
-from .links import AggregationGroup, validate_group
+from .links import AggregationGroup, Link, _Record, validate_group
 from .policies import _RULES, PolicyId, PolicyState, WfqDirection
 from .traceio import DemandTrace
 
 
-@dataclass
-class EngineConfig:
+class EngineConfig(_Record):
     """Knobs for one simulation run.
 
     quantum is the assignment unit in megabits; it must not exceed any link
@@ -44,24 +42,25 @@ class EngineConfig:
     threshold and cap at once.
     """
 
-    policy: PolicyId
-    tick: float = 1.0
-    quantum: float = 1.0
-    wfq_direction: WfqDirection = WfqDirection.INVERSE_COST
+    __match_args__ = ("policy", "tick", "quantum", "wfq_direction")
 
-    def __post_init__(self):
-        for name, kind in (("policy", PolicyId), ("wfq_direction", WfqDirection)):
-            value = getattr(self, name)
+    def __init__(self, policy: PolicyId, tick: float = 1.0, quantum: float = 1.0,
+                 wfq_direction: WfqDirection = WfqDirection.INVERSE_COST):
+        self.policy = policy
+        self.tick = tick
+        self.quantum = quantum
+        self.wfq_direction = wfq_direction
+        for name, value, kind in (("policy", policy, PolicyId),
+                                  ("wfq_direction", wfq_direction, WfqDirection)):
             if not isinstance(value, kind):  # a name string is not coerced
                 raise BadParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
-        if not 0 < self.tick < math.inf:
-            raise BadParameterError(f"tick must be positive and finite, got {self.tick}")
-        if not 0 < self.quantum < math.inf:
-            raise BadParameterError(f"quantum must be positive and finite, got {self.quantum}")
+        if not 0 < tick < math.inf:
+            raise BadParameterError(f"tick must be positive and finite, got {tick}")
+        if not 0 < quantum < math.inf:
+            raise BadParameterError(f"quantum must be positive and finite, got {quantum}")
 
 
-@dataclass(slots=True)
-class TickRecord:
+class TickRecord(_Record):
     """Everything that happened in one tick.
 
     assigned/transmitted/buffer_end are megabit amounts per link, in the
@@ -70,14 +69,19 @@ class TickRecord:
     different links, a proxy for out-of-order delivery exposure.
     """
 
-    t: float
-    demand: float
-    assigned: tuple
-    transmitted: tuple
-    buffer_end: tuple
-    dropped: float
-    supplied_mbps: float
-    reorder_events: int
+    __match_args__ = __slots__ = ("t", "demand", "assigned", "transmitted", "buffer_end",
+                                  "dropped", "supplied_mbps", "reorder_events")
+
+    def __init__(self, t: float, demand: float, assigned: tuple, transmitted: tuple,
+                 buffer_end: tuple, dropped: float, supplied_mbps: float, reorder_events: int):
+        self.t = t
+        self.demand = demand
+        self.assigned = assigned
+        self.transmitted = transmitted
+        self.buffer_end = buffer_end
+        self.dropped = dropped
+        self.supplied_mbps = supplied_mbps
+        self.reorder_events = reorder_events
 
 
 class Records(Sequence):
@@ -101,21 +105,27 @@ class Records(Sequence):
                           r.dropped[k], r.supplied[k], r.reorder[k])
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(_Record):
     """Config echo, group echo, and the run's per-tick array columns (see the
     module docstring); records is a TickRecord view of them."""
 
-    config: EngineConfig
-    group: AggregationGroup
-    t: array
-    demand: array
-    supplied: array
-    dropped: array
-    reorder: array
-    assigned: array
-    transmitted: array
-    buffer_end: array
+    __match_args__ = ("config", "group", "t", "demand", "supplied", "dropped", "reorder",
+                      "assigned", "transmitted", "buffer_end")
+
+    def __init__(self, config: EngineConfig, group: AggregationGroup, t: array, demand: array,
+                 supplied: array, dropped: array, reorder: array, assigned: array,
+                 transmitted: array, buffer_end: array):
+        self.config = config
+        self.group = group
+        self.t = t
+        self.demand = demand
+        self.supplied = supplied
+        self.dropped = dropped
+        self.reorder = reorder
+        self.assigned = assigned
+        self.transmitted = transmitted
+        self.buffer_end = buffer_end
+
     records = property(Records)
 
 
@@ -265,8 +275,9 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     after their time. Deterministic: identical inputs give identical results.
     """
     pristine = validate_group(group.group_id, group.links, config.tick)
-    work = AggregationGroup(pristine.group_id,
-                            [replace(l, buffer=0.0) for l in pristine.links])
+    work = AggregationGroup(pristine.group_id, [
+        Link(l.id, l.capacity, l.priority, l.cost_per_gb, l.threshold, l.buffer_cap)
+        for l in pristine.links])
     changes, _, _ = _failure_timeline(work, failures, trace.t[-1])
     res = _result(config, pristine)
     _simulate(work, config, PolicyState(), trace.t, trace.demand, changes, res)

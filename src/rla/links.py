@@ -8,7 +8,6 @@ arrivals are dropped.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import BadParameterError, DuplicatePriorityError, EmptyGroupError
@@ -18,8 +17,28 @@ from .errors import BadParameterError, DuplicatePriorityError, EmptyGroupError
 DEFAULT_BUFFER_CAP_FACTOR = 4.0
 
 
-@dataclass
-class Link:
+class _Record:
+    """Base of the package's record types: a repr and a field-wise == over
+    __match_args__, the field names in constructor order (which also lets a
+    match pattern take them by position). Records are mutable, so unhashable.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__match_args__
+        return [getattr(self, f) for f in names] == [getattr(other, f) for f in names]
+
+
+class Link(_Record):
     """One uplink in an aggregation group.
 
     capacity is in Mbps; threshold, buffer_cap and buffer are occupancies in
@@ -27,17 +46,22 @@ class Link:
     threshold/buffer_cap may be left None and resolved by validate_group.
     """
 
-    id: str
-    capacity: float
-    priority: int
-    cost_per_gb: float = 0.0
-    threshold: Optional[float] = None
-    buffer_cap: Optional[float] = None
-    buffer: float = 0.0
+    __match_args__ = ("id", "capacity", "priority", "cost_per_gb", "threshold",
+                      "buffer_cap", "buffer")
+
+    def __init__(self, id: str, capacity: float, priority: int, cost_per_gb: float = 0.0,
+                 threshold: Optional[float] = None, buffer_cap: Optional[float] = None,
+                 buffer: float = 0.0):
+        self.id = id
+        self.capacity = capacity
+        self.priority = priority
+        self.cost_per_gb = cost_per_gb
+        self.threshold = threshold
+        self.buffer_cap = buffer_cap
+        self.buffer = buffer
 
 
-@dataclass
-class AggregationGroup:
+class AggregationGroup(_Record):
     """A validated, priority-ordered bundle of links.
 
     Instances should be produced by validate_group, which sorts links by
@@ -45,8 +69,11 @@ class AggregationGroup:
     order: links[0] is the primary.
     """
 
-    group_id: str
-    links: list
+    __match_args__ = ("group_id", "links")
+
+    def __init__(self, group_id: str, links: list):
+        self.group_id = group_id
+        self.links = links
 
     @property
     def n(self) -> int:
@@ -86,8 +113,9 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
         if not 0 < link.capacity < math.inf:
             raise BadParameterError(
                 f"link {link.id}: capacity must be positive and finite, got {link.capacity}")
-        if not isinstance(link.priority, int) or link.priority < 1:
-            raise BadParameterError(f"link {link.id}: priority must be a positive integer, got {link.priority!r}")
+        prio = link.priority
+        if isinstance(prio, bool) or not isinstance(prio, int) or prio < 1:  # True is an int
+            raise BadParameterError(f"link {link.id}: priority must be a positive integer, got {prio!r}")
         if not 0 <= link.cost_per_gb < math.inf:
             raise BadParameterError(
                 f"link {link.id}: cost_per_gb must be nonnegative and finite, got {link.cost_per_gb}")
@@ -104,7 +132,6 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
         if not 0 <= link.buffer <= buffer_cap:
             raise BadParameterError(
                 f"link {link.id}: buffer {link.buffer} outside [0, {buffer_cap}]")
-        # a new Link, not dataclasses.replace, which costs ~4x as much per link
         resolved.append(Link(link.id, link.capacity, link.priority, link.cost_per_gb,
                              threshold, buffer_cap, link.buffer))
 

@@ -29,12 +29,11 @@ wfq_select and vrrp_select make one selection through the same rule.
 
 import enum
 import math
-from dataclasses import dataclass, field
 from operator import ne
 from typing import Optional, Sequence
 
 from .errors import AllLinksFailedError, BadParameterError, ZeroCostError
-from .links import AggregationGroup
+from .links import AggregationGroup, _Record
 
 # wfq still works per quantum where it replays its counters or lists a drop
 # tick's picks (see swrr.Swrr); a run whose busiest tick would need more
@@ -70,8 +69,7 @@ class WfqDirection(enum.Enum):
                 f"unknown wfq direction {name!r} (expected 'inverse' or 'direct')") from None
 
 
-@dataclass
-class PolicyState:
+class PolicyState(_Record):
     """Mutable scheduling state carried across selection calls.
 
     rr_cursor is the round-robin position; wfq_deficits maps link id to its
@@ -81,9 +79,13 @@ class PolicyState:
     no state: its scan variables are locals of one call.
     """
 
-    rr_cursor: int = 0
-    wfq_deficits: dict = field(default_factory=dict)
-    vrrp_master: Optional[str] = None
+    __match_args__ = ("rr_cursor", "wfq_deficits", "vrrp_master")
+
+    def __init__(self, rr_cursor: int = 0, wfq_deficits: Optional[dict] = None,
+                 vrrp_master: Optional[str] = None):
+        self.rr_cursor = rr_cursor
+        self.wfq_deficits = {} if wfq_deficits is None else wfq_deficits  # fresh per state
+        self.vrrp_master = vrrp_master
 
 
 def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
@@ -96,6 +98,11 @@ def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
     kept if it fits after that. Returns (dropped, kept, tail_kept) with
     kept[k] the full quanta targets[k] kept; kept is counts itself when no
     full quantum was dropped.
+
+    Every buffer stays in [0, cap]: validate_group checks the starting ones,
+    each fill (here and in _Olb.assign) leaves b + amount at most the cap,
+    and a drain takes at most the buffer. So floor((cap - b) / quantum) is
+    never negative and the loop lowering it stops at 0 at the latest.
     """
     dropped = 0.0
     kept = counts
@@ -110,7 +117,6 @@ def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
             while room > 0 and b + room * quantum > cap:  # the floor rounded up
                 room -= 1
         if room < c:
-            room = room if room > 0 else 0  # rounding can leave b an ulp past the cap
             if kept is counts:
                 kept = list(counts)
             kept[k] = room
@@ -221,7 +227,6 @@ class _Olb(_Rule):
                 k = full if room < need or full < math.ceil(need) else math.ceil(need)
                 full -= k
                 if room < k:  # keep what fits, drop the rest whole; full is 0 now
-                    room = room if room > 0 else 0  # rounding can leave b an ulp past the cap
                     dropped += (k - room) * quantum
                     k = room
                 if k > 0:

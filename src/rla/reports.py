@@ -11,11 +11,11 @@ identical runs serialize byte-identically.
 
 import csv
 import io
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
 from .errors import BadParameterError
+from .links import _Record
 from .traceio import _csv_chunks, format_number
 
 MBIT_PER_GB = 8000.0  # 1 GB = 8 Gbit, decimal SI
@@ -81,18 +81,20 @@ def reorder_indicator_csv(result) -> str:
     return "".join(text for text, in _report_chunks(result, ("reorder",)))
 
 
-@dataclass
-class CostReport:
+class CostReport(_Record):
     """Per-link transmitted volume and cost, with run totals.
 
     per_link rows are (link_id, transmitted_gb, cost_per_gb, cost).
     annual_cost extrapolates the run total as one representative day x 365.
     """
 
-    per_link: list
-    total_gb: float
-    total_cost: float
-    annual_cost: float
+    __match_args__ = ("per_link", "total_gb", "total_cost", "annual_cost")
+
+    def __init__(self, per_link: list, total_gb: float, total_cost: float, annual_cost: float):
+        self.per_link = per_link
+        self.total_gb = total_gb
+        self.total_cost = total_cost
+        self.annual_cost = annual_cost
 
 
 def cost_report(result) -> CostReport:

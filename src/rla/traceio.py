@@ -9,9 +9,10 @@ All formats are plain comma-separated text with a fixed header row:
 Readers skip blank lines and lines starting with '#', and reject a number
 written with a digit-group underscore ('1_0'), which float() and int() would
 read as 10. Writers always emit the header and '\n' line endings, and reject
-what the readers reject (a number that is not finite, a priority that is not
-an int, an event other than "up" or "down") or would read back changed (an
-id; see _writable_id), so a parse/serialize round trip is byte-identical.
+what the readers reject (a number that is not finite or is a bool, a priority
+that is not an int, an event other than "up" or "down") or would read back
+changed (an id; see _writable_id), so a parse/serialize round trip is
+byte-identical.
 synth_diurnal generates the triangular day-long demand shape used by the
 bundled scenarios. _csv_chunks renders the per-tick report tables.
 """
@@ -20,11 +21,10 @@ import csv
 import io
 import math
 from array import array
-from dataclasses import dataclass
 
 from .errors import (BadParameterError, BadWindowError, EmptyGroupError,
                      EmptyTraceError, ParseError)
-from .links import Link
+from .links import Link, _Record
 
 LINKS_HEADER = ("id", "capacity_mbps", "priority", "cost_per_gb",
                 "threshold_mbit", "buffer_cap_mbit")
@@ -40,8 +40,7 @@ DAY_S = 86400.0
 MAX_SAMPLES_PER_HOUR = 360_000
 
 
-@dataclass(init=False)
-class DemandTrace:
+class DemandTrace(_Record):
     """An ordered series of samples, held as two array('d') columns: t
     (time_s, strictly increasing) and demand (demand_mbps, nonnegative).
 
@@ -49,8 +48,7 @@ class DemandTrace:
     samples gives them back as a list of tuples, built on each access.
     """
 
-    t: array
-    demand: array
+    __match_args__ = ("t", "demand")
 
     def __init__(self, samples):
         self.t, self.demand = array("d"), array("d")
@@ -245,8 +243,9 @@ def _writable_id(value, leads_row: bool):
 
 
 def _writable_number(value, what: str) -> str:
-    """value as CSV text, checked to be finite, as the readers require."""
-    if not math.isfinite(value):
+    """value as CSV text, checked to be a finite number and not a bool, which
+    would be written 'True', as the readers require."""
+    if isinstance(value, bool) or not math.isfinite(value):
         raise BadParameterError(f"{what} must be a finite number, got {value!r}")
     return format_number(value)
 

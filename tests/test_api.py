@@ -31,3 +31,29 @@ def test_import_is_light_and_exports_what_the_readme_documents():
     assert loaded == []  # wfq's modules load on first use, outside set-up time
     assert exported == documented_names()
     assert len(exported) == len(rla.__all__) == len(set(rla.__all__))
+
+
+def test_cli_import_loads_no_heavy_modules_and_stamp_still_works(tmp_path):
+    # dataclasses pulls in inspect, ast, dis and tokenize; datetime is only
+    # needed by --stamp: none of them belongs in every CLI call's start-up
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "datetime"}
+    src = str(Path(rla.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def loaded(code):
+        code += "; import sys; print(*sys.modules, sep='\\n')"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        return set(out.split())
+
+    assert heavy & (loaded("import rla.cli") - loaded("pass")) == set()
+    links, trace = tmp_path / "links.csv", tmp_path / "trace.csv"
+    links.write_text("id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit\n"
+                     "a,4,1,1,,\n")
+    trace.write_text("time_s,demand_mbps\n0,2\n1,3\n")
+    proc = subprocess.run([sys.executable, "-m", "rla.cli", "simulate", "--links", str(links),
+                           "--trace", str(trace), "--policy", "olb", "--stamp"],
+                          capture_output=True, text=True, env=env, check=True)
+    header, body = proc.stdout.split("\n", 1)
+    assert re.fullmatch(rf"# rla {rla.__version__} simulate \d{{4}}-\d\d-\d\dT\d\d:\d\d:\d\dZ", header)
+    assert body.startswith("time_s,demand_mbps,supplied_mbps\n")

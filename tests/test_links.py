@@ -84,6 +84,7 @@ def test_duplicate_id_rejected():
     dict(id=""),
     dict(buffer=-1.0),
     dict(threshold=2.0, buffer_cap=2.0, buffer=2.5),  # occupancy above cap
+    dict(priority=True),  # an int, but links_to_csv refuses to write it
 ])
 def test_bad_link_parameters_rejected(bad):
     with pytest.raises(BadParameterError):

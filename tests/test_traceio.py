@@ -176,8 +176,11 @@ def test_parse_failures_rejects_unknown_event():
     assert "up" in ei.value.reason and ei.value.line == 1
 
 
+# True passes isfinite, but written as it is it reads back as "bad ...: 'True'"
 @pytest.mark.parametrize("field, value", [("capacity", float("nan")), ("cost_per_gb", float("inf")),
-                                          ("threshold", -float("inf")), ("buffer_cap", float("nan"))])
+                                          ("threshold", -float("inf")), ("buffer_cap", float("nan")),
+                                          ("capacity", True), ("cost_per_gb", True),
+                                          ("threshold", True), ("buffer_cap", True)])
 def test_links_writer_rejects_non_finite_numbers(field, value):
     link = Link(id="a", capacity=8.0, priority=1, cost_per_gb=1.0, threshold=8.0, buffer_cap=8.0)
     setattr(link, field, value)
@@ -202,7 +205,8 @@ def test_links_writer_rejects_priorities_too_long_to_write():
 @pytest.mark.parametrize("event, match", [((float("inf"), "a", "down"), "time_s must be a finite"),
                                           ((float("nan"), "a", "up"), "time_s must be a finite"),
                                           ((1.0, "a", "FLAP"), "'up' or 'down'"),
-                                          ((1.0, "a", "UP"), "'up' or 'down'")])
+                                          ((1.0, "a", "UP"), "'up' or 'down'"),
+                                          ((True, "a", "down"), "time_s must be a finite")])
 def test_failures_writer_rejects_what_the_reader_rejects(event, match):
     with pytest.raises(BadParameterError, match=match):
         failures_to_csv([event])
