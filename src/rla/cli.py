@@ -43,12 +43,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float(text: str) -> float:
-    """A flag's number, read by the file readers' rule: '1_0' is an error, not 10."""
-    try:
-        return _number(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+def _flag(kind):
+    """A reader of a flag's kind (float or int) by the file readers' rule:
+    '1_0' is an error, not 10."""
+    def read(text: str):
+        try:
+            return _number(text, kind)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+    return read
 
 
 def _build_parser() -> _Parser:
@@ -59,8 +62,8 @@ def _build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--links", required=True, help="link group CSV")
         sp.add_argument("--trace", required=True, help="demand trace CSV")
-        sp.add_argument("--tick", type=_float, default=1.0, help="tick length in seconds")
-        sp.add_argument("--quantum", type=_float, default=1.0,
+        sp.add_argument("--tick", type=_flag(float), default=1.0, help="tick length in seconds")
+        sp.add_argument("--quantum", type=_flag(float), default=1.0,
                         help="assignment unit in megabits")
         sp.add_argument("--wfq-direction", default="inverse",
                         help="wfq weighting: inverse (cheap carries more) or direct")
@@ -85,7 +88,7 @@ def _build_parser() -> _Parser:
     scen = sub.add_parser("scenario", help="write a bundled demo scenario")
     scen.add_argument("--name", required=True, help="scenario number: 1 or 2")
     scen.add_argument("--out-dir", required=True, help="directory for the CSV files")
-    scen.add_argument("--samples-per-hour", type=int, default=None,
+    scen.add_argument("--samples-per-hour", type=_flag(int), default=None,
                       help="trace resolution override")
     scen.add_argument("--stamp", action="store_true",
                       help="prepend a comment header with version and timestamp")

@@ -9,6 +9,11 @@ capacity x tick and appends the tick to the result's columns. How a policy
 picks links, what state it keeps and what it checks lives in its class in
 policies.py; the engine has no policy-specific branch.
 
+_simulate owns a run's buffers: it builds and returns the result and updates
+the one buffer list its caller gives it, which the policy's rule shares.
+run() passes zeros, so the caller's links are never touched; step() passes
+its links' buffers and writes that list back to them.
+
 A failure schedule is folded once, by _failure_timeline, for the tick loop
 and the CLI's warnings alike. Events apply in stable time order, simultaneous
 ones in the order given; each takes effect on the first sample at or after
@@ -29,7 +34,7 @@ from collections.abc import Iterable, Sequence
 from typing import Optional
 
 from .errors import BadParameterError
-from .links import AggregationGroup, Link, _Record, validate_group
+from .links import AggregationGroup, _Record, validate_group
 from .policies import _RULES, PolicyId, PolicyState, WfqDirection
 from .traceio import DemandTrace
 
@@ -54,10 +59,9 @@ class EngineConfig(_Record):
                                   ("wfq_direction", wfq_direction, WfqDirection)):
             if not isinstance(value, kind):  # a name string is not coerced
                 raise BadParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
-        if not 0 < tick < math.inf:
-            raise BadParameterError(f"tick must be positive and finite, got {tick}")
-        if not 0 < quantum < math.inf:
-            raise BadParameterError(f"quantum must be positive and finite, got {quantum}")
+        for name, value in (("tick", tick), ("quantum", quantum)):
+            if isinstance(value, bool) or not 0 < value < math.inf:  # True is 1
+                raise BadParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 class TickRecord(_Record):
@@ -129,27 +133,14 @@ class SimulationResult(_Record):
     records = property(Records)
 
 
-def _split_arrivals(arrivals: float, quantum: float):
-    """Number of full quanta plus the trailing fractional quantum (0 if none)."""
-    if arrivals <= 0:
-        return 0, 0.0
-    n_full = math.floor(arrivals / quantum)
-    rem = arrivals - n_full * quantum
-    if rem < 0:
-        n_full -= 1
-        rem = arrivals - n_full * quantum
-    return n_full, (rem if rem > 0 else 0.0)
-
-
-def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
-              times: Sequence, demands: Sequence, changes: list,
-              res: SimulationResult) -> None:
-    """One tick per (t, demand) sample on a validated group, from its links'
-    buffers, with the changes _failure_timeline gives; appends each tick to
-    res's columns, so the final buffers are res.buffer_end's last n values."""
+def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState, bufs: list,
+              times: Sequence, demands: Sequence, changes: list) -> SimulationResult:
+    """One tick per (t, demand) sample on a validated group, from the buffers
+    in bufs, with the changes _failure_timeline gives. bufs is updated in
+    place, so it ends holding the buffers after the last tick."""
     n = group.n
     ids = group.link_ids()
-    bufs = [l.buffer for l in group.links]
+    res = SimulationResult(config, group, *map(array, "ddddqddd"))  # typed in field order
     drain = [l.capacity * config.tick for l in group.links]
     k = demands.index(max(demands))  # the first busiest sample
     rule = _RULES[config.policy](group, config, state, bufs, (times[k], demands[k]))
@@ -173,11 +164,16 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
             refresh(alive, down)
         assigned = [0.0] * n
         arrivals = demand * tick
-        n_full, rem = _split_arrivals(arrivals, quantum)
-        if not (n_full or rem):
+        if not arrivals:
             dropped, reorder = 0.0, 0
         elif alive:
-            dropped, reorder = assign(assigned, n_full, rem)
+            # full quanta and the trailing fractional quantum (0 if none)
+            n_full = math.floor(arrivals / quantum)
+            rem = arrivals - n_full * quantum
+            if rem < 0:  # the quotient rounded up
+                n_full -= 1
+                rem = arrivals - n_full * quantum
+            dropped, reorder = assign(assigned, n_full, rem if rem > 0 else 0.0)
         else:
             dropped, reorder = arrivals, 0
         transmitted = [0.0] * n
@@ -199,11 +195,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     rule.save()
     res.t.extend(times)
     res.demand.extend(demands)
-
-
-def _result(config: EngineConfig, group: AggregationGroup) -> SimulationResult:
-    """An empty result, its columns typed in field order."""
-    return SimulationResult(config, group, *map(array, "ddddqddd"))
+    return res
 
 
 def _failure_timeline(group: AggregationGroup, failures, last_t: float):
@@ -257,10 +249,10 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
                 f"link {live.id}: group must go through validate_group before simulation")
     if not math.isfinite(t):
         raise BadParameterError(f"step time must be finite, got {t}")
-    res = _result(config, group)
     changes, _, _ = _failure_timeline(group, [(t, link_id, "down") for link_id in failed], t)
-    _simulate(group, config, policy_state, (t,), (demand_mbps,), changes, res)
-    for link, b in zip(group.links, res.buffer_end):
+    bufs = [l.buffer for l in group.links]
+    res = _simulate(group, config, policy_state, bufs, (t,), (demand_mbps,), changes)
+    for link, b in zip(group.links, bufs):
         link.buffer = b
     return res.records[0]
 
@@ -274,11 +266,7 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     (time_s, link_id, "up"/"down") take effect on the first sample at or
     after their time. Deterministic: identical inputs give identical results.
     """
-    pristine = validate_group(group.group_id, group.links, config.tick)
-    work = AggregationGroup(pristine.group_id, [
-        Link(l.id, l.capacity, l.priority, l.cost_per_gb, l.threshold, l.buffer_cap)
-        for l in pristine.links])
-    changes, _, _ = _failure_timeline(work, failures, trace.t[-1])
-    res = _result(config, pristine)
-    _simulate(work, config, PolicyState(), trace.t, trace.demand, changes, res)
-    return res
+    checked = validate_group(group.group_id, group.links, config.tick)
+    changes, _, _ = _failure_timeline(checked, failures, trace.t[-1])
+    return _simulate(checked, config, PolicyState(), [0.0] * checked.n,
+                     trace.t, trace.demand, changes)

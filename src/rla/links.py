@@ -109,6 +109,11 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
     for link in links:
         if not link.id:
             raise BadParameterError("link id must be non-empty")
+        for what, value in (("capacity", link.capacity), ("cost_per_gb", link.cost_per_gb),
+                            ("threshold", link.threshold), ("buffer_cap", link.buffer_cap),
+                            ("buffer", link.buffer)):
+            if isinstance(value, bool):  # True passes as 1 below, and links_to_csv refuses it
+                raise BadParameterError(f"link {link.id}: {what} must be a number, got {value!r}")
         # chained comparisons are False for NaN, so each check also rejects it
         if not 0 < link.capacity < math.inf:
             raise BadParameterError(

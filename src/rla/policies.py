@@ -93,16 +93,19 @@ def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
 
     targets[k] was selected for counts[k] full quanta and, when tail >= 0,
     targets[tail] for the fractional rem after all of them. A link keeps
-    full quanta while they fit under its cap, so min(count,
-    floor(room / quantum)) of them, and drops the rest whole; the tail is
-    kept if it fits after that. Returns (dropped, kept, tail_kept) with
-    kept[k] the full quanta targets[k] kept; kept is counts itself when no
-    full quantum was dropped.
+    full quanta while they fit under its cap, so min(count, room) of them
+    with room the most that fit, and drops the rest whole; the tail is kept
+    if it fits after that. Returns (dropped, kept, tail_kept) with kept[k]
+    the full quanta targets[k] kept; kept is counts itself when no full
+    quantum was dropped.
 
-    Every buffer stays in [0, cap]: validate_group checks the starting ones,
-    each fill (here and in _Olb.assign) leaves b + amount at most the cap,
-    and a drain takes at most the buffer. So floor((cap - b) / quantum) is
-    never negative and the loop lowering it stops at 0 at the latest.
+    Both fills of k full quanta, here and in _Olb.assign, take room =
+    (cap - b) / quantum and, only when room < k + 1 (a larger room, even
+    one past the float range, fits all k), floor it and lower it while
+    b + room x quantum is past the cap. Every buffer stays in [0, cap]:
+    validate_group checks the starting ones, each fill leaves b + amount at
+    most the cap, and a drain takes at most the buffer. So room is never
+    negative and the loop lowering it stops at 0 at the latest.
     """
     dropped = 0.0
     kept = counts
@@ -112,18 +115,19 @@ def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
             continue
         b = bufs[i]
         cap = bcaps[i]
-        room = math.floor((cap - b) / quantum)
-        if room <= c:  # a larger room still fits all c with one less
+        room = (cap - b) / quantum
+        if room < c + 1:
+            room = math.floor(room)
             while room > 0 and b + room * quantum > cap:  # the floor rounded up
                 room -= 1
-        if room < c:
-            if kept is counts:
-                kept = list(counts)
-            kept[k] = room
-            dropped += (c - room) * quantum
-            c = room
-            if not c:
-                continue
+            if room < c:
+                if kept is counts:
+                    kept = list(counts)
+                kept[k] = room
+                dropped += (c - room) * quantum
+                c = room
+                if not c:
+                    continue
         amt = c * quantum
         bufs[i] = b + amt
         assigned[i] += amt
@@ -217,18 +221,19 @@ class _Olb(_Rule):
         for i, thr in self.scan:
             b = bufs[i]
             while full and b < thr:  # again if rounding left b just below thr
+                # every remaining quantum when they do not reach the
+                # threshold, else just enough to reach it
                 need = (thr - b) / quantum
-                room = math.floor((bcaps[i] - b) / quantum)
-                if room <= full:  # a larger room still fits all full with one less
+                k = full if full < need else math.ceil(need)
+                room = (bcaps[i] - b) / quantum
+                if room < k + 1:  # see _admit
+                    room = math.floor(room)
                     while room > 0 and b + room * quantum > bcaps[i]:  # the floor rounded up
                         room -= 1
-                # every remaining quantum when the cap comes first or the rest
-                # does not reach the threshold, else just enough to reach it
-                k = full if room < need or full < math.ceil(need) else math.ceil(need)
+                    if room < k:  # the cap comes first: keep what fits, drop the rest whole
+                        dropped += (full - room) * quantum
+                        full = k = room
                 full -= k
-                if room < k:  # keep what fits, drop the rest whole; full is 0 now
-                    dropped += (k - room) * quantum
-                    k = room
                 if k > 0:
                     amt = k * quantum
                     b = bufs[i] = b + amt

@@ -16,7 +16,7 @@ min(demand, running capacity sum) shape these scenarios are meant to show.
 
 from .errors import BadParameterError
 from .links import Link, validate_group
-from .traceio import DemandTrace, synth_diurnal
+from .traceio import DemandTrace, _number, synth_diurnal
 
 _SCEN1_LINKS = (
     ("L64", 64.0, 1, 1.0, 64.0, 64.0),
@@ -34,8 +34,8 @@ _SCEN2_TRACE = (37800.0, 57600.0, 2.0, 30.0, 60)
 
 def _pick(name):
     try:
-        n = int(name)
-    except (TypeError, ValueError):
+        n = _number(str(name), int)  # as written: '0_2', 1.9 and True are no scenario
+    except ValueError:
         raise BadParameterError(f"unknown scenario {name!r}") from None
     if n == 1:
         return _SCEN1_LINKS, _SCEN1_TRACE

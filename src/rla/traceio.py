@@ -128,17 +128,6 @@ def _number(text: str, kind=float):
     return kind(text)
 
 
-def _grouped_digits(text: str) -> bool:
-    """Whether text holds a '_' between two digits, the only place float()
-    and int() accept one; a header's or a comment's '_' does not count."""
-    i = text.find("_")
-    while i != -1:
-        if text[i - 1:i].isdigit() and text[i + 1:i + 2].isdigit():
-            return True
-        i = text.find("_", i + 1)
-    return False
-
-
 def _float(fields, idx, line_no, what) -> float:
     try:
         value = _number(fields[idx])  # float() itself ignores surrounding whitespace
@@ -155,8 +144,6 @@ def parse_trace(text: str) -> DemandTrace:
     ParseError with its line number."""
     t_col, d_col = array("d"), array("d")
     add_t, add_d = t_col.append, d_col.append
-    # one scan per file, so a file without a number like 1_0 pays no per-line check
-    to_float = _number if _grouped_digits(text) else float
     inf = math.inf
     prev = -inf
     first = True
@@ -164,13 +151,14 @@ def parse_trace(text: str) -> DemandTrace:
         # Fast path for a plain 'number,number' row. Both halves parse as
         # floats only when the row holds one comma and no quote, so csv
         # would split it the same way, and it is neither blank nor a comment.
+        # A row with a '_' (float reads '1_0' as 10) takes the checked path.
         time_s, _, demand = raw.partition(",")
         try:
-            t, d = to_float(time_s), to_float(demand)
+            t, d = float(time_s), float(demand)
         except ValueError:
             pass
         else:
-            if prev < t < inf and 0 <= d < inf:
+            if prev < t < inf and 0 <= d < inf and "_" not in raw:
                 add_t(t)
                 add_d(d)
                 prev = t

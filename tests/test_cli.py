@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from rla import BadParameterError, scenario_group, scenario_trace
 from rla.cli import main
 
 LINKS = """id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit
@@ -176,6 +177,30 @@ def test_scenario_unknown_name(tmp_path, capsys):
     rc = main(["scenario", "--name", "3", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "unknown scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--name", "2", "--samples-per-hour", "6_0"],
+     "rla scenario: error: argument --samples-per-hour: invalid int value: '6_0'\n"),
+    (["--name", "0_2"], "rla: error: unknown scenario '0_2'\n"),
+])
+def test_scenario_digit_group_underscore_exits_1(tmp_path, capsys, argv, err):
+    # int() reads 6_0 as 60; the scenario flags follow the file readers' rule
+    try:
+        rc = main(["scenario", *argv, "--out-dir", str(tmp_path / "s")])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(err)
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("name", ["0_2", 1.9, True, "3"])
+def test_scenario_names_are_read_as_written(name):
+    # int() would read '0_2' as 2, 1.9 and True as 1
+    for make in (scenario_group, scenario_trace):
+        with pytest.raises(BadParameterError, match="unknown scenario"):
+            make(name)
 
 
 def test_scenario_samples_per_hour_bound(tmp_path, capsys):
@@ -351,6 +376,26 @@ def test_digit_group_underscore_in_flag_exits_1(inputs, capsys, flag):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage: rla simulate")
     assert err.endswith(f"rla simulate: error: argument {flag}: invalid float value: '1_0'\n")
+
+
+# links rows and --quantum that make (cap - buffer) / quantum overflow to inf
+_HUGE_ROOM = {"cap": ("a,10,1,1,1,1.7e308\nb,10,2,1,1,1.7e308\n", "0.5"),
+              "quantum": ("a,1e10,1,1,,\n", "1e-300")}
+
+
+@pytest.mark.parametrize("policy, case", [
+    *[(p, "cap") for p in ("olb", "rr", "wfq", "vrrp")],
+    *[(p, "quantum") for p in ("olb", "vrrp")],  # rr and wfq reject ~1e301 quanta a tick
+])
+def test_room_past_the_float_range_exits_0(tmp_path, policy, case):
+    links, quantum = _HUGE_ROOM[case]
+    (tmp_path / "links.csv").write_text(LINKS.splitlines()[0] + "\n" + links)
+    (tmp_path / "trace.csv").write_text("time_s,demand_mbps\n0,5\n1,20\n")
+    rc = _cli("simulate", "--links", str(tmp_path / "links.csv"),
+              "--trace", str(tmp_path / "trace.csv"), "--policy", policy,
+              "--quantum", quantum, "--out", "-")
+    assert (rc.returncode, rc.stderr) == (0, "")
+    assert len(rc.stdout.splitlines()) == 3
 
 
 def test_wfq_quanta_limit_exits_1(inputs, capsys):

@@ -153,6 +153,25 @@ def test_full_quanta_never_fill_past_the_cap(policy):
     assert rec.assigned[0] <= 15.6
 
 
+# a room (cap - buffer) / quantum past the float range keeps every quantum:
+# (1.7e308 - 0) / 0.5 is inf, and so is 4e10 / 1e-300 for a 1e10 Mbps link
+# with the default threshold and cap
+@pytest.mark.parametrize("policy, case", [
+    *[(p, "cap") for p in ("olb", "rr", "wfq", "vrrp")],
+    *[(p, "quantum") for p in ("olb", "vrrp")],
+])
+def test_room_past_the_float_range_keeps_every_quantum(policy, case):
+    links, quantum = {
+        "cap": ([Link(i, 10.0, k, 1.0, 1.0, 1.7e308) for k, i in ((1, "a"), (2, "b"))], 0.5),
+        "quantum": ([Link("a", 1e10, 1, 1.0)], 1e-300)}[case]
+    trace = DemandTrace([(0.0, 5.0), (1.0, 20.0), (2.0, 7.5)])
+    res = run(validate_group("g", links), cfg(policy, quantum=quantum), trace)
+    n = len(links)
+    for k, demand in enumerate(trace.demand):
+        assert sum(res.assigned[k * n:(k + 1) * n]) + res.dropped[k] == pytest.approx(demand)
+        assert res.dropped[k] == 0.0  # nothing comes near a cap
+
+
 @pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
 def test_link_left_past_its_cap_takes_nothing(policy):
     # the first tick fills 38 x 0.4 = 15.200000000000001 of the 15.6 cap, and

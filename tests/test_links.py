@@ -85,6 +85,12 @@ def test_duplicate_id_rejected():
     dict(buffer=-1.0),
     dict(threshold=2.0, buffer_cap=2.0, buffer=2.5),  # occupancy above cap
     dict(priority=True),  # an int, but links_to_csv refuses to write it
+    # numbers, but links_to_csv refuses to write them
+    dict(capacity=True),
+    dict(cost_per_gb=True),
+    dict(threshold=True),
+    dict(threshold=0.5, buffer_cap=True),
+    dict(buffer=True),
 ])
 def test_bad_link_parameters_rejected(bad):
     with pytest.raises(BadParameterError):

@@ -133,7 +133,7 @@ def test_engine_config_checks_its_fields():
         EngineConfig(policy="olb")
     with pytest.raises(BadParameterError):
         EngineConfig(OLB, wfq_direction="inverse")
-    for bad in (0.0, -1.0, float("inf"), float("nan")):
+    for bad in (0.0, -1.0, float("inf"), float("nan"), True):
         with pytest.raises(BadParameterError):
             EngineConfig(OLB, tick=bad)
         with pytest.raises(BadParameterError):
