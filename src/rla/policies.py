@@ -147,7 +147,15 @@ class _Rule:
     """One run of a policy over a validated group; bufs is the engine's buffer list.
     Subclasses define assign(assigned, n_full, rem), which enqueues n_full full
     quanta, then the fractional rem (0 if none), onto the live links (at least
-    one), adds to bufs and assigned per link and returns (dropped, reorder)."""
+    one), adds to bufs and assigned per link and returns (dropped, reorder).
+
+    position() is what else a tick's outcome depends on between two refreshes,
+    as a hashable value, or None when there is nothing that small; the engine
+    keys its memo of ticks on it with the demand and the buffers (see
+    engine.py). restore(pos) goes back to a value position() gave since the
+    last refresh. olb and vrrp give (): refresh rebuilds their scan and they
+    keep nothing else. rr gives its cursor, wfq its cycle phase once the live
+    set's cycle is closed and None before that or in replay mode."""
 
     max_quanta = math.inf  # the most quanta one tick may split into
 
@@ -196,6 +204,12 @@ class _Rule:
 
     def save(self) -> None:
         """Write state kept outside self.state back to it."""
+
+    def position(self):
+        return ()
+
+    def restore(self, pos) -> None:
+        pass
 
 
 class _Olb(_Rule):
@@ -288,6 +302,12 @@ def _rr_reorder(kept, tail, tail_kept):
 class _RoundRobin(_Rule):
     max_quanta = 2**63 - 1  # a tick's switches, up to its quanta, go in an int64 column
 
+    def position(self):
+        return self.state.rr_cursor
+
+    def restore(self, pos):
+        self.state.rr_cursor = pos
+
     def assign(self, assigned, n_full, rem):
         alive = self.alive
         m = len(alive)
@@ -362,6 +382,13 @@ class _Wfq(_Rule):
     def save(self):
         if self.swrr is not None:
             self.swrr.save(self.state.wfq_deficits)
+
+    def position(self):
+        swrr = self.swrr
+        return None if swrr is None or swrr.cycle is None else swrr.phase
+
+    def restore(self, pos):
+        self.swrr.phase = pos
 
     def assign(self, assigned, n_full, rem):
         alive = self.alive

@@ -349,6 +349,19 @@ def test_run_starts_from_empty_buffers():
     assert res.records[0].transmitted == (2.0, 0.0)
 
 
+def test_run_group_echo_holds_the_buffers_it_started_from():
+    # step() leaves 6.0 queued on the link; run() starts from an empty one,
+    # and its group echo says so while the caller's link keeps its 6.0
+    g = validate_group("g", [Link(id="a", capacity=4.0, priority=1,
+                                  threshold=8.0, buffer_cap=16.0)])
+    step(g, PolicyState(), cfg(), 10.0)
+    assert g.links[0].buffer == 6.0
+    res = run(g, cfg(), const(1.0, 1))
+    assert list(res.buffer_end) == [0.0]
+    assert res.group.links[0].buffer == 0.0
+    assert g.links[0].buffer == 6.0
+
+
 def test_run_echoes_config_and_sorted_group():
     g = group(5.0, 3.0)
     c = cfg()
@@ -420,22 +433,33 @@ def test_three_link_staircase_values():
 @pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
 def test_step_sequence_matches_run(policy):
     # one tick path: stepping each sample with the run's failure set at that
-    # tick gives run's records exactly, wfq counters and vrrp masters included
-    g = group(5.0, 3.0, 4.0, costs=[1.7, 3.0, 1.0], cap_factor=4.0)
+    # tick gives run's records exactly, wfq counters and vrrp masters included.
+    # Each step() runs one tick, so no step replays one from run()'s memo. The
+    # second trace repeats 7 Mbps (14 quanta), which drains under olb, rr and
+    # wfq: ticks repeat from drained buffers, right after each failure change
+    # too, rr's cursor moves by 2 of 3 links a tick, so a demand repeats with
+    # another cursor before it repeats with the same one, and wfq's cycle of
+    # 98 picks closes, after which its phase repeats every 7 ticks.
     c = cfg(policy, quantum=0.5)
-    tr = [(0.0, 7.0), (1.0, 12.0), (2.0, 0.5), (3.0, 9.0), (4.0, 20.25),
-          (5.0, 0.0), (6.0, 13.75), (7.0, 6.0), (8.0, 30.0)]
-    failures = [(1.0, "l0", "down"), (2.5, "l2", "down"), (4.0, "l0", "up"),
-                (4.0, "l1", "down"), (6.0, "l2", "up"), (7.0, "l1", "up")]
-    st = PolicyState()
-    stepped = []
-    for t, d in tr:
-        failed = set()
-        for et, link_id, kind in failures:
-            if et <= t:
-                (failed.add if kind == "down" else failed.discard)(link_id)
-        stepped.append(step(g, st, c, d, failed=frozenset(failed), t=t))
-    assert stepped == run(g, c, DemandTrace(tr), failures).records[:]
+    inputs = [
+        ([(0.0, 7.0), (1.0, 12.0), (2.0, 0.5), (3.0, 9.0), (4.0, 20.25),
+          (5.0, 0.0), (6.0, 13.75), (7.0, 6.0), (8.0, 30.0)],
+         [(1.0, "l0", "down"), (2.5, "l2", "down"), (4.0, "l0", "up"),
+          (4.0, "l1", "down"), (6.0, "l2", "up"), (7.0, "l1", "up")]),
+        ([(float(t), 20.0 if t in (30, 31) else 7.0) for t in range(50)],
+         [(20.0, "l0", "down"), (25.0, "l0", "up"), (40.0, "l2", "down")]),
+    ]
+    for tr, failures in inputs:
+        g = group(5.0, 3.0, 4.0, costs=[1.7, 3.0, 1.0], cap_factor=4.0)
+        st = PolicyState()
+        stepped = []
+        for t, d in tr:
+            failed = set()
+            for et, link_id, kind in failures:
+                if et <= t:
+                    (failed.add if kind == "down" else failed.discard)(link_id)
+            stepped.append(step(g, st, c, d, failed=frozenset(failed), t=t))
+        assert stepped == run(g, c, DemandTrace(tr), failures).records[:]
 
 
 # --- columnar result storage ---
