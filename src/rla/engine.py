@@ -5,9 +5,10 @@ sample it checks the demand, takes the down set of the last change due by t
 (then refreshes the list of live links), splits demand x tick megabits into
 full quanta and a fractional tail, hands them to the active policy's assign
 (or drops them all when no link is live), drains each live link by up to
-capacity x tick and appends the tick to the result's columns. How a policy
-picks links, what state it keeps and what it checks lives in its class in
-policies.py; the engine has no policy-specific branch.
+capacity x tick and adds the tick to the result's columns (through the
+outcome store below while the memo keys). How a policy picks links, what
+state it keeps and what it checks lives in its class in policies.py; the
+engine has no policy-specific branch.
 
 _simulate owns a run's buffers: it builds and returns the result and updates
 the one buffer list its caller gives it, which the policy's rule shares.
@@ -29,14 +30,27 @@ _simulate keeps a memo of the ticks it has run since the last change of the
 live set. Each start state (position, *bufs) gets a token, and each token a
 row that maps a demand to the tick that started there with it and the token
 of the state it ended in. A tick whose start state and demand repeat an
-earlier tick's copies that tick's columns instead of running; bufs and the
-rule's position catch up with the state the hits reached before the next
-tick that runs, the next change and the end. The memo starts afresh at every
-change and when it holds MEMO_MAX ticks. A rule whose position is None is not
-keyed, and keying stops for the rest of a run once misses clearly dominate
-(MEMO_TRIAL). Keys compare floats by value, so 0.0 and -0.0 meet: a demand
-of either gives the same tick, and no buffer is -0.0 in a run, which starts
-from +0.0 and whose drains leave +0.0 (a step() runs one tick).
+earlier tick's is replayed instead of run: it only names that tick's
+outcome and moves to the next state. bufs and the rule's position catch up
+with the state the hits reached before the next tick that runs, the next
+change and the end. The memo starts afresh at every change and when it holds
+MEMO_MAX ticks. A rule whose position is None is not keyed, and keying stops
+for the rest of a run once misses clearly dominate (MEMO_TRIAL). Keys
+compare floats by value, so 0.0 and -0.0 meet: a demand of either gives the
+same tick, and no buffer is -0.0 in a run, which starts from +0.0 and whose
+drains leave +0.0 (a step() runs one tick).
+
+While the memo keys, outcomes go through an outcome store (_Outcomes): one
+set of columns shaped like the result's that holds only the ticks that ran,
+and a memo entry names a store row. Every tick, run or replayed, appends
+its store row to a pending list, and a flush appends the pending ticks to
+the result's columns in tick order: every traceio.ROWS ticks, before the
+store is emptied and at the end. A flush that covers no replayed tick
+copies the store's new rows as they lie; any other gathers them with
+whole-column copies and no per-tick Python (_Outcomes.flush). The store is
+emptied with the memo and when keying stops, after which a tick that runs
+writes the result's columns itself. So beyond its result a run holds at
+most MEMO_MAX store rows and ROWS pending ticks, however long it is.
 
 A result keeps no object per tick: t, demand, supplied (Mbps), dropped and
 reorder (int64) are one array value per tick; assigned, transmitted and
@@ -46,19 +60,21 @@ buffer_end are n float values per tick, tick k at [k*n, (k+1)*n).
 import math
 from array import array
 from collections.abc import Iterable, Sequence
+from itertools import islice
 from typing import Optional
 
 from .errors import BadParameterError
 from .links import AggregationGroup, _Record, validate_group
 from .policies import _RULES, PolicyId, PolicyState, WfqDirection
-from .traceio import DemandTrace
+from .traceio import ROWS, DemandTrace
 
-# The memo holds at most MEMO_MAX ticks and starts afresh when full. Keying
-# stops for the rest of a run once at least MEMO_TRIAL ticks have missed and
-# the hits are fewer than one sixteenth of the misses. A diurnal day repeats
-# little in its first hours: on the benchmark's heavy day (five seeds) rr and
-# wfq had 32-46 and 19-31 hits at their 256th miss, though 72% and 57% of
-# their ticks hit over the day; its wide group, which seldom drains, had 0-3.
+# The memo and its store hold at most MEMO_MAX ticks that ran, and start
+# afresh when full. Keying stops for the rest of a run once at least
+# MEMO_TRIAL ticks have missed and the hits are fewer than one sixteenth of
+# the misses. A diurnal day repeats little in its first hours: on the
+# benchmark's heavy day (five seeds) rr and wfq had 32-46 and 19-31 hits at
+# their 256th miss, though 72% and 57% of their ticks hit over the day; its
+# wide group, which seldom drains, had 0-3.
 MEMO_MAX = 4096
 MEMO_TRIAL = 256
 
@@ -157,6 +173,80 @@ class SimulationResult(_Record):
     records = property(Records)
 
 
+class _Outcomes:
+    """The outcome store of one run (see the module docstring): cols holds
+    one row per tick that ran since the store was last cleared, shaped like
+    the result's supplied, dropped, reorder, assigned, transmitted and
+    buffer_end columns, and pending the store row of each tick not yet
+    flushed to the result, in tick order."""
+
+    def __init__(self, res: SimulationResult, n: int):
+        self.out = (res.supplied, res.dropped, res.reorder,
+                    res.assigned, res.transmitted, res.buffer_end)
+        self.cols = tuple(map(array, "ddqddd"))
+        self.widths = (1, 1, 1, n, n, n)
+        self.width = 3 * n + 3  # 64-bit words in a row
+        self.pending = []
+        self.records = []  # the store's first rows as fixed-width bytes (pack)
+        self.first = 0  # the store's row count at the last flush
+
+    def flush(self):
+        """Append the pending ticks to the result's columns, in tick order.
+        Ticks that all ran are the store's rows since the last flush and are
+        copied as they lie. Otherwise the pending ticks' records are joined
+        in one go and their words unpacked into the columns by strided copies
+        over whole columns, with no Python per tick."""
+        pending, widths, width = self.pending, self.widths, self.width
+        if not pending:
+            return
+        rows = len(self.cols[0])
+        if rows - self.first == len(pending):  # no tick was replayed
+            for out, col, w in zip(self.out, self.cols, widths):
+                out.extend(col[self.first * w:])
+        else:
+            self.pack(rows)
+            words = memoryview(b"".join(map(self.records.__getitem__, pending))).cast("q")
+            j = 0
+            for out, w in zip(self.out, widths):
+                part = memoryview(bytearray(8 * w * len(pending))).cast("q")
+                for i in range(w):
+                    part[i::w] = words[j::width]
+                    j += 1
+                out.frombytes(part.obj)
+        pending.clear()
+        self.first = rows
+
+    def pack(self, rows: int):
+        """Add the store's rows from len(records) up to rows to records, each
+        as one bytes record of its 64-bit words, column after column."""
+        lo, widths, width = len(self.records), self.widths, self.width
+        packed = memoryview(bytearray(8 * width * (rows - lo))).cast("q")
+        j = 0
+        for col, w in zip(self.cols, widths):
+            words = memoryview(col[lo * w:].tobytes()).cast("q")
+            for i in range(w):
+                packed[j::width] = words[i::w]
+                j += 1
+        packed = packed.tobytes()
+        self.records += [packed[a:a + 8 * width] for a in range(0, len(packed), 8 * width)]
+
+    def clear(self):
+        """Flush, then empty the store."""
+        self.flush()
+        for col in self.cols:
+            del col[:]
+        self.records.clear()
+        self.first = 0
+
+
+def _writers(cols: tuple) -> tuple:
+    """What a tick that runs calls to add itself to columns laid out as
+    _Outcomes.cols: append for a scalar, fromlist for a per-link list."""
+    supplied, dropped, reorder, assigned, transmitted, buffer_end = cols
+    return (supplied.append, dropped.append, reorder.append,
+            assigned.fromlist, transmitted.fromlist, buffer_end.fromlist)
+
+
 def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState, bufs: list,
               times: Sequence, demands: Sequence, changes: list) -> SimulationResult:
     """One tick per (t, demand) sample on a validated group, from the buffers
@@ -169,103 +259,108 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     k = demands.index(max(demands))  # the first busiest sample
     rule = _RULES[config.policy](group, config, state, bufs, (times[k], demands[k]))
     refresh, assign, position, restore = rule.refresh, rule.assign, rule.position, rule.restore
-    # bound once; fromlist copies the per-link lists without building tuples
-    assigned_col, transmitted_col, ends_col = res.assigned, res.transmitted, res.buffer_end
-    dropped_col, supplied_col, reorder_col = res.dropped, res.supplied, res.reorder
-    add_dropped, add_supplied, add_reorder = (
-        dropped_col.append, supplied_col.append, reorder_col.append)
-    add_assigned, add_transmitted, add_buffer_end = (
-        assigned_col.fromlist, transmitted_col.fromlist, ends_col.fromlist)
     tick, quantum = config.tick, config.quantum
     ci, due = 0, -math.inf  # the next change and its time: the first is due at once
     # the memo (see the module docstring): keys gives each state key
-    # (position, *bufs) its token, rows[token] maps a demand to (k, the next
-    # state's token) for tick k, which started there, and states[token] is
-    # the key. row is the row of the state the next tick starts in, None when
-    # that is not keyed; behind is that state's token while bufs and the
-    # rule's position still hold the one before the hits that reached it.
-    keys, rows, states, row, behind = {}, [], [], None, None
+    # (position, *bufs) its token, rows[token] maps a demand to (r, the next
+    # state's token) for the tick in store row r, which started there, and
+    # states[token] is the key. row is the row of the state the next tick
+    # starts in, None when that is not keyed; behind is that state's token
+    # while bufs and the rule's position still hold the one before the hits
+    # that reached it. stored counts the store's rows. A lone sample (step())
+    # has nothing to repeat and is not keyed.
+    keys, rows, states, row, behind = {} if len(times) > 1 else None, [], [], None, None
+    store = _Outcomes(res, n)
+    # bound once; a tick that runs writes the store's columns while the memo
+    # keys, the result's when it does not
+    put_supplied, put_dropped, put_reorder, put_assigned, put_transmitted, put_buffer_end = (
+        _writers(store.out if keys is None else store.cols))
+    add_pending = store.pending.append
     stored = hits = misses = 0
-    for t, demand in zip(times, demands):
-        if not 0.0 <= demand < math.inf:
-            raise BadParameterError(f"demand must be finite and nonnegative, got {demand}")
-        if row is not None:
-            hit = row.get(demand) if due > t else None
-            if hit is not None:
-                k, behind = hit
-                row = rows[behind]
-                lo = k * n
-                hi = lo + n
-                assigned_col.extend(assigned_col[lo:hi])
-                transmitted_col.extend(transmitted_col[lo:hi])
-                ends_col.extend(ends_col[lo:hi])
-                add_dropped(dropped_col[k])
-                add_supplied(supplied_col[k])
-                add_reorder(reorder_col[k])
-                hits += 1
-                continue
-            if behind is not None:  # only ever set with row
-                pos, *bufs[:] = states[behind]
-                restore(pos)
-                behind = None
-        if due <= t:
-            while changes[ci][0] <= t:
-                ci += 1
-            due = changes[ci][0]
-            down = changes[ci - 1][1]
-            alive = [i for i in range(n) if ids[i] not in down]
-            refresh(alive, down)
-            if keys is not None:
-                keys, rows, states, stored, row = {}, [], [], 0, None
-        assigned = [0.0] * n
-        arrivals = demand * tick
-        if not arrivals:
-            dropped, reorder = 0.0, 0
-        elif alive:
-            # full quanta and the trailing fractional quantum (0 if none)
-            n_full = math.floor(arrivals / quantum)
-            rem = arrivals - n_full * quantum
-            if rem < 0:  # the quotient rounded up
-                n_full -= 1
+    samples = zip(times, demands)
+    for _ in range(0, len(times), ROWS):
+        for t, demand in islice(samples, ROWS):
+            if not 0.0 <= demand < math.inf:
+                raise BadParameterError(f"demand must be finite and nonnegative, got {demand}")
+            if row is not None:
+                hit = row.get(demand) if due > t else None
+                if hit is not None:
+                    r, behind = hit
+                    row = rows[behind]
+                    add_pending(r)
+                    hits += 1
+                    continue
+                if behind is not None:  # only ever set with row
+                    pos, *bufs[:] = states[behind]
+                    restore(pos)
+                    behind = None
+            if due <= t:
+                while changes[ci][0] <= t:
+                    ci += 1
+                due = changes[ci][0]
+                down = changes[ci - 1][1]
+                alive = [i for i in range(n) if ids[i] not in down]
+                refresh(alive, down)
+                if keys is not None:
+                    keys, rows, states, row = {}, [], [], None
+                    store.clear()
+                    stored = 0
+            assigned = [0.0] * n
+            arrivals = demand * tick
+            if not arrivals:
+                dropped, reorder = 0.0, 0
+            elif alive:
+                # full quanta and the trailing fractional quantum (0 if none)
+                n_full = math.floor(arrivals / quantum)
                 rem = arrivals - n_full * quantum
-            dropped, reorder = assign(assigned, n_full, rem if rem > 0 else 0.0)
-        else:
-            dropped, reorder = arrivals, 0
-        transmitted = [0.0] * n
-        supplied = 0.0
-        for i in alive:
-            tx = bufs[i]
-            cap = drain[i]
-            if tx > cap:
-                tx = cap
-            bufs[i] -= tx
-            transmitted[i] = tx
-            supplied += tx
-        add_assigned(assigned)
-        add_transmitted(transmitted)
-        add_buffer_end(bufs)
-        add_dropped(dropped)
-        add_supplied(supplied / tick)
-        add_reorder(reorder)
-        if keys is not None:
-            pos = position()
-            start, row = row, None
-            if pos is not None:
-                key = (pos, *bufs)
-                token = keys.get(key)
-                if token is None:
-                    token = keys[key] = len(states)
-                    rows.append({})
-                    states.append(key)
-                row = rows[token]
-                if start is not None:
-                    start[demand] = (len(dropped_col) - 1, token)
-                    stored += 1
-                    misses += 1
-                    if misses >= MEMO_TRIAL and hits < misses >> 4:
-                        keys = rows = states = row = None  # too few repeats to pay
-                    elif stored == MEMO_MAX:
-                        keys, rows, states, stored, row = {}, [], [], 0, None
+                if rem < 0:  # the quotient rounded up
+                    n_full -= 1
+                    rem = arrivals - n_full * quantum
+                dropped, reorder = assign(assigned, n_full, rem if rem > 0 else 0.0)
+            else:
+                dropped, reorder = arrivals, 0
+            transmitted = [0.0] * n
+            supplied = 0.0
+            for i in alive:
+                tx = bufs[i]
+                cap = drain[i]
+                if tx > cap:
+                    tx = cap
+                bufs[i] -= tx
+                transmitted[i] = tx
+                supplied += tx
+            put_supplied(supplied / tick)
+            put_dropped(dropped)
+            put_reorder(reorder)
+            put_assigned(assigned)
+            put_transmitted(transmitted)
+            put_buffer_end(bufs)
+            if keys is not None:
+                add_pending(stored)
+                stored += 1
+                pos = position()
+                start, row = row, None
+                if pos is not None:
+                    key = (pos, *bufs)
+                    token = keys.get(key)
+                    if token is None:
+                        token = keys[key] = len(states)
+                        rows.append({})
+                        states.append(key)
+                    row = rows[token]
+                    if start is not None:
+                        start[demand] = (stored - 1, token)
+                        misses += 1
+                if misses >= MEMO_TRIAL and hits < misses >> 4:  # too few repeats to pay
+                    keys = rows = states = row = None
+                    store.clear()
+                    put_supplied, put_dropped, put_reorder, put_assigned, put_transmitted, \
+                        put_buffer_end = _writers(store.out)
+                elif stored == MEMO_MAX:
+                    keys, rows, states, row = {}, [], [], None
+                    store.clear()
+                    stored = 0
+        store.flush()
     if behind is not None:
         pos, *bufs[:] = states[behind]
         restore(pos)

@@ -13,11 +13,16 @@ digests move only when a change means to alter non-dyadic results, and then
 under the same rule as the golden digests.
 """
 
+import builtins
 import hashlib
+import importlib
+import pkgutil
+import sys
 
 import pytest
 from corpus import instances
 
+import rla
 from rla import (
     DemandTrace,
     EngineConfig,
@@ -97,3 +102,36 @@ def corpus_digest(policy):
 @pytest.mark.parametrize("policy", sorted(DIGESTS))
 def test_corpus_digest(policy):
     assert corpus_digest(policy) == DIGESTS[policy]
+
+
+def test_the_package_sums_no_floats(monkeypatch):
+    # Python 3.12 made sum() of floats compensated, so a float sum() in rla
+    # would tie its results to the Python version: run the corpus with every
+    # rla module's sum() refusing floats. Its int sums stay exact.
+    callers = set()
+
+    def int_sum(items, start=0):
+        items = list(items)
+        caller = sys._getframe(1)
+        caller = f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"
+        floats = [x for x in [start, *items] if isinstance(x, float)]
+        assert not floats, f"float sum() in {caller}: {floats[:3]}"
+        callers.add(caller)
+        return builtins.sum(items, start)
+
+    for info in pkgutil.iter_modules(rla.__path__):
+        monkeypatch.setattr(importlib.import_module(f"rla.{info.name}"), "sum", int_sum,
+                            raising=False)
+    monkeypatch.setattr(rla, "sum", int_sum, raising=False)
+    for policy in DIGESTS:
+        for inst in CORPUS:
+            try:
+                config = EngineConfig(PolicyId.parse(policy), inst["tick"], inst["quantum"],
+                                      WfqDirection.parse(inst["wfq_direction"]))
+                g = validate_group("g", [Link(*l) for l in inst["links"]], config.tick)
+                run(g, config, DemandTrace(inst["samples"]), inst["failures"])
+            except RlaError:
+                pass
+    # the wrapper was live: rr's and wfq's switch counts and swrr's table
+    assert {"rla.policies._rr_reorder", "rla.policies._kept_switches",
+            "rla.swrr.__init__"} <= callers, callers

@@ -22,8 +22,9 @@ from rla import (
     step,
     validate_group,
 )
-from rla.engine import _failure_timeline
-from rla.policies import MAX_WFQ_QUANTA_PER_TICK
+from rla.engine import _failure_timeline, _Outcomes
+from rla.policies import _RULES, MAX_WFQ_QUANTA_PER_TICK
+from rla.traceio import ROWS
 
 
 def group(*caps, costs=None, cap_factor=None):
@@ -485,6 +486,71 @@ def test_run_result_memory_is_columnar(n):
     assert len(res.records) == ticks
     bound = 1.25 * 8 * (5 + 3 * n) * ticks + 16 * 1024
     assert retained <= bound, f"{retained / ticks:.0f} B per tick retained"
+
+
+# --- replayed ticks: the outcome store and its flushes ---
+
+def _memo_off(monkeypatch):
+    """Key no tick: every rule's position is None, so every tick runs."""
+    for rule in set(_RULES.values()):
+        monkeypatch.setattr(rule, "position", lambda self: None)
+
+
+def _replays(monkeypatch):
+    """Per flush of the outcome store, how many of its ticks were replayed."""
+    seen = []
+    flush = _Outcomes.flush
+
+    def counting(store):
+        seen.append(len(store.pending) - (len(store.cols[0]) - store.first))
+        flush(store)
+    monkeypatch.setattr(_Outcomes, "flush", counting)
+    return seen
+
+
+COLUMNS = ("t", "demand", "supplied", "dropped", "reorder", "assigned", "transmitted",
+           "buffer_end")
+
+
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_replayed_ticks_gather_into_the_columns_of_a_run_without_memo(policy, monkeypatch):
+    # over 3 x ROWS ticks of a few repeating demands, with live-set changes
+    # in the middle of a flush's ticks, gathered columns equal running
+    # every tick, value for value and in type
+    g = group(5.0, 3.0, 4.0, costs=[1.0, 2.0, 4.0], cap_factor=4.0)  # wfq's cycle: 7 picks
+    rng = random.Random(f"gather-{policy}")
+    trace = DemandTrace([(float(i), rng.choice([0.0, 2.5, 7.0, 11.0, 16.5]))
+                         for i in range(3 * ROWS + 700)])
+    fails = [(5000.5, "l1", "down"), (6100.0, "l1", "up"),
+             (9000.0, "l0", "down"), (9001.0, "l2", "down"), (9500.5, "l2", "up")]
+    c = cfg(policy, quantum=0.5)
+    with monkeypatch.context() as m:
+        replays = _replays(m)
+        got = run(g, c, trace, fails)
+    assert sum(n > 0 for n in replays) >= 4 and sum(replays) > len(trace.t) // 2
+    with monkeypatch.context() as m:
+        _memo_off(m)
+        replays = _replays(m)
+        want = run(g, c, trace, fails)
+    assert not any(replays)
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.typecode == b.typecode and a.tobytes() == b.tobytes(), name
+
+
+def test_replayed_rr_switch_counts_past_2_to_53_stay_exact(monkeypatch):
+    # 2^54 or more full quanta a tick, all kept: rr switches links at every
+    # quantum but the first, counts no float holds; replays carry them exactly
+    links = [Link(id=f"l{i}", capacity=2.0**54, priority=i + 1, cost_per_gb=1.0)
+             for i in range(2)]
+    g = validate_group("g", links)
+    levels = [2.0**54, 2.0**54 + 8, 2.0**55]
+    trace = DemandTrace([(float(i), levels[i % 3]) for i in range(30)])
+    replays = _replays(monkeypatch)
+    res = run(g, cfg("rr"), trace)
+    assert sum(replays) >= 24
+    assert res.reorder.typecode == "q"
+    assert list(res.reorder) == [[2**54 - 1, 2**54 + 7, 2**55 - 1][i % 3] for i in range(30)]
 
 
 def test_records_view_reads_columns():
