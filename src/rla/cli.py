@@ -212,14 +212,9 @@ def _cmd_scenario(args) -> int:
     n = int(args.name)
     links_path = out_dir / f"scenario{n}_links.csv"
     trace_path = out_dir / f"scenario{n}_trace.csv"
-    links_text = links_to_csv(group.links)
-    trace_text = trace_to_csv(trace)
-    if args.stamp:
-        header = _stamp_header(args)
-        links_text = header + links_text
-        trace_text = header + trace_text
-    _write(links_path, links_text)
-    _write(trace_path, trace_text)
+    stamp = _stamp_header(args) if args.stamp else ""
+    _write(links_path, stamp + links_to_csv(group.links))
+    _write(trace_path, stamp + trace_to_csv(trace))
     print(links_path)
     print(trace_path)
     return 0
@@ -230,12 +225,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"rla: error: {e}", file=sys.stderr)
-        return 1
     except RlaError as e:
         print(f"rla: error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, InputError) else 2
 
 
 if __name__ == "__main__":

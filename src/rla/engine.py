@@ -10,10 +10,11 @@ outcome store below while the memo keys). How a policy picks links, what
 state it keeps and what it checks lives in its class in policies.py; the
 engine has no policy-specific branch.
 
-_simulate owns a run's buffers: it builds and returns the result and updates
-the one buffer list its caller gives it, which the policy's rule shares.
-run() passes zeros, so the caller's links are never touched; step() passes
-its links' buffers and writes that list back to them.
+run() and step() reach _simulate through _setup, which takes each link's
+starting buffer from PolicyState.buffers and writes the last tick's back
+there. run() passes a fresh state, step() the caller's; a Link holds
+configuration only and no call changes it. _simulate updates the one buffer
+list _setup gives it, which the policy's rule shares.
 
 A failure schedule is folded once, by _failure_timeline, for the tick loop
 and the CLI's warnings alike. Events apply in stable time order, simultaneous
@@ -379,8 +380,8 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
     events = []
     for ev in failures or ():
         t, link_id, kind = float(ev[0]), str(ev[1]), str(ev[2])
-        if not math.isfinite(t):
-            raise BadParameterError(f"failure event time must be finite, got {t}")
+        if isinstance(ev[0], bool) or not math.isfinite(t):  # True would read as 1.0
+            raise BadParameterError(f"failure event time must be a finite number, got {ev[0]!r}")
         if link_id not in ids:
             raise BadParameterError(f"failure event for unknown link {link_id!r}")
         if kind not in ("up", "down"):
@@ -402,46 +403,50 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
     return changes, late, repeats
 
 
+def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
+           times: Sequence, demands: Sequence, failures) -> SimulationResult:
+    """run() and step()'s one way into _simulate: validate the group, start
+    each link from its state.buffers entry, fold the failures, run the
+    samples and write the buffers the last tick left back by link id."""
+    checked = validate_group(group.group_id, group.links, config.tick)
+    bufs = []
+    for link in checked.links:
+        b = state.buffers.get(link.id, 0.0)
+        if isinstance(b, bool) or not 0 <= b <= link.buffer_cap:  # True would pass as 1
+            raise BadParameterError(f"link {link.id}: buffer {b!r} outside [0, {link.buffer_cap}]")
+        bufs.append(float(b))
+    changes, _, _ = _failure_timeline(checked, failures, times[-1])
+    res = _simulate(checked, config, state, bufs, times, demands, changes)
+    state.buffers.update(zip(checked.link_ids(), bufs))
+    return res
+
+
 def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfig,
          demand_mbps: float, failed: frozenset = frozenset(), t: float = 0.0) -> TickRecord:
-    """Advance one tick on a live group, mutating link buffers in place.
+    """Advance one tick from policy_state, which carries the buffers, rr
+    cursor, wfq counters and vrrp master from call to call.
 
-    The group must be validate_group's output, its links resolved and in
-    priority order; the ids in failed are down for this tick. Arrivals of
-    demand x tick megabits are split into quanta, each assigned by the
-    configured policy against live buffer state, then every non-failed link
-    drains up to capacity x tick. The tick comes back as run()'s records
-    give it, t and demand as floats.
+    The group is validated as run() validates it and left untouched; the ids
+    in failed are down for this tick. Arrivals of demand x tick megabits are
+    split into quanta, each assigned by the configured policy against the
+    buffers, then every live link drains up to capacity x tick. The tick
+    comes back as run()'s records give it, t and demand as floats.
     """
-    checked = validate_group(group.group_id, group.links, config.tick)
-    for live, ok in zip(group.links, checked.links):
-        # ids are unique, and validate_group keeps a threshold or cap it is given
-        if live.id != ok.id or live.threshold is None or live.buffer_cap is None:
-            raise BadParameterError(
-                f"link {live.id}: group must go through validate_group before simulation")
-    if not math.isfinite(t):
-        raise BadParameterError(f"step time must be finite, got {t}")
-    changes, _, _ = _failure_timeline(group, [(t, link_id, "down") for link_id in failed], t)
-    bufs = [l.buffer for l in group.links]
-    res = _simulate(group, config, policy_state, bufs, (t,), (demand_mbps,), changes)
-    for link, b in zip(group.links, bufs):
-        link.buffer = b
-    return res.records[0]
+    if isinstance(demand_mbps, bool):  # True would pass as 1
+        raise BadParameterError(f"demand must be a number, got {demand_mbps!r}")
+    if isinstance(t, bool) or not math.isfinite(t):
+        raise BadParameterError(f"step time must be finite, got {t!r}")
+    events = [(t, link_id, "down") for link_id in failed]
+    return _setup(group, config, policy_state, (t,), (demand_mbps,), events).records[0]
 
 
 def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
         failures: Optional[Iterable[Sequence]] = None) -> SimulationResult:
-    """Fold the engine over a demand trace.
+    """Fold the engine over a demand trace, one tick per sample.
 
-    Starts from zero buffers and fresh policy state, and result.group echoes
-    the validated group with those zero buffers; the caller's group is left
-    untouched. One tick per trace sample. Failure events
-    (time_s, link_id, "up"/"down") take effect on the first sample at or
-    after their time. Deterministic: identical inputs give identical results.
+    Starts from empty buffers and a fresh PolicyState and leaves the
+    caller's group untouched; result.group is its validated copy. Failure
+    events (time_s, link_id, "up"/"down") take effect on the first sample at
+    or after their time. Deterministic: identical inputs, identical results.
     """
-    checked = validate_group(group.group_id, group.links, config.tick)
-    for link in checked.links:  # copies of the caller's links
-        link.buffer = 0.0
-    changes, _, _ = _failure_timeline(checked, failures, trace.t[-1])
-    return _simulate(checked, config, PolicyState(), [0.0] * checked.n,
-                     trace.t, trace.demand, changes)
+    return _setup(group, config, PolicyState(), trace.t, trace.demand, failures)

@@ -41,24 +41,22 @@ class _Record:
 class Link(_Record):
     """One uplink in an aggregation group.
 
-    capacity is in Mbps; threshold, buffer_cap and buffer are occupancies in
+    capacity is in Mbps; threshold and buffer_cap are occupancies in
     megabits. priority 1 is the primary link, 2 the secondary, and so on.
     threshold/buffer_cap may be left None and resolved by validate_group.
+    What a buffer holds between step() calls lives in PolicyState.buffers.
     """
 
-    __match_args__ = ("id", "capacity", "priority", "cost_per_gb", "threshold",
-                      "buffer_cap", "buffer")
+    __match_args__ = ("id", "capacity", "priority", "cost_per_gb", "threshold", "buffer_cap")
 
     def __init__(self, id: str, capacity: float, priority: int, cost_per_gb: float = 0.0,
-                 threshold: Optional[float] = None, buffer_cap: Optional[float] = None,
-                 buffer: float = 0.0):
+                 threshold: Optional[float] = None, buffer_cap: Optional[float] = None):
         self.id = id
         self.capacity = capacity
         self.priority = priority
         self.cost_per_gb = cost_per_gb
         self.threshold = threshold
         self.buffer_cap = buffer_cap
-        self.buffer = buffer
 
 
 class AggregationGroup(_Record):
@@ -110,8 +108,7 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
         if not link.id:
             raise BadParameterError("link id must be non-empty")
         for what, value in (("capacity", link.capacity), ("cost_per_gb", link.cost_per_gb),
-                            ("threshold", link.threshold), ("buffer_cap", link.buffer_cap),
-                            ("buffer", link.buffer)):
+                            ("threshold", link.threshold), ("buffer_cap", link.buffer_cap)):
             if isinstance(value, bool):  # True passes as 1 below, and links_to_csv refuses it
                 raise BadParameterError(f"link {link.id}: {what} must be a number, got {value!r}")
         # chained comparisons are False for NaN, so each check also rejects it
@@ -134,11 +131,8 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
                 f"link {link.id}: buffer_cap {buffer_cap} is below threshold {threshold}")
         if not buffer_cap < math.inf:
             raise BadParameterError(f"link {link.id}: buffer_cap must be finite, got {buffer_cap}")
-        if not 0 <= link.buffer <= buffer_cap:
-            raise BadParameterError(
-                f"link {link.id}: buffer {link.buffer} outside [0, {buffer_cap}]")
         resolved.append(Link(link.id, link.capacity, link.priority, link.cost_per_gb,
-                             threshold, buffer_cap, link.buffer))
+                             threshold, buffer_cap))
 
     if not resolved:
         raise EmptyGroupError(f"group {group_id!r} has no links")

@@ -70,22 +70,25 @@ class WfqDirection(enum.Enum):
 
 
 class PolicyState(_Record):
-    """Mutable scheduling state carried across selection calls.
+    """Mutable run state carried from one step() call to the next.
 
     rr_cursor is the round-robin position; wfq_deficits maps link id to its
     deficit counter in quanta, an exact fraction held as a (numerator,
     denominator) pair of ints in lowest terms, absent meaning 0;
-    vrrp_master records the link currently carrying all traffic. OLB keeps
-    no state: its scan variables are locals of one call.
+    vrrp_master records the link currently carrying all traffic; buffers
+    maps link id to the megabits queued on it, absent meaning 0.0. OLB keeps
+    no state of its own: its scan variables are locals of one call. Ids that
+    name no link of the group stepped are ignored and kept.
     """
 
-    __match_args__ = ("rr_cursor", "wfq_deficits", "vrrp_master")
+    __match_args__ = ("rr_cursor", "wfq_deficits", "vrrp_master", "buffers")
 
     def __init__(self, rr_cursor: int = 0, wfq_deficits: Optional[dict] = None,
-                 vrrp_master: Optional[str] = None):
+                 vrrp_master: Optional[str] = None, buffers: Optional[dict] = None):
         self.rr_cursor = rr_cursor
         self.wfq_deficits = {} if wfq_deficits is None else wfq_deficits  # fresh per state
         self.vrrp_master = vrrp_master
+        self.buffers = {} if buffers is None else buffers
 
 
 def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
@@ -102,10 +105,12 @@ def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
     Both fills of k full quanta, here and in _Olb.assign, take room =
     (cap - b) / quantum and, only when room < k + 1 (a larger room, even
     one past the float range, fits all k), floor it and lower it while
-    b + room x quantum is past the cap. Every buffer stays in [0, cap]:
-    validate_group checks the starting ones, each fill leaves b + amount at
-    most the cap, and a drain takes at most the buffer. So room is never
-    negative and the loop lowering it stops at 0 at the latest.
+    b + room x quantum is past the cap. The rule is written out in both
+    rather than called: a call per filled link slowed the wide benchmark
+    workload, whose buffers sit near their caps. Every buffer stays in
+    [0, cap]: engine._setup checks the starting ones, each fill leaves
+    b + amount at most the cap, and a drain takes at most the buffer. So
+    room is never negative and the loop lowering it stops at 0 at the latest.
     """
     dropped = 0.0
     kept = counts

@@ -82,6 +82,8 @@ class DemandTrace(_Record):
 def _sample_fault(t, d, prev):
     """Why sample (t, d) may not follow one at time prev, or None if it may."""
     inf = math.inf
+    if isinstance(t, bool) or isinstance(d, bool):  # True would pass every check below as 1
+        return f"sample ({t!r}, {d!r}) must hold numbers, not bools"
     # chained comparisons are False for NaN, so each check also rejects it
     if not -inf < t < inf:
         return f"trace time {t} is not finite"

@@ -275,14 +275,11 @@ def test_criterion_6_policy_properties():
                               priority=i + 1, cost_per_gb=1.0, threshold=thr,
                               buffer_cap=thr * 4))
         g = validate_group("ol", links)
-        for l in g.links:
-            l.buffer = rng.uniform(0.0, l.buffer_cap)
-        bufs = [l.buffer for l in g.links]
+        bufs = [rng.uniform(0.0, l.buffer_cap) for l in g.links]
         taken = []
         for demand in (q, q / 2):
-            for l, b in zip(g.links, bufs):
-                l.buffer = b
-            rec = step(g, PolicyState(), cfg("olb", quantum=q), demand)
+            state = PolicyState(buffers=dict(zip(g.link_ids(), bufs)))
+            rec = step(g, state, cfg("olb", quantum=q), demand)
             taken += [(i, a) for i, a in enumerate(rec.assigned) if a]
         j = taken[0][0] if taken else None
         if taken != [(j, q), (j, q / 2)]:

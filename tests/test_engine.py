@@ -73,21 +73,21 @@ def test_quantum_larger_than_threshold_rejected():
         run(g, cfg(quantum=4.0), const(5.0))
 
 
-def test_unresolved_group_rejected_by_step():
-    g = validate_group("g", [Link(id="a", capacity=8.0, priority=1)])
-    g.links[0].threshold = None
-    with pytest.raises(BadParameterError):
-        step(g, PolicyState(), cfg(), 4.0)
-
-
-def test_out_of_priority_order_group_rejected_by_step():
-    # validate_group would put a first; stepping in list order would give
-    # everything to the priority-2 link b
-    g = AggregationGroup("g", [Link("b", 10.0, 2, 1.0, 10.0, 40.0),
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_step_resolves_a_group_as_run_does(policy):
+    # unresolved (b has no threshold or cap) and out of priority order: step()
+    # validates it as run() does, so b takes the default threshold and a,
+    # priority 1, comes first; the caller's group is left as it was
+    g = AggregationGroup("g", [Link("b", 6.0, 2, 3.0),
                                Link("a", 10.0, 1, 1.0, 10.0, 40.0)])
-    with pytest.raises(BadParameterError, match="validate_group"):
-        step(g, PolicyState(), cfg(), 5.0)
-    assert [l.buffer for l in g.links] == [0.0, 0.0]
+    before = AggregationGroup(g.group_id, [Link(l.id, l.capacity, l.priority, l.cost_per_gb,
+                                                l.threshold, l.buffer_cap) for l in g.links])
+    c = cfg(policy, tick=0.5, quantum=0.5)
+    want = run(g, c, DemandTrace([(0.0, 30.0)])).records[0]
+    st = PolicyState()
+    assert step(g, st, c, 30.0) == want
+    assert st.buffers == dict(zip(["a", "b"], want.buffer_end))
+    assert g == before
 
 
 def test_step_rejects_unknown_failed_id():
@@ -111,11 +111,42 @@ def test_step_fills_primary_first():
 
 def test_step_mutates_buffers():
     g = group(5.0, 3.0, cap_factor=4.0)
-    rec = step(g, PolicyState(), cfg(), 12.0)
-    # 12 arrives, 5+3=8 drains; 4 of backlog stays split across buffers
+    st = PolicyState()
+    rec = step(g, st, cfg(), 12.0)
+    # 12 arrives, 5+3=8 drains; 4 of backlog stays, all on the last link
     assert rec.dropped == 0.0
-    assert sum(rec.buffer_end) == pytest.approx(4.0)
-    assert [l.buffer for l in g.links] == list(rec.buffer_end)
+    assert rec.buffer_end == (0.0, 4.0)
+    assert st.buffers == {"l0": 0.0, "l1": 4.0}
+    # the next step starts from them: l1 drains 3 of its 4
+    assert step(g, st, cfg(), 0.0).transmitted == (0.0, 3.0)
+    assert st.buffers == {"l0": 0.0, "l1": 1.0}
+
+
+def test_step_starts_from_state_buffers():
+    g = group(5.0, 3.0, cap_factor=4.0)  # caps 20 and 12
+    st = PolicyState(buffers={"l1": 10.0})  # l0 absent: empty
+    rec = step(g, st, cfg(), 4.0)
+    assert rec.assigned == (4.0, 0.0)
+    assert rec.transmitted == (4.0, 3.0)
+    assert st.buffers == {"l0": 0.0, "l1": 7.0}
+
+
+@pytest.mark.parametrize("buffer", [-1.0, True, float("nan"), 12.5])
+def test_step_rejects_bad_state_buffer(buffer):
+    g = group(5.0, 3.0, cap_factor=4.0)  # l1's cap is 12
+    st = PolicyState(buffers={"l1": buffer})
+    with pytest.raises(BadParameterError, match="link l1: buffer .* outside \\[0, 12.0\\]"):
+        step(g, st, cfg(), 1.0)
+    assert st.buffers == {"l1": buffer}
+
+
+def test_step_ignores_and_keeps_buffers_of_other_ids():
+    # as wfq_deficits' entries for links not in the group are
+    g = group(5.0, 3.0)
+    st = PolicyState(buffers={"gone": -7.0, "l0": 2.0})
+    rec = step(g, st, cfg(), 0.0)
+    assert rec.transmitted == (2.0, 0.0)
+    assert st.buffers == {"gone": -7.0, "l0": 0.0, "l1": 0.0}
 
 
 def test_step_drops_at_cap():
@@ -212,7 +243,7 @@ def test_failed_link_is_skipped_and_frozen():
     g = group(5.0, 3.0, cap_factor=4.0)
     st = PolicyState()
     step(g, st, cfg(), 12.0)            # leaves backlog on both links
-    frozen = g.links[0].buffer
+    frozen = st.buffers["l0"]
     rec = step(g, st, cfg(), 2.0, failed=frozenset({"l0"}))
     assert rec.assigned[0] == 0.0       # no new traffic
     assert rec.transmitted[0] == 0.0    # no drain either
@@ -326,9 +357,8 @@ def test_failure_schedule_folds_into_its_changes(instance):
         assert [getattr(got, col).tobytes() for col in _COLUMNS] == \
                [getattr(want, col).tobytes() for col in _COLUMNS]
         # stepping each sample with the down set changes gives at that tick
-        stepped = validate_group("g", g.links)  # fresh links, empty buffers
-        st = PolicyState()
-        recs = [step(stepped, st, c, d, [down for ct, down in changes if ct <= t][-1], t)
+        st = PolicyState()  # empty buffers
+        recs = [step(g, st, c, d, [down for ct, down in changes if ct <= t][-1], t)
                 for t, d in trace]
         assert recs == got.records[:]
 
@@ -336,31 +366,41 @@ def test_failure_schedule_folds_into_its_changes(instance):
 # --- run bookkeeping ---
 
 def test_run_does_not_touch_callers_group():
-    g = group(5.0, 3.0)
-    g.links[0].buffer = 1.5
-    run(g, cfg(), const(9.0))
-    assert g.links[0].buffer == 1.5
+    links = [Link("b", 3.0, 2, 1.0), Link("a", 5.0, 1, 1.0)]  # unresolved, out of order
+    g = AggregationGroup("g", list(links))
+    res = run(g, cfg(), const(9.0))
+    assert g == AggregationGroup("g", [Link("b", 3.0, 2, 1.0), Link("a", 5.0, 1, 1.0)])
+    assert g.links[0] is links[0] and g.links[1] is links[1]
+    assert res.group == validate_group("g", links)  # the validated copy
 
 
 def test_run_starts_from_empty_buffers():
-    g = group(5.0, 3.0)
-    g.links[0].buffer = 1.5
-    res = run(g, cfg(), const(2.0, 1))
-    assert res.records[0].assigned == (2.0, 0.0)
-    assert res.records[0].transmitted == (2.0, 0.0)
+    # step() leaves 6.0 queued on the link in its state; run() starts from
+    # an empty one and a fresh state
+    g = validate_group("g", [Link(id="a", capacity=4.0, priority=1,
+                                  threshold=8.0, buffer_cap=16.0)])
+    st = PolicyState()
+    step(g, st, cfg(), 10.0)
+    assert st.buffers == {"a": 6.0}
+    res = run(g, cfg(), const(1.0, 1))
+    assert res.records[0].assigned == (1.0,)
+    assert list(res.buffer_end) == [0.0]
 
 
 def test_run_group_echo_holds_the_buffers_it_started_from():
-    # step() leaves 6.0 queued on the link; run() starts from an empty one,
-    # and its group echo says so while the caller's link keeps its 6.0
+    # buffers live in the state, not on the links: run()'s group echo is the
+    # configured group, untouched by the 6.0 a step() left queued, while the
+    # caller's state keeps its 6.0
     g = validate_group("g", [Link(id="a", capacity=4.0, priority=1,
                                   threshold=8.0, buffer_cap=16.0)])
-    step(g, PolicyState(), cfg(), 10.0)
-    assert g.links[0].buffer == 6.0
+    before = validate_group(g.group_id, g.links)
+    st = PolicyState()
+    step(g, st, cfg(), 10.0)
     res = run(g, cfg(), const(1.0, 1))
     assert list(res.buffer_end) == [0.0]
-    assert res.group.links[0].buffer == 0.0
-    assert g.links[0].buffer == 6.0
+    assert res.group == before and not hasattr(res.group.links[0], "buffer")
+    assert g == before
+    assert st.buffers == {"a": 6.0}
 
 
 def test_run_echoes_config_and_sorted_group():
@@ -452,6 +492,7 @@ def test_step_sequence_matches_run(policy):
     ]
     for tr, failures in inputs:
         g = group(5.0, 3.0, 4.0, costs=[1.7, 3.0, 1.0], cap_factor=4.0)
+        before = validate_group(g.group_id, g.links)  # an equal copy
         st = PolicyState()
         stepped = []
         for t, d in tr:
@@ -460,7 +501,12 @@ def test_step_sequence_matches_run(policy):
                 if et <= t:
                     (failed.add if kind == "down" else failed.discard)(link_id)
             stepped.append(step(g, st, c, d, failed=frozenset(failed), t=t))
-        assert stepped == run(g, c, DemandTrace(tr), failures).records[:]
+        res = run(g, c, DemandTrace(tr), failures)
+        assert stepped == res.records[:]
+        # the state carries the buffers the run ends with, by id; the group
+        # is as it was
+        assert st.buffers == dict(zip(res.group.link_ids(), res.records[-1].buffer_end))
+        assert g == before and g.links[0] is not before.links[0]
 
 
 # --- columnar result storage ---
@@ -798,6 +844,22 @@ def test_step_rejects_bad_demand(demand):
 def test_step_rejects_non_finite_time(t):
     with pytest.raises(BadParameterError, match="step time must be finite"):
         step(group(4.0), PolicyState(), cfg(), 1.0, t=t)
+
+
+def test_step_rejects_bool_demand_and_time():
+    # True is 1 to every numeric check, and would step a demand of 1 Mbps
+    # or a tick at t = 1.0
+    st = PolicyState()
+    with pytest.raises(BadParameterError, match="demand must be a number, got True"):
+        step(group(4.0), st, cfg(), True)
+    with pytest.raises(BadParameterError, match="step time must be finite, got True"):
+        step(group(4.0), st, cfg(), 1.0, t=True)
+    assert st == PolicyState()
+
+
+def test_run_rejects_bool_failure_time():
+    with pytest.raises(BadParameterError, match="failure event time must be a finite number, got True"):
+        run(group(4.0), cfg(), const(1.0), failures=[(True, "l0", "down")])
 
 
 def test_run_rejects_non_finite_failure_time():

@@ -82,15 +82,15 @@ def test_duplicate_id_rejected():
     dict(priority=0),
     dict(priority=-3),
     dict(id=""),
-    dict(buffer=-1.0),
-    dict(threshold=2.0, buffer_cap=2.0, buffer=2.5),  # occupancy above cap
+    dict(priority=1.5),  # not an int
+    dict(cost_per_gb=float("inf")),
     dict(priority=True),  # an int, but links_to_csv refuses to write it
     # numbers, but links_to_csv refuses to write them
     dict(capacity=True),
     dict(cost_per_gb=True),
     dict(threshold=True),
     dict(threshold=0.5, buffer_cap=True),
-    dict(buffer=True),
+    dict(threshold=float("inf")),
 ])
 def test_bad_link_parameters_rejected(bad):
     with pytest.raises(BadParameterError):
@@ -114,7 +114,6 @@ def test_threshold_scales_with_tick():
     (dict(threshold=float("nan")), "threshold must be positive and finite"),
     (dict(buffer_cap=float("nan")), "buffer_cap must be finite"),
     (dict(buffer_cap=float("inf")), "buffer_cap must be finite"),
-    (dict(buffer=float("nan")), "buffer nan outside"),
 ])
 def test_validate_rejects_non_finite(kw, what):
     with pytest.raises(BadParameterError, match=what):

@@ -45,9 +45,9 @@ def test_wfq_direction_parse():
 def pick(g, policy, state=None, buffers=None, demand=1.0):
     """The link one step() of a single quantum, full at the default demand,
     goes to, with the buffers set to buffers first."""
-    for l, b in zip(g.links, buffers or [0.0] * g.n):
-        l.buffer = b
-    rec = step(g, state or PolicyState(), EngineConfig(policy=PolicyId.parse(policy)), demand)
+    state = state or PolicyState()
+    state.buffers = dict(zip(g.link_ids(), buffers or [0.0] * g.n))
+    rec = step(g, state, EngineConfig(policy=PolicyId.parse(policy)), demand)
     assert rec.dropped == 0.0
     taken = [i for i, a in enumerate(rec.assigned) if a]
     assert len(taken) == 1 and rec.assigned[taken[0]] == demand

@@ -11,7 +11,7 @@ from rla import (AggregationGroup, BadParameterError, CostReport, DemandTrace, E
 
 OLB, RR = PolicyId.OLB, PolicyId.ROUND_ROBIN
 INV, DIR = WfqDirection.INVERSE_COST, WfqDirection.DIRECT_COST
-LINK = Link("a", 2.0, 1, 0.5, 2.0, 8.0, 0.0)
+LINK = Link("a", 2.0, 1, 0.5, 2.0, 8.0)
 CONFIG = EngineConfig(OLB, 1.0, 0.5, INV)
 
 
@@ -23,8 +23,8 @@ def _cols(*values):
 # field another value; every record type but DemandTrace, whose constructor
 # takes samples
 CASES = [
-    (Link, ("id", "capacity", "priority", "cost_per_gb", "threshold", "buffer_cap", "buffer"),
-     ("a", 2.0, 1, 0.5, 2.0, 8.0, 1.0), ("b", 3.0, 2, 1.5, 3.0, 9.0, 0.5)),
+    (Link, ("id", "capacity", "priority", "cost_per_gb", "threshold", "buffer_cap"),
+     ("a", 2.0, 1, 0.5, 2.0, 8.0), ("b", 3.0, 2, 1.5, 3.0, 9.0)),
     (AggregationGroup, ("group_id", "links"), ("g", [LINK]), ("h", [])),
     (EngineConfig, ("policy", "tick", "quantum", "wfq_direction"),
      (OLB, 1.0, 0.5, INV), (RR, 2.0, 0.25, DIR)),
@@ -36,8 +36,8 @@ CASES = [
                         "assigned", "transmitted", "buffer_end"),
      (CONFIG, AggregationGroup("g", [LINK]), *_cols(0.0, 1.0, 1.0, 0.0, 0, 1.0, 1.0, 0.0)),
      (EngineConfig(RR), AggregationGroup("h", []), *_cols(1.0, 2.0, 2.0, 1.0, 1, 2.0, 2.0, 1.0))),
-    (PolicyState, ("rr_cursor", "wfq_deficits", "vrrp_master"),
-     (0, {}, None), (1, {"a": (1, 2)}, "a")),
+    (PolicyState, ("rr_cursor", "wfq_deficits", "vrrp_master", "buffers"),
+     (0, {}, None, {}), (1, {"a": (1, 2)}, "a", {"a": 1.5})),
     (CostReport, ("per_link", "total_gb", "total_cost", "annual_cost"),
      ([("a", 1.0, 0.5, 0.5)], 1.0, 0.5, 182.5), ([], 2.0, 1.0, 365.0)),
 ]
@@ -56,12 +56,14 @@ def test_construction_by_position_and_keyword(kind, names, values, others):
 
 def test_defaults():
     link = Link("a", 2.0, 1)
-    assert (link.cost_per_gb, link.threshold, link.buffer_cap, link.buffer) == (0.0, None, None, 0.0)
+    assert (link.cost_per_gb, link.threshold, link.buffer_cap) == (0.0, None, None)
     config = EngineConfig(OLB)
     assert (config.tick, config.quantum, config.wfq_direction) == (1.0, 1.0, INV)
     state = PolicyState()
-    assert (state.rr_cursor, state.wfq_deficits, state.vrrp_master) == (0, {}, None)
+    assert (state.rr_cursor, state.wfq_deficits, state.vrrp_master, state.buffers) == \
+        (0, {}, None, {})
     assert state.wfq_deficits is not PolicyState().wfq_deficits
+    assert state.buffers is not PolicyState().buffers
     with pytest.raises(TypeError):
         Link("a", 2.0)  # priority has no default
 
@@ -103,17 +105,18 @@ def test_repr_text_is_the_dataclass_text():
     record = TickRecord(1.0, 3.0, (3.0,), (2.0,), (1.0,), 0.0, 2.0, 0)
     report = CostReport([("a", 0.000375, 0.5, 0.0001875)], 0.000375, 0.0001875, 0.0684375)
     link_text = ("Link(id='a', capacity=2.0, priority=1, cost_per_gb=0.5, threshold=2.0, "
-                 "buffer_cap=8.0, buffer=0.0)")
+                 "buffer_cap=8.0)")
     config_text = ("EngineConfig(policy=<PolicyId.OLB: 'olb'>, tick=1.0, quantum=0.5, "
                    "wfq_direction=<WfqDirection.INVERSE_COST: 'inverse'>)")
     group_text = f"AggregationGroup(group_id='g', links=[{link_text}])"
     assert repr(Link("a", 1.0, 1)) == (
         "Link(id='a', capacity=1.0, priority=1, cost_per_gb=0.0, threshold=None, "
-        "buffer_cap=None, buffer=0.0)")
+        "buffer_cap=None)")
     assert repr(link) == link_text
     assert repr(group) == group_text
     assert repr(config) == config_text
-    assert repr(PolicyState()) == "PolicyState(rr_cursor=0, wfq_deficits={}, vrrp_master=None)"
+    assert repr(PolicyState()) == (
+        "PolicyState(rr_cursor=0, wfq_deficits={}, vrrp_master=None, buffers={})")
     assert repr(trace) == "DemandTrace(t=array('d', [0.0, 1.0]), demand=array('d', [1.0, 3.0]))"
     assert repr(result) == (
         f"SimulationResult(config={config_text}, group={group_text}, t=array('d', [0.0]), "

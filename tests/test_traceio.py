@@ -413,6 +413,13 @@ def test_demand_trace_rejects_non_finite(sample):
         DemandTrace([sample])
 
 
+@pytest.mark.parametrize("sample", [(True, 1.0), (0.0, True), (0.0, False)])
+def test_demand_trace_rejects_bools(sample):
+    # True and False pass every numeric check as 1 and 0
+    with pytest.raises(BadParameterError, match="must hold numbers, not bools"):
+        DemandTrace([sample])
+
+
 # one field longer than csv's field size limit (131072 characters)
 HUGE_FIELD = "x" * 140000
 
