@@ -34,12 +34,12 @@ of the state it ended in. A tick whose start state and demand repeat an
 earlier tick's is replayed instead of run: it only names that tick's
 outcome and moves to the next state. bufs and the rule's position catch up
 with the state the hits reached before the next tick that runs, the next
-change and the end. The memo starts afresh at every change and when it holds
-MEMO_MAX ticks. A rule whose position is None is not keyed, and keying stops
-for the rest of a run once misses clearly dominate (MEMO_TRIAL). Keys
-compare floats by value, so 0.0 and -0.0 meet: a demand of either gives the
-same tick, and no buffer is -0.0 in a run, which starts from +0.0 and whose
-drains leave +0.0 (a step() runs one tick).
+change and the end. The memo starts afresh at every change and when its
+outcome store is full (MEMO_WORDS). A rule whose position is None is not
+keyed, and keying stops for the rest of a run once misses clearly dominate
+(MEMO_TRIAL). Keys compare floats by value, so 0.0 and -0.0 meet: a demand
+of either gives the same tick, and no buffer is -0.0 in a run, which starts
+from +0.0 and whose drains leave +0.0 (a step() runs one tick).
 
 While the memo keys, outcomes go through an outcome store (_Outcomes): one
 set of columns shaped like the result's that holds only the ticks that ran,
@@ -51,7 +51,8 @@ copies the store's new rows as they lie; any other gathers them with
 whole-column copies and no per-tick Python (_Outcomes.flush). The store is
 emptied with the memo and when keying stops, after which a tick that runs
 writes the result's columns itself. So beyond its result a run holds at
-most MEMO_MAX store rows and ROWS pending ticks, however long it is.
+most MEMO_WORDS words of store rows and ROWS pending ticks, however long it
+is.
 
 A result keeps no object per tick: t, demand, supplied (Mbps), dropped and
 reorder (int64) are one array value per tick; assigned, transmitted and
@@ -67,16 +68,19 @@ from typing import Optional
 from .errors import BadParameterError
 from .links import AggregationGroup, _Record, validate_group
 from .policies import _RULES, PolicyId, PolicyState, WfqDirection
-from .traceio import ROWS, DemandTrace
+from .traceio import ROWS, DemandTrace, _real
 
-# The memo and its store hold at most MEMO_MAX ticks that ran, and start
-# afresh when full. Keying stops for the rest of a run once at least
+# The outcome store holds at most MEMO_WORDS 64-bit words, a row of 3n + 3
+# per tick that ran, so max(1, MEMO_WORDS // (3n + 3)) rows (_store_rows):
+# 7,281 for 2 links, all the ticks the benchmark's heavy 2-link wfq day runs,
+# 5,461 for 3, 3,640 for 5 and 1,285 for 16. The memo starts afresh with it
+# when it is full. Keying stops for the rest of a run once at least
 # MEMO_TRIAL ticks have missed and the hits are fewer than one sixteenth of
 # the misses. A diurnal day repeats little in its first hours: on the
 # benchmark's heavy day (five seeds) rr and wfq had 32-46 and 19-31 hits at
 # their 256th miss, though 72% and 57% of their ticks hit over the day; its
 # wide group, which seldom drains, had 0-3.
-MEMO_MAX = 4096
+MEMO_WORDS = 2**16
 MEMO_TRIAL = 256
 
 
@@ -101,7 +105,7 @@ class EngineConfig(_Record):
             if not isinstance(value, kind):  # a name string is not coerced
                 raise BadParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
         for name, value in (("tick", tick), ("quantum", quantum)):
-            if isinstance(value, bool) or not 0 < value < math.inf:  # True is 1
+            if not 0 < (_real(value) or 0) < math.inf:
                 raise BadParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -240,6 +244,11 @@ class _Outcomes:
         self.first = 0
 
 
+def _store_rows(n: int) -> int:
+    """The most rows the outcome store of an n-link run holds (MEMO_WORDS)."""
+    return max(1, MEMO_WORDS // (3 * n + 3))
+
+
 def _writers(cols: tuple) -> tuple:
     """What a tick that runs calls to add itself to columns laid out as
     _Outcomes.cols: append for a scalar, fromlist for a per-link list."""
@@ -278,6 +287,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
         _writers(store.out if keys is None else store.cols))
     add_pending = store.pending.append
     stored = hits = misses = 0
+    bound = _store_rows(n)
     samples = zip(times, demands)
     for _ in range(0, len(times), ROWS):
         for t, demand in islice(samples, ROWS):
@@ -357,7 +367,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                     store.clear()
                     put_supplied, put_dropped, put_reorder, put_assigned, put_transmitted, \
                         put_buffer_end = _writers(store.out)
-                elif stored == MEMO_MAX:
+                elif stored >= bound:
                     keys, rows, states, row = {}, [], [], None
                     store.clear()
                     stored = 0
@@ -379,8 +389,8 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
     ids = set(group.link_ids())
     events = []
     for ev in failures or ():
-        t, link_id, kind = float(ev[0]), str(ev[1]), str(ev[2])
-        if isinstance(ev[0], bool) or not math.isfinite(t):  # True would read as 1.0
+        t, link_id, kind = _real(ev[0]), str(ev[1]), str(ev[2])
+        if t is None or not math.isfinite(t):
             raise BadParameterError(f"failure event time must be a finite number, got {ev[0]!r}")
         if link_id not in ids:
             raise BadParameterError(f"failure event for unknown link {link_id!r}")
@@ -432,12 +442,14 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     buffers, then every live link drains up to capacity x tick. The tick
     comes back as run()'s records give it, t and demand as floats.
     """
-    if isinstance(demand_mbps, bool):  # True would pass as 1
+    demand = _real(demand_mbps)
+    if demand is None:
         raise BadParameterError(f"demand must be a number, got {demand_mbps!r}")
-    if isinstance(t, bool) or not math.isfinite(t):
+    time = _real(t)
+    if time is None or not math.isfinite(time):
         raise BadParameterError(f"step time must be finite, got {t!r}")
-    events = [(t, link_id, "down") for link_id in failed]
-    return _setup(group, config, policy_state, (t,), (demand_mbps,), events).records[0]
+    events = [(time, link_id, "down") for link_id in failed]
+    return _setup(group, config, policy_state, (time,), (demand,), events).records[0]
 
 
 def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,

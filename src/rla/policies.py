@@ -356,15 +356,14 @@ def wfq_weights(group: AggregationGroup,
     return [a / total for a in ints]
 
 
-def _kept_switches(order, kept, tail, tail_kept):
+def _kept_switches(order, left, tail, tail_kept, picks):
     """Link switches among the picks a wfq tick kept, in one pass over order.
 
-    order lists the tick's full-quantum picks. _admit keeps each link's
-    first kept[k] of them, all of one size, so the kept picks are exactly
-    those, in order, then the tail if it was kept.
+    order lists the tick's full-quantum picks after those already in picks,
+    which were all kept. _admit keeps each link's first kept[k] full quanta,
+    all of one size, so of order it keeps each link's first left[k] picks,
+    in order, then the tail if it was kept. left is used up.
     """
-    left = list(kept)
-    picks = []
     for k in order:
         if left[k]:
             left[k] -= 1
@@ -375,6 +374,14 @@ def _kept_switches(order, kept, tail, tail_kept):
 
 
 class _Wfq(_Rule):
+    """wfq over the live links' swrr.Swrr: a tick selects its full quanta
+    and the tail, then _admit keeps what fits. Its reorder count is the
+    switches among the kept picks. Once the cycle is known they are read
+    from its table when every full quantum was kept. Otherwise the picks
+    are listed and filtered one by one (_kept_switches), except that a
+    tick of at least 2P full quanta reads the switches before its first
+    dropped pick from the table and lists only the picks from there on."""
+
     swrr = None  # the live links' swrr.Swrr, None until a tick with arrivals
 
     max_quanta = MAX_WFQ_QUANTA_PER_TICK
@@ -420,8 +427,17 @@ class _Wfq(_Rule):
         if order is None:
             if kept is counts:
                 return dropped, swrr.switches(p, n_full + 1 if tail_kept else n_full)
+            if n_full >= 2 * swrr.P:
+                # every pick before the first cut, a capped link's first
+                # dropped pick, is kept: their switches come from the table,
+                # and only the picks after them are listed, behind the last
+                cut = swrr.cut(p, kept, counts)
+                left = [c - h for c, h in zip(kept, swrr.counts(p, cut))]
+                head = [swrr.cycle[(p + cut - 1) % swrr.P]] if cut else []
+                return dropped, swrr.switches(p, cut) + _kept_switches(
+                    swrr.slice((p + cut) % swrr.P, n_full - cut), left, tail, tail_kept, head)
             order = swrr.slice(p, n_full)
-        return dropped, _kept_switches(order, kept, tail, tail_kept)
+        return dropped, _kept_switches(order, list(kept), tail, tail_kept, [])
 
 
 class _Vrrp(_Olb):

@@ -55,6 +55,11 @@ class DemandTrace(_Record):
         self.t, self.demand = array("d"), array("d")
         prev = -math.inf
         for t, d in samples:
+            ft, fd = _real(t), _real(d)
+            if ft is None or fd is None:
+                raise BadParameterError(f"sample ({t!r}, {d!r}) must hold numbers, not bools "
+                                        f"or text")
+            t, d = ft, fd
             reason = _sample_fault(t, d, prev)
             if reason:
                 raise BadParameterError(reason)
@@ -79,11 +84,22 @@ class DemandTrace(_Record):
         return list(zip(self.t, self.demand))
 
 
-def _sample_fault(t, d, prev):
+def _real(value):
+    """value as a float, or None for what is not a number to the library:
+    a bool (True would pass every numeric check as 1), a str or bytes
+    (float() reads '1_0' as 10, which every file reader rejects), or
+    anything float() refuses. Ints, floats and Fractions pass."""
+    if isinstance(value, (bool, str, bytes, bytearray)):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _sample_fault(t: float, d: float, prev: float):
     """Why sample (t, d) may not follow one at time prev, or None if it may."""
     inf = math.inf
-    if isinstance(t, bool) or isinstance(d, bool):  # True would pass every check below as 1
-        return f"sample ({t!r}, {d!r}) must hold numbers, not bools"
     # chained comparisons are False for NaN, so each check also rejects it
     if not -inf < t < inf:
         return f"trace time {t} is not finite"

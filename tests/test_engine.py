@@ -1,6 +1,8 @@
 import gc
+import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,8 @@ from rla import (
     step,
     validate_group,
 )
-from rla.engine import _failure_timeline, _Outcomes
+from rla import engine
+from rla.engine import MEMO_WORDS, _failure_timeline, _Outcomes, _store_rows
 from rla.policies import _RULES, MAX_WFQ_QUANTA_PER_TICK
 from rla.traceio import ROWS
 
@@ -558,11 +561,40 @@ COLUMNS = ("t", "demand", "supplied", "dropped", "reorder", "assigned", "transmi
            "buffer_end")
 
 
+def _fills(monkeypatch, rows):
+    """Per emptying of the outcome store, whether it held rows rows: full."""
+    seen = []
+    clear = _Outcomes.clear
+
+    def counting(store):
+        seen.append(len(store.cols[0]) == rows)
+        clear(store)
+    monkeypatch.setattr(_Outcomes, "clear", counting)
+    return seen
+
+
+def test_store_rows_are_a_fixed_budget_of_words():
+    # 3n + 3 words a row: the heavy benchmark day's 2-link wfq run fits
+    # whole, and groups of 5 links or more hold fewer rows than 4,096
+    assert MEMO_WORDS == 2**16
+    assert [_store_rows(n) for n in (2, 3, 5, 16)] == [7281, 5461, 3640, 1285]
+    for n in range(1, 65):
+        assert (3 * n + 3) * _store_rows(n) <= MEMO_WORDS < (3 * n + 3) * (_store_rows(n) + 1)
+        assert n < 5 or _store_rows(n) <= 4096
+
+
+# outcome store rows of the 3-link run below: each policy's store fills at
+# least twice while over half of its ticks still replay (olb and vrrp keep
+# few start states, rr and wfq many)
+STORE_ROWS = {"olb": 64, "vrrp": 64, "rr": 512, "wfq": 512}
+
+
 @pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
 def test_replayed_ticks_gather_into_the_columns_of_a_run_without_memo(policy, monkeypatch):
     # over 3 x ROWS ticks of a few repeating demands, with live-set changes
-    # in the middle of a flush's ticks, gathered columns equal running
-    # every tick, value for value and in type
+    # in the middle of a flush's ticks and a store small enough to fill and
+    # start afresh, gathered columns equal running every tick, value for
+    # value and in type
     g = group(5.0, 3.0, 4.0, costs=[1.0, 2.0, 4.0], cap_factor=4.0)  # wfq's cycle: 7 picks
     rng = random.Random(f"gather-{policy}")
     trace = DemandTrace([(float(i), rng.choice([0.0, 2.5, 7.0, 11.0, 16.5]))
@@ -571,8 +603,11 @@ def test_replayed_ticks_gather_into_the_columns_of_a_run_without_memo(policy, mo
              (9000.0, "l0", "down"), (9001.0, "l2", "down"), (9500.5, "l2", "up")]
     c = cfg(policy, quantum=0.5)
     with monkeypatch.context() as m:
+        m.setattr(engine, "MEMO_WORDS", 12 * STORE_ROWS[policy])  # 12 words a row
         replays = _replays(m)
+        fills = _fills(m, STORE_ROWS[policy])
         got = run(g, c, trace, fails)
+    assert sum(fills) >= 2
     assert sum(n > 0 for n in replays) >= 4 and sum(replays) > len(trace.t) // 2
     with monkeypatch.context() as m:
         _memo_off(m)
@@ -721,6 +756,54 @@ def test_idle_ticks_leave_rotation_state_alone(policy):
     assert [r.reorder_events for r in got] == [w["reorder"] for w in want]
 
 
+def _period(costs, direction):
+    """P of wfq over links with these dyadic costs: the sum of the integer
+    weights, with no common factor, in the ratio of the costs or their
+    inverses."""
+    shares = [Fraction(1) / Fraction(c) if direction is WfqDirection.INVERSE_COST
+              else Fraction(c) for c in costs]
+    scale = math.lcm(*(f.denominator for f in shares))
+    ints = [int(f * scale) for f in shares]
+    return sum(ints) // math.gcd(*ints)
+
+
+@pytest.mark.parametrize("direction", list(WfqDirection))
+def test_wfq_long_drop_ticks_match_oracle(direction):
+    # costs 1, 2 and 4 give P = 7 over three live links, 3 or 5 over two;
+    # demands of 2P quanta or more, against caps of one or two ticks'
+    # capacity, drop full quanta at the capped links, and one event changes
+    # the live set half way. Such ticks read the switches of the picks
+    # before the first dropped one from the cycle table.
+    rng = random.Random(f"long-drops-{direction.value}")
+    long_drops = 0
+    for _ in range(20):
+        costs = rng.sample([1.0, 2.0, 4.0], 3)
+        caps = [rng.choice((2.0, 4.0, 8.0)) for _ in costs]
+        links = [Link(id=f"l{i}", capacity=c, priority=i + 1, cost_per_gb=cost,
+                      threshold=c, buffer_cap=c * rng.choice((1.0, 2.0)))
+                 for i, (c, cost) in enumerate(zip(caps, costs))]
+        g = validate_group("g", links)
+        quantum = rng.choice((0.25, 0.5))
+        n_ticks = 40
+        trace = [(float(i), rng.randrange(int(4 * sum(caps)), int(12 * sum(caps)) + 1) / 4.0)
+                 for i in range(n_ticks)]
+        down = rng.randrange(3)
+        fails = [(float(n_ticks // 2), f"l{down}", "down")]
+        want = oracle_run(_as_dicts(g), "wfq", trace, quantum=quantum,
+                          wfq_direction=direction.value, failures=fails)
+        got = run(g, cfg("wfq", quantum=quantum, wfq_direction=direction),
+                  DemandTrace(trace), failures=fails).records
+        for (t, demand), w, r in zip(trace, want, got):
+            assert (list(r.assigned), list(r.transmitted), list(r.buffer_end),
+                    r.dropped, r.supplied_mbps, r.reorder_events) == \
+                   (w["assigned"], w["transmitted"], w["buffers"],
+                    w["dropped"], w["supplied"], w["reorder"]), r.t
+            live = [c for i, c in enumerate(costs) if t < n_ticks // 2 or i != down]
+            long_drops += (demand // quantum >= 2 * _period(live, direction)
+                           and w["dropped"] >= quantum)
+    assert long_drops >= 300
+
+
 WFQ_COSTS = (0.3, 0.7, 1.0, 1.1, 1.7, 2.0, 3.0, 4.2, 9.0)
 
 
@@ -860,6 +943,33 @@ def test_step_rejects_bool_demand_and_time():
 def test_run_rejects_bool_failure_time():
     with pytest.raises(BadParameterError, match="failure event time must be a finite number, got True"):
         run(group(4.0), cfg(), const(1.0), failures=[(True, "l0", "down")])
+
+
+@pytest.mark.parametrize("t", ["1_0", "1", b"1", None, 1j])
+def test_run_rejects_a_failure_time_that_is_not_a_number(t):
+    # float('1_0') is 10.0; every failures file reader rejects '1_0'
+    with pytest.raises(BadParameterError, match="failure event time must be a finite number"):
+        run(group(4.0, 4.0), cfg(), const(1.0), failures=[(t, "l0", "down")])
+
+
+def test_run_takes_int_and_fraction_failure_times():
+    g = group(4.0, 4.0)
+    want = run(g, cfg(), const(8.0), failures=[(2.0, "l0", "down"), (3.5, "l0", "up")])
+    got = run(g, cfg(), const(8.0), failures=[(2, "l0", "down"), (Fraction(7, 2), "l0", "up")])
+    assert got.records[:] == want.records[:]
+
+
+@pytest.mark.parametrize("kw", [dict(demand_mbps="1"), dict(demand_mbps=None),
+                                dict(demand_mbps=1.0, t="1"), dict(demand_mbps=1.0, t=None)])
+def test_step_rejects_demand_or_time_that_is_not_a_number(kw):
+    with pytest.raises(BadParameterError, match="demand must be a number|step time must be finite"):
+        step(group(4.0), PolicyState(), cfg(), **kw)
+
+
+@pytest.mark.parametrize("kw", [dict(tick="1"), dict(quantum=b"1"), dict(tick=None)])
+def test_config_rejects_tick_or_quantum_that_is_not_a_number(kw):
+    with pytest.raises(BadParameterError, match="must be positive and finite"):
+        cfg(**kw)
 
 
 def test_run_rejects_non_finite_failure_time():

@@ -1,15 +1,26 @@
-"""tools/bench_record.py reads perfbench/run.py's output as run.py prints it."""
+"""tools/bench_record.py reads perfbench/run.py's output as run.py prints it,
+and tools/bench_pairs.py summarizes parsed outputs; no benchmark runs here."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
-_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
-bench_record = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_record)
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    """tools/<name>.py as module name, as a script there imports it."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_record = _load("bench_record")
+bench_pairs = _load("bench_pairs")
 
 RESULT = json.dumps({"correct": True, "attempted": 62, "failed": 0, "metrics": {
     "cli_wall_s": {"value": 0.5256515023316539, "unit": "s"},
@@ -36,3 +47,54 @@ def test_parse_output_keeps_the_result_and_parses_the_comments():
 def test_parse_output_rejects_a_last_line_that_is_not_json():
     with pytest.raises(json.JSONDecodeError):
         bench_record.parse_output(OUTPUT + "# FAILED a check\n")
+
+
+def _output(metrics, digests=DIGESTS, correct=True):
+    result = json.dumps({"correct": correct, "attempted": 62, "failed": 0 if correct else 1,
+                         "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}})
+    return bench_record.parse_output(f"# digests {json.dumps(digests)}\n{result}\n")
+
+
+def test_check_pair_returns_both_sides_metric_values():
+    parent = _output({"cli_wall_s": 0.5, "run_ticks_per_s": 100.0})
+    change = _output({"cli_wall_s": 0.4, "run_ticks_per_s": 120.0})
+    assert bench_pairs.check_pair(parent, change) == (
+        {"cli_wall_s": 0.5, "run_ticks_per_s": 100.0},
+        {"cli_wall_s": 0.4, "run_ticks_per_s": 120.0})
+
+
+@pytest.mark.parametrize("parent, change, why", [
+    (_output({"cli_wall_s": 0.5}), _output({"cli_wall_s": 0.4}, correct=False), "not correct"),
+    (_output({"cli_wall_s": 0.5}, correct=False), _output({"cli_wall_s": 0.4}), "not correct"),
+    (_output({"cli_wall_s": 0.5}), _output({"cli_wall_s": 0.4}, digests={"olb.cost.csv": "0"}),
+     "digests differ"),
+])
+def test_check_pair_stops_on_an_incorrect_run_or_differing_digests(parent, change, why):
+    with pytest.raises(SystemExit, match=why):
+        bench_pairs.check_pair(parent, change)
+
+
+def test_summarize_gives_medians_parent_iqr_ratio_wins_and_clear_gain():
+    # five pairs; the change runs faster on four and wins rate on all five
+    walls = [(0.50, 0.40), (0.52, 0.41), (0.48, 0.49), (0.51, 0.40), (0.49, 0.39)]
+    rates = [(100.0, 130.0), (110.0, 125.0), (90.0, 120.0), (105.0, 140.0), (95.0, 128.0)]
+    pairs = [({"cli_wall_s": pw, "run_ticks_per_s": pr}, {"cli_wall_s": cw, "run_ticks_per_s": cr})
+             for (pw, cw), (pr, cr) in zip(walls, rates)]
+    rows = bench_pairs.summarize(pairs, {"cli_wall_s": "lower", "run_ticks_per_s": "higher"})
+    (name, pm, spread, cm, ratio, wins, clear), rate = rows
+    assert (name, pm, cm, wins, clear) == ("cli_wall_s", 0.50, 0.40, 4, True)
+    assert spread == pytest.approx(0.515 - 0.485)  # quartiles of 0.48 ... 0.52
+    assert ratio == pytest.approx(0.8)
+    assert rate[:2] == ("run_ticks_per_s", 100.0) and rate[3] == 128.0
+    assert rate[5:] == (5, True)
+    text = bench_pairs.format_rows("day-2link-heavy", rows, len(pairs))
+    assert text.splitlines()[2].split() == ["day-2link-heavy", "run_ticks_per_s", "100", "15",
+                                            "128", "1.280", "5/5", "yes"]
+
+
+def test_summarize_calls_a_gain_inside_the_parent_spread_unclear():
+    pairs = [({"m": p}, {"m": c}) for p, c in [(1.0, 0.9), (2.0, 1.9), (3.0, 2.9)]]
+    (_, pm, spread, cm, _, wins, clear), = bench_pairs.summarize(pairs, {"m": "lower"})
+    assert (pm, cm, wins, clear) == (2.0, 1.9, 3, False)
+    assert spread == 2.0
+    assert bench_pairs.iqr([4.0]) == 0.0

@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, reject, settings
@@ -418,6 +419,20 @@ def test_demand_trace_rejects_bools(sample):
     # True and False pass every numeric check as 1 and 0
     with pytest.raises(BadParameterError, match="must hold numbers, not bools"):
         DemandTrace([sample])
+
+
+@pytest.mark.parametrize("sample", [("1", 2.0), ("1_0", 2.0), (0.0, "2"), (b"1", 2.0),
+                                    (None, 1.0), (0.0, None), (0.0, 1j), (10**400, 1.0)])
+def test_demand_trace_rejects_what_is_not_a_number(sample):
+    # float() reads the text '1_0' as 10, which every file reader rejects;
+    # None, a complex and an int past the float range float() refuses
+    with pytest.raises(BadParameterError, match="must hold numbers"):
+        DemandTrace([sample])
+
+
+def test_demand_trace_takes_ints_and_fractions_as_floats():
+    trace = DemandTrace([(0, Fraction(5, 4)), (Fraction(1, 2) + 1, 3)])
+    assert trace.samples == [(0.0, 1.25), (1.5, 3.0)]
 
 
 # one field longer than csv's field size limit (131072 characters)
