@@ -66,9 +66,9 @@ from itertools import islice
 from typing import Optional
 
 from .errors import BadParameterError
-from .links import AggregationGroup, _Record, validate_group
+from .links import AggregationGroup, _Record, _real, validate_group
 from .policies import _RULES, PolicyId, PolicyState, WfqDirection
-from .traceio import ROWS, DemandTrace, _real
+from .traceio import ROWS, DemandTrace
 
 # The outcome store holds at most MEMO_WORDS 64-bit words, a row of 3n + 3
 # per tick that ran, so max(1, MEMO_WORDS // (3n + 3)) rows (_store_rows):
@@ -422,9 +422,10 @@ def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     bufs = []
     for link in checked.links:
         b = state.buffers.get(link.id, 0.0)
-        if isinstance(b, bool) or not 0 <= b <= link.buffer_cap:  # True would pass as 1
+        fb = _real(b)  # None for True, which would pass as 1, and for text
+        if fb is None or not 0 <= fb <= link.buffer_cap:
             raise BadParameterError(f"link {link.id}: buffer {b!r} outside [0, {link.buffer_cap}]")
-        bufs.append(float(b))
+        bufs.append(fb)
     changes, _, _ = _failure_timeline(checked, failures, times[-1])
     res = _simulate(checked, config, state, bufs, times, demands, changes)
     state.buffers.update(zip(checked.link_ids(), bufs))

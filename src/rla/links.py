@@ -81,6 +81,19 @@ class AggregationGroup(_Record):
         return [l.id for l in self.links]
 
 
+def _real(value):
+    """value as a float, or None for what is not a number to the library:
+    a bool (True would pass every numeric check as 1), a str or bytes
+    (float() reads '1_0' as 10, which every file reader rejects), or
+    anything float() refuses. Ints, floats and Fractions pass."""
+    if isinstance(value, (bool, str, bytes, bytearray)):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def default_threshold(link: Link, tick: float) -> float:
     """Default activation threshold: one tick's worth of drainable data.
 
@@ -109,7 +122,9 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
             raise BadParameterError("link id must be non-empty")
         for what, value in (("capacity", link.capacity), ("cost_per_gb", link.cost_per_gb),
                             ("threshold", link.threshold), ("buffer_cap", link.buffer_cap)):
-            if isinstance(value, bool):  # True passes as 1 below, and links_to_csv refuses it
+            # True would pass as 1 below and text would fail the comparisons;
+            # only threshold and buffer_cap may be None, for their defaults
+            if _real(value) is None and (value is not None or what in ("capacity", "cost_per_gb")):
                 raise BadParameterError(f"link {link.id}: {what} must be a number, got {value!r}")
         # chained comparisons are False for NaN, so each check also rejects it
         if not 0 < link.capacity < math.inf:

@@ -24,7 +24,7 @@ from array import array
 
 from .errors import (BadParameterError, BadWindowError, EmptyGroupError,
                      EmptyTraceError, ParseError)
-from .links import Link, _Record
+from .links import Link, _Record, _real
 
 LINKS_HEADER = ("id", "capacity_mbps", "priority", "cost_per_gb",
                 "threshold_mbit", "buffer_cap_mbit")
@@ -82,19 +82,6 @@ class DemandTrace(_Record):
     @property
     def samples(self) -> list:
         return list(zip(self.t, self.demand))
-
-
-def _real(value):
-    """value as a float, or None for what is not a number to the library:
-    a bool (True would pass every numeric check as 1), a str or bytes
-    (float() reads '1_0' as 10, which every file reader rejects), or
-    anything float() refuses. Ints, floats and Fractions pass."""
-    if isinstance(value, (bool, str, bytes, bytearray)):
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
 
 
 def _sample_fault(t: float, d: float, prev: float):
@@ -303,15 +290,23 @@ def failures_to_csv(events) -> str:
     return out.getvalue()
 
 
+class _Texts(dict):
+    """format_number(x) under key x, formatted on the first lookup of x."""
+    def __missing__(self, x):
+        text = self[x] = format_number(x)
+        return text
+
+
 def _csv_chunks(tables):
     """Render tables, a sequence of (header, columns) pairs over the same
     rows, in lockstep: yield one text per table, first each header row, then
     each run of up to ROWS rows. Per chunk, each distinct column (a column
-    shared by several tables counts once) is taken once as a list, and each
-    distinct number in the chunk is formatted once, into one dict that every
-    table's cells are looked up in; equal numbers format alike (1 and 1.0,
-    -0.0 and 0.0), and a NaN cell is found in it because its lookup uses the
-    very object that went into it. The rows stop at the shortest column."""
+    shared by several tables counts once) is sliced once, and each cell is
+    one lookup in the chunk's _Texts, so equal numbers format once and alike
+    (1 and 1.0, -0.0 and 0.0); a NaN read afresh from an array is a new key
+    and formats as nan. The first column, time_s in every caller's tables,
+    never repeats and goes straight through format_number. The rows stop at
+    the shortest column."""
     texts = []
     for header, _ in tables:
         out = io.StringIO()
@@ -323,12 +318,9 @@ def _csv_chunks(tables):
     layout = [[slot[id(c)] for c in columns] for _, columns in tables]
     n = min(map(len, distinct), default=0)
     for lo in range(0, n, ROWS):
-        parts = [list(c[lo:lo + ROWS]) for c in distinct]
-        text_of = {}
-        for part in parts:
-            new = set(part).difference(text_of)
-            text_of.update(zip(new, map(format_number, new)))
-        cells = [list(map(text_of.__getitem__, part)) for part in parts]
+        lookup = _Texts().__getitem__
+        cells = [list(map(lookup if i else format_number, c[lo:lo + ROWS]))
+                 for i, c in enumerate(distinct)]
         yield ["\n".join(map(",".join, zip(*[cells[i] for i in row]))) + "\n"
                for row in layout]
 

@@ -134,7 +134,7 @@ def test_step_starts_from_state_buffers():
     assert st.buffers == {"l0": 0.0, "l1": 7.0}
 
 
-@pytest.mark.parametrize("buffer", [-1.0, True, float("nan"), 12.5])
+@pytest.mark.parametrize("buffer", [-1.0, True, float("nan"), 12.5, "3", None])
 def test_step_rejects_bad_state_buffer(buffer):
     g = group(5.0, 3.0, cap_factor=4.0)  # l1's cap is 12
     st = PolicyState(buffers={"l1": buffer})

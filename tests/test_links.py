@@ -120,6 +120,18 @@ def test_validate_rejects_non_finite(kw, what):
         validate_group("g", [mklink(**kw)])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("capacity", "8"), ("capacity", None),
+    ("cost_per_gb", "1"), ("cost_per_gb", None),
+    ("threshold", "4"),  # None is allowed: capacity x tick
+    ("buffer_cap", b"16"),  # None is allowed: 4 x threshold
+])
+def test_validate_rejects_text_and_none_naming_link_and_field(field, value):
+    # each is checked before the comparisons, which text or None would fail with a TypeError
+    with pytest.raises(BadParameterError, match=f"link a: {field} must be a number, got {value!r}"):
+        validate_group("g", [mklink(**{field: value})])
+
+
 @pytest.mark.parametrize("tick", [float("nan"), float("inf")])
 def test_default_threshold_rejects_non_finite_tick(tick):
     with pytest.raises(BadParameterError, match="finite"):

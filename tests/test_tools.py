@@ -74,27 +74,57 @@ def test_check_pair_stops_on_an_incorrect_run_or_differing_digests(parent, chang
         bench_pairs.check_pair(parent, change)
 
 
+def metric(name, better, bound=0.25):
+    """One end_to_end entry as BENCHMARK.json declares it."""
+    return {"name": name, "unit": "s", "better": better, "bound": bound}
+
+
 def test_summarize_gives_medians_parent_iqr_ratio_wins_and_clear_gain():
     # five pairs; the change runs faster on four and wins rate on all five
     walls = [(0.50, 0.40), (0.52, 0.41), (0.48, 0.49), (0.51, 0.40), (0.49, 0.39)]
     rates = [(100.0, 130.0), (110.0, 125.0), (90.0, 120.0), (105.0, 140.0), (95.0, 128.0)]
     pairs = [({"cli_wall_s": pw, "run_ticks_per_s": pr}, {"cli_wall_s": cw, "run_ticks_per_s": cr})
              for (pw, cw), (pr, cr) in zip(walls, rates)]
-    rows = bench_pairs.summarize(pairs, {"cli_wall_s": "lower", "run_ticks_per_s": "higher"})
-    (name, pm, spread, cm, ratio, wins, clear), rate = rows
+    rows = bench_pairs.summarize(pairs, [metric("cli_wall_s", "lower"),
+                                         metric("run_ticks_per_s", "higher")])
+    (name, pm, spread, cm, ratio, wins, clear, gain, worse), rate = rows
     assert (name, pm, cm, wins, clear) == ("cli_wall_s", 0.50, 0.40, 4, True)
+    assert (gain, worse) == (False, False)  # clear, but 4/5 wins is short of 9 in 10
     assert spread == pytest.approx(0.515 - 0.485)  # quartiles of 0.48 ... 0.52
     assert ratio == pytest.approx(0.8)
     assert rate[:2] == ("run_ticks_per_s", 100.0) and rate[3] == 128.0
-    assert rate[5:] == (5, True)
+    assert rate[5:] == (5, True, True, False)
     text = bench_pairs.format_rows("day-2link-heavy", rows, len(pairs))
+    assert text.splitlines()[0].split()[-3:] == ["clear", "gain", "worse"]
+    assert text.splitlines()[1].split()[-3:] == ["yes", "no", "no"]
     assert text.splitlines()[2].split() == ["day-2link-heavy", "run_ticks_per_s", "100", "15",
-                                            "128", "1.280", "5/5", "yes"]
+                                            "128", "1.280", "5/5", "yes", "yes", "no"]
 
 
 def test_summarize_calls_a_gain_inside_the_parent_spread_unclear():
     pairs = [({"m": p}, {"m": c}) for p, c in [(1.0, 0.9), (2.0, 1.9), (3.0, 2.9)]]
-    (_, pm, spread, cm, _, wins, clear), = bench_pairs.summarize(pairs, {"m": "lower"})
-    assert (pm, cm, wins, clear) == (2.0, 1.9, 3, False)
+    (_, pm, spread, cm, _, wins, clear, gain, worse), = bench_pairs.summarize(
+        pairs, [metric("m", "lower")])
+    assert (pm, cm, wins, clear, gain, worse) == (2.0, 1.9, 3, False, False, False)
     assert spread == 2.0
     assert bench_pairs.iqr([4.0]) == 0.0
+
+
+@pytest.mark.parametrize("wins, gain", [(10, True), (9, True), (8, False)])
+def test_summarize_calls_a_clear_gain_on_nine_of_ten_pairs_a_gain(wins, gain):
+    # the change is 0.2 faster on its wins and 0.01 slower on its losses, so
+    # every case is clear of the parent's IQR
+    pairs = [({"m": 1.0 + i / 100}, {"m": 0.8 + i / 100 if i < wins else 1.01 + i / 100})
+             for i in range(10)]
+    row, = bench_pairs.summarize(pairs, [metric("m", "lower")])
+    assert row[5:] == (wins, True, gain, False)
+
+
+@pytest.mark.parametrize("better, change, worse", [
+    ("lower", 1.24, False), ("lower", 1.26, True),     # 25% more time
+    ("higher", 0.76, False), ("higher", 0.74, True),   # 25% fewer ticks/s
+])
+def test_summarize_calls_a_change_past_the_metric_bound_worse(better, change, worse):
+    pairs = [({"m": 1.0}, {"m": change})] * 3
+    row, = bench_pairs.summarize(pairs, [metric("m", better, bound=0.25)])
+    assert row[5:] == (0, False, False, worse)

@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from rla import (
     synth_diurnal,
     trace_to_csv,
 )
+from rla import traceio
 from rla.traceio import ROWS, _csv_chunks, format_number
 
 LINKS_CSV = """id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit
@@ -484,3 +486,34 @@ def test_chunk_renderer_equals_one_format_per_cell(n, pool, seed):
               (("ints_as_floats",), (array("d", as_int),))]
     got = ["".join(texts) for texts in zip(*_csv_chunks(tables))]
     assert got == [naive_csv(header, columns) for header, columns in tables]
+
+
+def test_chunk_renderer_formats_each_time_cell_once_and_other_values_at_most_once(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return format_number(x)
+
+    monkeypatch.setattr(traceio, "format_number", counting)
+    rng = random.Random(20)
+    n = 2 * ROWS + 7
+    pool = [0, 0.0, -0.0, 1, 1.0, 3.0, 0.5, -2.25, 10**16, 1e16, 2.0**60]
+    t = array("d", range(n))
+    as_float = array("d", [rng.choice(pool) for _ in range(n)])
+    mixed = [rng.choice(pool) for _ in range(n)]
+    as_int = array("q", [rng.choice([0, 1, 7, 2**40]) for _ in range(n)])
+    tables = [(("time_s", "a", "b"), (t, as_float, mixed)), (("time_s", "c"), (t, as_int)),
+              (("b_again",), (mixed,))]
+    chunks = _csv_chunks(tables)
+    next(chunks)  # the header rows format no number
+    assert calls == []
+    for lo, _ in zip(range(0, n, ROWS), chunks):
+        rows = slice(lo, lo + ROWS)
+        times = Counter(t[rows])
+        assert not times - Counter(calls)  # every time cell, each time a new value
+        others = Counter(calls) - times  # 0, 0.0 and -0.0 are one value, so are 1e16 and 10**16
+        assert max(others.values()) == 1
+        assert set(others) <= set(as_float[rows]) | set(mixed[rows]) | set(as_int[rows])
+        calls.clear()
+    assert next(chunks, None) is None

@@ -13,8 +13,11 @@ exit 1 when a run exits non-zero, prints ``correct: false``, or prints
 ``# digests`` that differ from the other side's. Per workload and
 end-to-end metric it then prints the parent's median and interquartile
 range, the change's median, their ratio (change / parent), the pairs the
-change won in the metric's better direction, and whether the medians
-differ, in the better direction, by more than the parent's IQR.
+change won in the metric's better direction, and three verdicts: clear,
+the medians differ in the better direction by more than the parent's IQR;
+gain, clear and the change won at least 9 of every 10 pairs; worse, the
+change's median is worse than the parent's by more than the metric's
+``bound`` in BENCHMARK.json, a fraction of the parent's median.
 Stdlib only; it changes nothing in the checkout.
 """
 
@@ -65,30 +68,34 @@ def iqr(values) -> float:
     return q3 - q1
 
 
-def summarize(pairs, better: dict) -> list:
-    """Per metric of better ({name: "lower" | "higher"}), over pairs, a list
-    of (parent values, change values) dicts: (name, parent median, parent
-    IQR, change median, ratio, wins, clear), wins the pairs where the change
-    was better and clear whether the change's median is better than the
-    parent's by more than the parent's IQR."""
+def summarize(pairs, metrics: list) -> list:
+    """Per metric of metrics (BENCHMARK.json's end_to_end entries: name,
+    better "lower" | "higher", bound), over pairs, a list of (parent values,
+    change values) dicts: (name, parent median, parent IQR, change median,
+    ratio, wins, clear, gain, worse), wins the pairs where the change was
+    better; clear, gain and worse as the module docstring defines them."""
     rows = []
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         ps = [p[name] for p, _ in pairs]
         cs = [c[name] for _, c in pairs]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         pm, cm, spread = statistics.median(ps), statistics.median(cs), iqr(ps)
         wins = sum(sign * (c - p) > 0 for p, c in zip(ps, cs))
-        rows.append((name, pm, spread, cm, cm / pm if pm else float("nan"), wins,
-                     sign * (cm - pm) > spread))
+        clear = sign * (cm - pm) > spread
+        rows.append((name, pm, spread, cm, cm / pm if pm else float("nan"), wins, clear,
+                     clear and 10 * wins >= 9 * len(pairs),
+                     sign * (pm - cm) > metric["bound"] * abs(pm)))
     return rows
 
 
 def format_rows(workload: str, rows: list, n: int) -> str:
     lines = [f"{'workload':<18} {'metric':<16} {'parent':>11} {'IQR':>10} {'change':>11} "
-             f"{'ratio':>7} {'wins':>6}  clear"]
-    for name, pm, spread, cm, ratio, wins, clear in rows:
+             f"{'ratio':>7} {'wins':>6}  clear gain worse"]
+    for name, pm, spread, cm, ratio, wins, *verdicts in rows:
         lines.append(f"{workload:<18} {name:<16} {pm:>11.6g} {spread:>10.4g} {cm:>11.6g} "
-                     f"{ratio:>7.3f} {wins:>3}/{n:<2}  {'yes' if clear else 'no'}")
+                     f"{ratio:>7.3f} {wins:>3}/{n:<2}  "
+                     + " ".join(f"{'yes' if v else 'no':<5}" for v in verdicts).rstrip())
     return "\n".join(lines)
 
 
@@ -126,7 +133,6 @@ def main(argv=None) -> int:
         if args.workload not in names:
             ap.error(f"unknown workload {args.workload!r} (expected one of: {', '.join(names)})")
         names = [args.workload]
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree, change_tree = Path(tmp, "parent"), Path(tmp, "change")
         parent_tree.mkdir()
@@ -144,7 +150,8 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} ({order[0][0]} first): " + ", ".join(
                     f"{k} {p:.6g} -> {pairs[-1][1][k]:.6g}" for k, p in pairs[-1][0].items()),
                     file=sys.stderr, flush=True)
-            print(format_rows(workload, summarize(pairs, better), len(pairs)), flush=True)
+            print(format_rows(workload, summarize(pairs, declared["end_to_end"]), len(pairs)),
+                  flush=True)
     return 0
 
 
