@@ -5,10 +5,10 @@ sample it checks the demand, takes the down set of the last change due by t
 (then refreshes the list of live links), splits demand x tick megabits into
 full quanta and a fractional tail, hands them to the active policy's assign
 (or drops them all when no link is live), drains each live link by up to
-capacity x tick and adds the tick to the result's columns (through the
-outcome store below while the memo keys). How a policy picks links, what
-state it keeps and what it checks lives in its class in policies.py; the
-engine has no policy-specific branch.
+capacity x tick and adds the tick to the outcome store below, the one writer
+of the result's columns. How a policy picks links, what state it keeps and
+what it checks lives in its class in policies.py; the engine has no
+policy-specific branch.
 
 run() and step() reach _simulate through _setup, which takes each link's
 starting buffer from PolicyState.buffers and writes the last tick's back
@@ -41,18 +41,17 @@ keyed, and keying stops for the rest of a run once misses clearly dominate
 of either gives the same tick, and no buffer is -0.0 in a run, which starts
 from +0.0 and whose drains leave +0.0 (a step() runs one tick).
 
-While the memo keys, outcomes go through an outcome store (_Outcomes): one
-set of columns shaped like the result's that holds only the ticks that ran,
-and a memo entry names a store row. Every tick, run or replayed, appends
-its store row to a pending list, and a flush appends the pending ticks to
-the result's columns in tick order: every traceio.ROWS ticks, before the
-store is emptied and at the end. A flush that covers no replayed tick
-copies the store's new rows as they lie; any other gathers them with
-whole-column copies and no per-tick Python (_Outcomes.flush). The store is
-emptied with the memo and when keying stops, after which a tick that runs
-writes the result's columns itself. So beyond its result a run holds at
-most MEMO_WORDS words of store rows and ROWS pending ticks, however long it
-is.
+The outcome store (_Outcomes) is one set of columns shaped like the
+result's that holds only the ticks that ran, and a memo entry names a store
+row. While the memo keys, every tick, run or replayed, appends its store row
+to a pending list. A flush appends the ticks since the last one to the
+result's columns in tick order, at the end of every chunk of min(ROWS,
+_store_rows(n)) ticks and before the store empties: copied as they lie when
+none pending was replayed (or none is pending: keying stopped), gathered by
+whole-column copies with no per-tick Python otherwise (_Outcomes.flush).
+The store empties with the memo when it is full, when keying stops and,
+after that, at every chunk's end. So beyond its result a run holds at most
+MEMO_WORDS words of store rows and ROWS pending ticks, however long it is.
 
 A result keeps no object per tick: t, demand, supplied (Mbps), dropped and
 reorder (int64) are one array value per tick; assigned, transmitted and
@@ -65,7 +64,7 @@ from collections.abc import Iterable, Sequence
 from itertools import islice
 from typing import Optional
 
-from .errors import BadParameterError
+from .errors import BadParameterError, _shown
 from .links import AggregationGroup, _Record, _real, validate_group
 from .policies import _RULES, PolicyId, PolicyState, WfqDirection
 from .traceio import ROWS, DemandTrace
@@ -103,10 +102,10 @@ class EngineConfig(_Record):
         for name, value, kind in (("policy", policy, PolicyId),
                                   ("wfq_direction", wfq_direction, WfqDirection)):
             if not isinstance(value, kind):  # a name string is not coerced
-                raise BadParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+                raise BadParameterError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
         for name, value in (("tick", tick), ("quantum", quantum)):
             if not 0 < (_real(value) or 0) < math.inf:
-                raise BadParameterError(f"{name} must be positive and finite, got {value!r}")
+                raise BadParameterError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
 class TickRecord(_Record):
@@ -182,8 +181,8 @@ class _Outcomes:
     """The outcome store of one run (see the module docstring): cols holds
     one row per tick that ran since the store was last cleared, shaped like
     the result's supplied, dropped, reorder, assigned, transmitted and
-    buffer_end columns, and pending the store row of each tick not yet
-    flushed to the result, in tick order."""
+    buffer_end columns, and, while the memo keys, pending the store row of
+    each tick not yet flushed to the result, in tick order."""
 
     def __init__(self, res: SimulationResult, n: int):
         self.out = (res.supplied, res.dropped, res.reorder,
@@ -196,16 +195,14 @@ class _Outcomes:
         self.first = 0  # the store's row count at the last flush
 
     def flush(self):
-        """Append the pending ticks to the result's columns, in tick order.
-        Ticks that all ran are the store's rows since the last flush and are
-        copied as they lie. Otherwise the pending ticks' records are joined
-        in one go and their words unpacked into the columns by strided copies
-        over whole columns, with no Python per tick."""
+        """Append the ticks since the last flush to the result's columns, in
+        tick order: the store's new rows as they lie when no pending tick was
+        replayed (or none is pending: keying stopped); else the pending ticks'
+        records joined in one go, their words unpacked into the columns by
+        strided copies over whole columns, with no Python per tick."""
         pending, widths, width = self.pending, self.widths, self.width
-        if not pending:
-            return
         rows = len(self.cols[0])
-        if rows - self.first == len(pending):  # no tick was replayed
+        if not pending or rows - self.first == len(pending):
             for out, col, w in zip(self.out, self.cols, widths):
                 out.extend(col[self.first * w:])
         else:
@@ -249,14 +246,6 @@ def _store_rows(n: int) -> int:
     return max(1, MEMO_WORDS // (3 * n + 3))
 
 
-def _writers(cols: tuple) -> tuple:
-    """What a tick that runs calls to add itself to columns laid out as
-    _Outcomes.cols: append for a scalar, fromlist for a per-link list."""
-    supplied, dropped, reorder, assigned, transmitted, buffer_end = cols
-    return (supplied.append, dropped.append, reorder.append,
-            assigned.fromlist, transmitted.fromlist, buffer_end.fromlist)
-
-
 def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState, bufs: list,
               times: Sequence, demands: Sequence, changes: list) -> SimulationResult:
     """One tick per (t, demand) sample on a validated group, from the buffers
@@ -277,20 +266,20 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     # states[token] is the key. row is the row of the state the next tick
     # starts in, None when that is not keyed; behind is that state's token
     # while bufs and the rule's position still hold the one before the hits
-    # that reached it. stored counts the store's rows. A lone sample (step())
-    # has nothing to repeat and is not keyed.
-    keys, rows, states, row, behind = {} if len(times) > 1 else None, [], [], None, None
+    # that reached it. stored counts the store's rows while keys is not None,
+    # that is until keying stops.
+    keys, rows, states, row, behind = {}, [], [], None, None
     store = _Outcomes(res, n)
-    # bound once; a tick that runs writes the store's columns while the memo
-    # keys, the result's when it does not
-    put_supplied, put_dropped, put_reorder, put_assigned, put_transmitted, put_buffer_end = (
-        _writers(store.out if keys is None else store.cols))
+    # bound once: every tick that runs appends to the store's columns
+    put_supplied, put_dropped, put_reorder = (col.append for col in store.cols[:3])
+    put_assigned, put_transmitted, put_buffer_end = (col.fromlist for col in store.cols[3:])
     add_pending = store.pending.append
     stored = hits = misses = 0
     bound = _store_rows(n)
+    chunk = min(ROWS, bound)  # ticks between flushes
     samples = zip(times, demands)
-    for _ in range(0, len(times), ROWS):
-        for t, demand in islice(samples, ROWS):
+    for _ in range(0, len(times), chunk):
+        for t, demand in islice(samples, chunk):
             if not 0.0 <= demand < math.inf:
                 raise BadParameterError(f"demand must be finite and nonnegative, got {demand}")
             if row is not None:
@@ -314,8 +303,6 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                 refresh(alive, down)
                 if keys is not None:
                     keys, rows, states, row = {}, [], [], None
-                    store.clear()
-                    stored = 0
             assigned = [0.0] * n
             arrivals = demand * tick
             if not arrivals:
@@ -365,13 +352,11 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                 if misses >= MEMO_TRIAL and hits < misses >> 4:  # too few repeats to pay
                     keys = rows = states = row = None
                     store.clear()
-                    put_supplied, put_dropped, put_reorder, put_assigned, put_transmitted, \
-                        put_buffer_end = _writers(store.out)
                 elif stored >= bound:
                     keys, rows, states, row = {}, [], [], None
                     store.clear()
                     stored = 0
-        store.flush()
+        (store.flush if keys is not None else store.clear)()  # no row is named once keying stops
     if behind is not None:
         pos, *bufs[:] = states[behind]
         restore(pos)
@@ -391,7 +376,7 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
     for ev in failures or ():
         t, link_id, kind = _real(ev[0]), str(ev[1]), str(ev[2])
         if t is None or not math.isfinite(t):
-            raise BadParameterError(f"failure event time must be a finite number, got {ev[0]!r}")
+            raise BadParameterError(f"failure event time must be a finite number, got {_shown(ev[0])}")
         if link_id not in ids:
             raise BadParameterError(f"failure event for unknown link {link_id!r}")
         if kind not in ("up", "down"):
@@ -424,7 +409,7 @@ def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
         b = state.buffers.get(link.id, 0.0)
         fb = _real(b)  # None for True, which would pass as 1, and for text
         if fb is None or not 0 <= fb <= link.buffer_cap:
-            raise BadParameterError(f"link {link.id}: buffer {b!r} outside [0, {link.buffer_cap}]")
+            raise BadParameterError(f"link {link.id}: buffer {_shown(b)} outside [0, {link.buffer_cap}]")
         bufs.append(fb)
     changes, _, _ = _failure_timeline(checked, failures, times[-1])
     res = _simulate(checked, config, state, bufs, times, demands, changes)
@@ -445,10 +430,10 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     """
     demand = _real(demand_mbps)
     if demand is None:
-        raise BadParameterError(f"demand must be a number, got {demand_mbps!r}")
+        raise BadParameterError(f"demand must be a number, got {_shown(demand_mbps)}")
     time = _real(t)
     if time is None or not math.isfinite(time):
-        raise BadParameterError(f"step time must be finite, got {t!r}")
+        raise BadParameterError(f"step time must be finite, got {_shown(t)}")
     events = [(time, link_id, "down") for link_id in failed]
     return _setup(group, config, policy_state, (time,), (demand,), events).records[0]
 

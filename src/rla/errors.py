@@ -1,9 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and _shown for their messages.
 
 InputError subclasses signal bad configuration or malformed input files and
 map to CLI exit code 1. Everything else raised from a running simulation
 (currently AllLinksFailedError) maps to exit code 2.
 """
+
+
+def _shown(value, width: int = 40) -> str:
+    """value's repr for a message, cut to its two ends past width characters; an int
+    past 3 x width bits is shown by its size and never meets sys.get_int_max_str_digits()."""
+    if isinstance(value, int) and value.bit_length() > 3 * width:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= width else f"{text[:width // 2]}...{text[-(width // 2):]}"
 
 
 class RlaError(Exception):

@@ -10,7 +10,7 @@ arrivals are dropped.
 import math
 from typing import Iterable, Optional
 
-from .errors import BadParameterError, DuplicatePriorityError, EmptyGroupError
+from .errors import BadParameterError, DuplicatePriorityError, EmptyGroupError, _shown
 
 # Applied when a link config leaves buffer_cap blank: cap = 4 x threshold.
 # A finite cap bounds memory and defines when overload turns into drops.
@@ -102,9 +102,9 @@ def default_threshold(link: Link, tick: float) -> float:
     carrying traffic exactly when cumulative demand exceeds the cumulative
     capacity of the links before it.
     """
-    if not 0 < tick < math.inf:
-        raise BadParameterError(f"tick must be positive and finite, got {tick}")
-    return link.capacity * tick
+    if not 0 < (_real(tick) or 0) < math.inf:
+        raise BadParameterError(f"tick must be positive and finite, got {_shown(tick)}")
+    return link.capacity * float(tick)  # a float, inf past the float range
 
 
 def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> AggregationGroup:
@@ -125,17 +125,18 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
             # True would pass as 1 below and text would fail the comparisons;
             # only threshold and buffer_cap may be None, for their defaults
             if _real(value) is None and (value is not None or what in ("capacity", "cost_per_gb")):
-                raise BadParameterError(f"link {link.id}: {what} must be a number, got {value!r}")
+                raise BadParameterError(f"link {link.id}: {what} must be a number, got {_shown(value)}")
         # chained comparisons are False for NaN, so each check also rejects it
         if not 0 < link.capacity < math.inf:
             raise BadParameterError(
-                f"link {link.id}: capacity must be positive and finite, got {link.capacity}")
+                f"link {link.id}: capacity must be positive and finite, got {_shown(link.capacity)}")
         prio = link.priority
         if isinstance(prio, bool) or not isinstance(prio, int) or prio < 1:  # True is an int
-            raise BadParameterError(f"link {link.id}: priority must be a positive integer, got {prio!r}")
+            raise BadParameterError(
+                f"link {link.id}: priority must be a positive integer, got {_shown(prio)}")
         if not 0 <= link.cost_per_gb < math.inf:
             raise BadParameterError(
-                f"link {link.id}: cost_per_gb must be nonnegative and finite, got {link.cost_per_gb}")
+                f"link {link.id}: cost_per_gb must be nonnegative and finite, got {_shown(link.cost_per_gb)}")
         threshold = link.threshold if link.threshold is not None else default_threshold(link, tick)
         if not 0 < threshold < math.inf:
             raise BadParameterError(

@@ -32,7 +32,7 @@ import math
 from operator import ne
 from typing import Optional, Sequence
 
-from .errors import AllLinksFailedError, BadParameterError, ZeroCostError
+from .errors import AllLinksFailedError, BadParameterError, ZeroCostError, _shown
 from .links import AggregationGroup, _Record
 
 # wfq still works per quantum where it replays its counters or lists a drop
@@ -51,9 +51,10 @@ class PolicyId(enum.Enum):
     def parse(cls, name: str) -> "PolicyId":
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: name is not a str
             valid = ", ".join(p.value for p in cls)
-            raise BadParameterError(f"unknown policy {name!r} (expected one of: {valid})") from None
+            raise BadParameterError(
+                f"unknown policy {_shown(name)} (expected one of: {valid})") from None
 
 
 class WfqDirection(enum.Enum):
@@ -64,9 +65,9 @@ class WfqDirection(enum.Enum):
     def parse(cls, name: str) -> "WfqDirection":
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: name is not a str
             raise BadParameterError(
-                f"unknown wfq direction {name!r} (expected 'inverse' or 'direct')") from None
+                f"unknown wfq direction {_shown(name)} (expected 'inverse' or 'direct')") from None
 
 
 class PolicyState(_Record):

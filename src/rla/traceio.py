@@ -23,7 +23,7 @@ import math
 from array import array
 
 from .errors import (BadParameterError, BadWindowError, EmptyGroupError,
-                     EmptyTraceError, ParseError)
+                     EmptyTraceError, ParseError, _shown)
 from .links import Link, _Record, _real
 
 LINKS_HEADER = ("id", "capacity_mbps", "priority", "cost_per_gb",
@@ -57,8 +57,8 @@ class DemandTrace(_Record):
         for t, d in samples:
             ft, fd = _real(t), _real(d)
             if ft is None or fd is None:
-                raise BadParameterError(f"sample ({t!r}, {d!r}) must hold numbers, not bools "
-                                        f"or text")
+                raise BadParameterError(f"sample ({_shown(t)}, {_shown(d)}) must hold "
+                                        f"numbers, not bools or text")
             t, d = ft, fd
             reason = _sample_fault(t, d, prev)
             if reason:
@@ -239,8 +239,9 @@ def _writable_id(value, leads_row: bool):
 def _writable_number(value, what: str) -> str:
     """value as CSV text, checked to be a finite number and not a bool, which
     would be written 'True', as the readers require."""
-    if isinstance(value, bool) or not math.isfinite(value):
-        raise BadParameterError(f"{what} must be a finite number, got {value!r}")
+    real = _real(value)
+    if real is None or not math.isfinite(real):
+        raise BadParameterError(f"{what} must be a finite number, got {_shown(value)}")
     return format_number(value)
 
 
@@ -250,7 +251,7 @@ def links_to_csv(links) -> str:
     w.writerow(LINKS_HEADER)
     for l in links:
         if isinstance(l.priority, bool) or not isinstance(l.priority, int):  # True is written 'True'
-            raise BadParameterError(f"priority must be an int, got {l.priority!r}")
+            raise BadParameterError(f"priority must be an int, got {_shown(l.priority)}")
         try:
             priority = str(l.priority)
         except ValueError:  # more digits than sys.get_int_max_str_digits() allows

@@ -1,4 +1,5 @@
-"""The package's public surface: what `import rla` loads and what it exports."""
+"""The package's public surface: what `import rla` loads, what it exports and
+what its entries reject."""
 
 import json
 import os
@@ -6,6 +7,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import rla
 
@@ -57,3 +60,32 @@ def test_cli_import_loads_no_heavy_modules_and_stamp_still_works(tmp_path):
     header, body = proc.stdout.split("\n", 1)
     assert re.fullmatch(rf"# rla {rla.__version__} simulate \d{{4}}-\d\d-\d\dT\d\d:\d\d:\d\dZ", header)
     assert body.startswith("time_s,demand_mbps,supplied_mbps\n")
+
+
+HUGE = 10**5000  # more digits than int.__repr__ gives by default
+LINK = rla.Link("a", 8, 1, 1.0)
+CONFIG = rla.EngineConfig(rla.PolicyId.OLB)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: rla.validate_group("g", [rla.Link("a", HUGE, 1, 1.0)]), id="capacity"),
+    pytest.param(lambda: rla.validate_group("g", [LINK], tick=10**400), id="tick"),
+    pytest.param(lambda: rla.validate_group("g", [rla.Link("a", 10**200, 1, 1.0)], tick=10**200),
+                 id="derived-threshold"),
+    pytest.param(lambda: rla.EngineConfig(rla.PolicyId.OLB, tick=HUGE), id="config-tick"),
+    pytest.param(lambda: rla.EngineConfig(HUGE), id="config-policy"),
+    pytest.param(lambda: rla.DemandTrace([(0, HUGE)]), id="trace"),
+    pytest.param(lambda: rla.step(rla.validate_group("g", [LINK]), rla.PolicyState(), CONFIG,
+                                  HUGE), id="step"),
+    pytest.param(lambda: rla.run(rla.validate_group("g", [LINK]), CONFIG,
+                                 rla.DemandTrace([(0, 1.0)]), [(HUGE, "a", "down")]),
+                 id="run-failure-time"),
+    pytest.param(lambda: rla.links_to_csv([rla.Link("a", 10**400, 1, 1.0)]), id="links-csv"),
+    pytest.param(lambda: rla.failures_to_csv([(10**400, "a", "down")]), id="failures-csv"),
+])
+def test_entries_reject_oversized_ints_with_a_short_message(call):
+    # each value, or the threshold capacity x tick derives, is past the float
+    # range; a message shows an int that long by its size
+    with pytest.raises(rla.BadParameterError) as err:
+        call()
+    assert len(str(err.value)) < 100

@@ -25,7 +25,7 @@ from rla import (
     validate_group,
 )
 from rla import engine
-from rla.engine import MEMO_WORDS, _failure_timeline, _Outcomes, _store_rows
+from rla.engine import MEMO_TRIAL, MEMO_WORDS, _failure_timeline, _Outcomes, _store_rows
 from rla.policies import _RULES, MAX_WFQ_QUANTA_PER_TICK
 from rla.traceio import ROWS
 
@@ -617,6 +617,49 @@ def test_replayed_ticks_gather_into_the_columns_of_a_run_without_memo(policy, mo
     for name in COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.typecode == b.typecode and a.tobytes() == b.tobytes(), name
+
+
+def _log_calls(monkeypatch, log):
+    """Log "p" for each position() and "r" for each refresh() of a rule."""
+    for rule in set(_RULES.values()):
+        for name in ("position", "refresh"):
+            def logged(self, *args, f=getattr(rule, name), rule=rule, tag=name[0]):
+                if type(self) is rule:  # once per call, not per super() call
+                    log.append(tag)
+                return f(self, *args)
+            monkeypatch.setattr(rule, name, logged)
+
+
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_ticks_after_keying_stops_equal_a_run_without_memo(policy, monkeypatch):
+    # a 16-link group under demand in 1/64 Mbps steps, which seldom repeats,
+    # stops keying at its 256th miss, with replays of its idle start pending
+    # (none under wfq, which keys no tick before its cycle closes), and every
+    # live-set change comes after that. With the default store the run is one
+    # chunk; with a store of 100 rows the store fills before the stop and
+    # later chunks flush from an unkeyed store. Both equal running every
+    # tick, value for value and in type.
+    g = group(*[1.0, 2.0, 4.0, 8.0] * 4, costs=[1.0, 2.0, 4.0, 0.5] * 4, cap_factor=2.0)
+    rng = random.Random(f"stop-{policy}")
+    trace = DemandTrace([(float(i), rng.randrange(96 * 60) / 64 if i >= 10 else 0.0)
+                         for i in range(480)])
+    fails = [(300.0, "l3", "down"), (340.5, "l7", "down"), (380.0, "l3", "up"),
+             (420.0, "l0", "down")]
+    c = cfg(policy, quantum=0.25)
+    with monkeypatch.context() as m:
+        _memo_off(m)
+        want = run(g, c, trace, fails)
+    for words in (MEMO_WORDS, 51 * 100):  # 51 words a 16-link row
+        log = []
+        with monkeypatch.context() as m:
+            m.setattr(engine, "MEMO_WORDS", words)
+            _log_calls(m, log)
+            got = run(g, c, trace, fails)
+        calls = "".join(log)  # keyed ticks call position(), so none came after the stop
+        assert calls.count("p") > MEMO_TRIAL and calls[calls.rindex("p"):].count("r") == len(fails)
+        for name in COLUMNS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.typecode == b.typecode and a.tobytes() == b.tobytes(), (words, name)
 
 
 def test_replayed_rr_switch_counts_past_2_to_53_stay_exact(monkeypatch):

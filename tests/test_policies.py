@@ -34,12 +34,18 @@ def test_policy_id_parse():
     assert PolicyId.parse(" rr ") is PolicyId.ROUND_ROBIN
     with pytest.raises(BadParameterError, match="unknown policy"):
         PolicyId.parse("bogus")
+    for name in (None, 3, b"olb"):  # no str to strip, or bytes, which match no value
+        with pytest.raises(BadParameterError, match="unknown policy"):
+            PolicyId.parse(name)
 
 
 def test_wfq_direction_parse():
     assert WfqDirection.parse("inverse") is WfqDirection.INVERSE_COST
     with pytest.raises(BadParameterError):
         WfqDirection.parse("sideways")
+    for name in (None, 3):
+        with pytest.raises(BadParameterError, match="unknown wfq direction"):
+            WfqDirection.parse(name)
 
 
 def pick(g, policy, state=None, buffers=None, demand=1.0):

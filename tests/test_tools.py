@@ -1,8 +1,10 @@
-"""tools/bench_record.py reads perfbench/run.py's output as run.py prints it,
-and tools/bench_pairs.py summarizes parsed outputs; no benchmark runs here."""
+"""tools/bench_record.py runs perfbench/run.py and reads its output as run.py
+prints it, and tools/bench_pairs.py summarizes parsed outputs; no benchmark
+runs here: bench() runs a stand-in run.py."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,6 +49,61 @@ def test_parse_output_keeps_the_result_and_parses_the_comments():
 def test_parse_output_rejects_a_last_line_that_is_not_json():
     with pytest.raises(json.JSONDecodeError):
         bench_record.parse_output(OUTPUT + "# FAILED a check\n")
+
+
+def _fake_tree(tmp_path, script):
+    """A directory whose perfbench/run.py is script."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(script)
+    return tmp_path
+
+
+def test_bench_runs_the_trees_run_py_with_the_workload_seed_and_seconds(tmp_path):
+    # the stand-in writes its arguments to argv.txt in its working directory
+    tree = _fake_tree(tmp_path, "import sys\n"
+                                "open('argv.txt', 'w').write(' '.join(sys.argv))\n"
+                                f"print({OUTPUT!r}, end='')\n")
+    out = bench_record.bench(tree, "day-3link-light", 7, 0.5)
+    assert out == bench_record.parse_output(OUTPUT)
+    assert (tree / "argv.txt").read_text() == (
+        "perfbench/run.py --workload day-3link-light --seed 7 --seconds 0.5 --trace 0")
+    assert bench_pairs.bench is bench_record.bench
+
+
+def test_bench_stops_on_a_run_that_exits_non_zero(tmp_path):
+    tree = _fake_tree(tmp_path, "import sys\nsys.exit('# FAILED a check')\n")
+    with pytest.raises(SystemExit, match="exited 1: # FAILED a check"):
+        bench_record.bench(tree, "day-3link-light", 7, 0.5)
+
+
+def test_src_lines_is_the_wc_total_of_src_rla(tmp_path):
+    (tmp_path / "src" / "rla").mkdir(parents=True)
+    (tmp_path / "src" / "rla" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "rla" / "b.py").write_text("z = 3")  # no final newline: wc counts 0
+    (tmp_path / "src" / "rla" / "notes.txt").write_text("not counted\n")
+    assert bench_record.src_lines(tmp_path) == 3
+    root = TOOLS.parent
+    files = sorted(str(p) for p in (root / "src" / "rla").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True)
+    assert bench_record.src_lines(root) == int(wc.stdout.splitlines()[-1].split()[0])
+
+
+def test_record_writes_each_workloads_output_and_the_src_line_count(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_bench(tree, workload, seed, seconds):
+        calls.append((tree, workload, seed, seconds))
+        return bench_record.parse_output(OUTPUT)
+    monkeypatch.setattr(bench_record, "bench", fake_bench)
+    out = tmp_path / "BENCH_0.json"
+    assert bench_record.main(["--out", str(out), "--seed", "5", "--seconds", "0.5"]) == 0
+    data = json.loads(out.read_text())
+    names = [w["name"] for w in json.loads((TOOLS.parent / "BENCHMARK.json").read_text())[
+        "workloads"]]
+    assert calls == [(TOOLS.parent, name, 5, 0.5) for name in names]
+    assert data["src_lines"] == bench_record.src_lines(TOOLS.parent)
+    assert data["seeds"] == {name: 5 for name in names} and data["seconds"] == 0.5
+    assert data["workloads"] == {name: bench_record.parse_output(OUTPUT) for name in names}
 
 
 def _output(metrics, digests=DIGESTS, correct=True):

@@ -30,20 +30,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_record import parse_output
+from bench_record import bench
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run.py output of tree, parsed as bench_record.parse_output gives it."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}: "
-                         f"{proc.stderr[-500:]}")
-    return parse_output(proc.stdout)
 
 
 def check_pair(parent: dict, change: dict) -> tuple:

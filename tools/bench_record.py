@@ -7,9 +7,10 @@ Run from anywhere inside an rla checkout. It runs
 lists, one after the other, with the same seed and ``--seconds`` for each,
 and writes one JSON file: the commit the checkout is on (and whether its
 tracked files differ from it), the Python version, the seeds and seconds,
-and per workload the run's final JSON line verbatim with its parsed
-``# raw medians`` and ``# digests`` comments. Stdlib only; it changes
-nothing under perfbench/.
+src_lines (the total ``wc -l src/rla/*.py`` prints) and per workload the
+run's final JSON line verbatim with its parsed ``# raw medians`` and
+``# digests`` comments. Stdlib only; it changes nothing under perfbench/.
+tools/bench_pairs.py runs its benchmark through bench() below.
 """
 
 import argparse
@@ -43,13 +44,21 @@ def parse_output(stdout: str) -> dict:
     return out
 
 
-def record(workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench/run.py --trace 0 output of the checkout at tree, parsed
+    as parse_output gives it; exits when the run exits non-zero."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd[1:])} exited {proc.returncode}: {proc.stderr[-500:]}")
+        raise SystemExit(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}: "
+                         f"{proc.stderr[-500:]}")
     return parse_output(proc.stdout)
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of tree's src/rla/*.py: the total `wc -l src/rla/*.py` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "rla").glob("*.py"))
 
 
 def main(argv=None) -> int:
@@ -58,8 +67,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=16)
     ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
     out = Path(args.out).resolve()
     dirty = [line for line in git("status", "--porcelain", "--untracked-files=no").splitlines()
              if (ROOT / line[3:]).resolve() != out]
@@ -69,11 +78,12 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "seconds": args.seconds,
         "seeds": {name: args.seed for name in names},
+        "src_lines": src_lines(ROOT),
         "workloads": {},
     }
     for name in names:
         print(f"{name} ...", file=sys.stderr, flush=True)
-        data["workloads"][name] = record(name, args.seed, args.seconds)
+        data["workloads"][name] = bench(ROOT, name, args.seed, args.seconds)
     out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
