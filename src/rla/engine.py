@@ -374,13 +374,13 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
     ids = set(group.link_ids())
     events = []
     for ev in failures or ():
-        t, link_id, kind = _real(ev[0]), str(ev[1]), str(ev[2])
+        t, link_id, kind = _real(ev[0]), ev[1], ev[2]
         if t is None or not math.isfinite(t):
             raise BadParameterError(f"failure event time must be a finite number, got {_shown(ev[0])}")
-        if link_id not in ids:
-            raise BadParameterError(f"failure event for unknown link {link_id!r}")
+        if not isinstance(link_id, str) or link_id not in ids:  # ids are str, and a list would not hash
+            raise BadParameterError(f"failure event for unknown link {_shown(link_id)}")
         if kind not in ("up", "down"):
-            raise BadParameterError(f"failure event must be 'up' or 'down', got {kind!r}")
+            raise BadParameterError(f"failure event must be 'up' or 'down', got {_shown(kind)}")
         events.append((t, link_id, kind))
     events.sort(key=lambda e: e[0])
     down = frozenset()

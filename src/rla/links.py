@@ -118,6 +118,8 @@ def validate_group(group_id: str, links: Iterable[Link], tick: float = 1.0) -> A
     """
     resolved = []
     for link in links:
+        if not isinstance(link.id, str):  # the readers make str ids; an int may be too long to print
+            raise BadParameterError(f"link id must be a str, got {_shown(link.id)}")
         if not link.id:
             raise BadParameterError("link id must be non-empty")
         for what, value in (("capacity", link.capacity), ("cost_per_gb", link.cost_per_gb),

@@ -380,8 +380,8 @@ class _Wfq(_Rule):
     switches among the kept picks. Once the cycle is known they are read
     from its table when every full quantum was kept. Otherwise the picks
     are listed and filtered one by one (_kept_switches), except that a
-    tick of at least 2P full quanta reads the switches before its first
-    dropped pick from the table and lists only the picks from there on."""
+    tick of at least 2P full quanta reads the switches of the whole cycles
+    every capped link keeps from the table and lists only the rest."""
 
     swrr = None  # the live links' swrr.Swrr, None until a tick with arrivals
 
@@ -429,14 +429,19 @@ class _Wfq(_Rule):
             if kept is counts:
                 return dropped, swrr.switches(p, n_full + 1 if tail_kept else n_full)
             if n_full >= 2 * swrr.P:
-                # every pick before the first cut, a capped link's first
-                # dropped pick, is kept: their switches come from the table,
-                # and only the picks after them are listed, behind the last
-                cut = swrr.cut(p, kept, counts)
-                left = [c - h for c, h in zip(kept, swrr.counts(p, cut))]
-                head = [swrr.cycle[(p + cut - 1) % swrr.P]] if cut else []
-                return dropped, swrr.switches(p, cut) + _kept_switches(
-                    swrr.slice((p + cut) % swrr.P, n_full - cut), left, tail, tail_kept, head)
+                # any P cycle picks hold weights[k] of link k, and a capped
+                # link keeps its first kept[k], so every pick of the first q
+                # whole cycles is kept (q over capped links alone: only an
+                # uncapped link can have weight 0). Their switches come from
+                # the table; only the picks after them are listed, behind
+                # the last of them
+                w = swrr.weights
+                q = min(h // a for h, c, a in zip(kept, counts, w) if h < c)
+                if q:
+                    n = q * swrr.P
+                    left = [h - q * a for h, a in zip(kept, w)]
+                    return dropped, swrr.switches(p, n) + _kept_switches(
+                        swrr.slice(p, n_full - n), left, tail, tail_kept, [swrr.cycle[p - 1]])
             order = swrr.slice(p, n_full)
         return dropped, _kept_switches(order, list(kept), tail, tail_kept, [])
 

@@ -60,10 +60,9 @@ class Swrr:
     with those P selections before. Once they match, the last P picks are the
     cycle, repeated from then on, each link a[k] times per cycle. Ticks then
     read counts, the tail pick and switches in O(m) from prefix tables over
-    two copies of the cycle; a drop tick finds its first dropped pick from
-    the phases of each link's picks in one cycle, a table built on first
-    use (cut). A set whose P exceeds TABLE_MAX, or that has not repeated
-    after TRIES * P selections, keeps replaying one selection at a time.
+    two copies of the cycle. A set whose P exceeds TABLE_MAX, or that has
+    not repeated after TRIES * P selections, keeps replaying one selection
+    at a time.
     """
 
     def __init__(self, ids, weights, known):
@@ -163,7 +162,6 @@ class Swrr:
         self.switches_before = list(accumulate(map(ne, c2, c2[1:]), initial=0))
         self.phase = 0
         self.picks = None
-        self.where = None  # where[k]: the phases of k's picks, built by cut
 
     def slice(self, p, n) -> list:
         """The n cycle picks from phase p on."""
@@ -176,39 +174,14 @@ class Swrr:
         after them too if rem. Returns (the phase before, picks per link
         among the n, the pick after them)."""
         p = self.phase
-        e = p + n % self.P
-        self.phase = (e + 1 if rem else e) % self.P
-        return p, self.counts(p, n), self.cycle[e]
-
-    def counts(self, p, n) -> list:
-        """Picks per link among the n cycle picks from phase p on."""
         q, r = divmod(n, self.P)
+        self.phase = (p + r + 1 if rem else p + r) % self.P
         start, end = self.rows[p], self.rows[p + r]
         if q:
-            return [b - a + q * w for b, a, w in zip(end, start, self.weights)]
-        return list(map(sub, end, start))
-
-    def cut(self, p, kept, counts) -> int:
-        """How many cycle picks from phase p on come before the first that
-        a link does not keep, when link k keeps the first kept[k] of its
-        counts[k] picks and some link keeps fewer than all."""
-        where = self.where
-        if where is None:
-            where = self.where = [[] for _ in self.weights]
-            for i, k in enumerate(self.cycle[:self.P]):
-                where[k].append(i)
-        # start[k] of link k's picks come before phase p, so its pick number
-        # c from p on, the first it drops, is its pick start[k] + c from
-        # phase 0: whole cycles of weights[k] picks, then where[k]
-        start, weights, P = self.rows[p], self.weights, self.P
-        first = math.inf
-        for k, c in enumerate(kept):
-            if c < counts[k]:
-                q, r = divmod(start[k] + c, weights[k])
-                at = q * P + where[k][r]
-                if at < first:
-                    first = at
-        return first - p
+            counts = [b - a + q * w for b, a, w in zip(end, start, self.weights)]
+        else:
+            counts = list(map(sub, end, start))
+        return p, counts, self.cycle[p + r]
 
     def switches(self, p, n) -> int:
         """Adjacent pairs on different links among the n cycle picks from

@@ -190,7 +190,7 @@ def parse_trace(text: str) -> DemandTrace:
 
 
 def trace_to_csv(trace: DemandTrace) -> str:
-    return columns_to_csv(TRACE_HEADER, trace.t, trace.demand)
+    return "".join(text for text, in _csv_chunks([(TRACE_HEADER, (trace.t, trace.demand))]))
 
 
 def parse_links(text: str) -> list:
@@ -233,7 +233,7 @@ def _writable_id(value, leads_row: bool):
         reason = "starts with '#', which marks a comment row"
     else:
         return value
-    raise BadParameterError(f"id {value!r} would not read back unchanged: it {reason}")
+    raise BadParameterError(f"id {_shown(value)} would not read back unchanged: it {reason}")
 
 
 def _writable_number(value, what: str) -> str:
@@ -250,6 +250,7 @@ def links_to_csv(links) -> str:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(LINKS_HEADER)
     for l in links:
+        link_id = _writable_id(l.id, True)  # first: the priority message shows it
         if isinstance(l.priority, bool) or not isinstance(l.priority, int):  # True is written 'True'
             raise BadParameterError(f"priority must be an int, got {_shown(l.priority)}")
         try:
@@ -257,7 +258,7 @@ def links_to_csv(links) -> str:
         except ValueError:  # more digits than sys.get_int_max_str_digits() allows
             raise BadParameterError(f"priority of link {l.id!r} has too many digits") from None
         w.writerow([
-            _writable_id(l.id, True), _writable_number(l.capacity, "capacity_mbps"), priority,
+            link_id, _writable_number(l.capacity, "capacity_mbps"), priority,
             _writable_number(l.cost_per_gb, "cost_per_gb"),
             "" if l.threshold is None else _writable_number(l.threshold, "threshold_mbit"),
             "" if l.buffer_cap is None else _writable_number(l.buffer_cap, "buffer_cap_mbit"),
@@ -324,11 +325,6 @@ def _csv_chunks(tables):
                  for i, c in enumerate(distinct)]
         yield ["\n".join(map(",".join, zip(*[cells[i] for i in row]))) + "\n"
                for row in layout]
-
-
-def columns_to_csv(header, *columns) -> str:
-    """A header row over equal-length number columns, one row per index."""
-    return "".join(text for text, in _csv_chunks([(header, columns)]))
 
 
 def format_number(x) -> str:

@@ -80,12 +80,24 @@ CONFIG = rla.EngineConfig(rla.PolicyId.OLB)
     pytest.param(lambda: rla.run(rla.validate_group("g", [LINK]), CONFIG,
                                  rla.DemandTrace([(0, 1.0)]), [(HUGE, "a", "down")]),
                  id="run-failure-time"),
+    pytest.param(lambda: rla.run(rla.validate_group("g", [LINK]), CONFIG,
+                                 rla.DemandTrace([(0, 1.0)]), [(0, HUGE, "down")]),
+                 id="run-failure-id"),
+    pytest.param(lambda: rla.run(rla.validate_group("g", [LINK]), CONFIG,
+                                 rla.DemandTrace([(0, 1.0)]), [(0, "a", HUGE)]),
+                 id="run-failure-kind"),
+    pytest.param(lambda: rla.step(rla.validate_group("g", [LINK]), rla.PolicyState(), CONFIG,
+                                  1.0, failed=frozenset([HUGE])), id="step-failed"),
+    pytest.param(lambda: rla.validate_group("g", [rla.Link(HUGE, -1.0, 1, 1.0)]), id="link-id"),
+    pytest.param(lambda: rla.validate_group("g", [rla.Link(HUGE, 8, 1, 1.0),
+                                                  rla.Link(HUGE, 8, 2, 1.0)]), id="duplicate-id"),
     pytest.param(lambda: rla.links_to_csv([rla.Link("a", 10**400, 1, 1.0)]), id="links-csv"),
     pytest.param(lambda: rla.failures_to_csv([(10**400, "a", "down")]), id="failures-csv"),
 ])
 def test_entries_reject_oversized_ints_with_a_short_message(call):
     # each value, or the threshold capacity x tick derives, is past the float
-    # range; a message shows an int that long by its size
+    # range, or is an id that is not a str; a message shows an int that long
+    # by its size
     with pytest.raises(rla.BadParameterError) as err:
         call()
     assert len(str(err.value)) < 100

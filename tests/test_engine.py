@@ -799,15 +799,14 @@ def test_idle_ticks_leave_rotation_state_alone(policy):
     assert [r.reorder_events for r in got] == [w["reorder"] for w in want]
 
 
-def _period(costs, direction):
-    """P of wfq over links with these dyadic costs: the sum of the integer
-    weights, with no common factor, in the ratio of the costs or their
-    inverses."""
+def _weights(costs, direction):
+    """wfq's integer weights of links with these dyadic costs: no common
+    factor, in the ratio of the costs or their inverses; P is their sum."""
     shares = [Fraction(1) / Fraction(c) if direction is WfqDirection.INVERSE_COST
               else Fraction(c) for c in costs]
     scale = math.lcm(*(f.denominator for f in shares))
     ints = [int(f * scale) for f in shares]
-    return sum(ints) // math.gcd(*ints)
+    return [a // math.gcd(*ints) for a in ints]
 
 
 @pytest.mark.parametrize("direction", list(WfqDirection))
@@ -815,10 +814,16 @@ def test_wfq_long_drop_ticks_match_oracle(direction):
     # costs 1, 2 and 4 give P = 7 over three live links, 3 or 5 over two;
     # demands of 2P quanta or more, against caps of one or two ticks'
     # capacity, drop full quanta at the capped links, and one event changes
-    # the live set half way. Such ticks read the switches of the picks
-    # before the first dropped one from the cycle table.
+    # the live set half way. Any P cycle picks hold weights[k] of link k, and
+    # a capped link keeps its first kept[k], so every pick of the first
+    # q = min(kept[k] // weights[k]) whole cycles is kept: such a tick reads
+    # their switches from the cycle table when q >= 1 and lists all its
+    # picks when q == 0, as when a quantum of 1 leaves a link of capacity 2
+    # room for 2 quanta against a weight of 4. An uncapped link keeps at
+    # least n_full // P whole cycles' picks, no fewer than a capped one, so
+    # the min may run over every live link.
     rng = random.Random(f"long-drops-{direction.value}")
-    long_drops = 0
+    long_drops = whole = none = 0
     for _ in range(20):
         costs = rng.sample([1.0, 2.0, 4.0], 3)
         caps = [rng.choice((2.0, 4.0, 8.0)) for _ in costs]
@@ -826,7 +831,7 @@ def test_wfq_long_drop_ticks_match_oracle(direction):
                       threshold=c, buffer_cap=c * rng.choice((1.0, 2.0)))
                  for i, (c, cost) in enumerate(zip(caps, costs))]
         g = validate_group("g", links)
-        quantum = rng.choice((0.25, 0.5))
+        quantum = rng.choice((0.25, 0.5, 1.0))
         n_ticks = 40
         trace = [(float(i), rng.randrange(int(4 * sum(caps)), int(12 * sum(caps)) + 1) / 4.0)
                  for i in range(n_ticks)]
@@ -841,10 +846,16 @@ def test_wfq_long_drop_ticks_match_oracle(direction):
                     r.dropped, r.supplied_mbps, r.reorder_events) == \
                    (w["assigned"], w["transmitted"], w["buffers"],
                     w["dropped"], w["supplied"], w["reorder"]), r.t
-            live = [c for i, c in enumerate(costs) if t < n_ticks // 2 or i != down]
-            long_drops += (demand // quantum >= 2 * _period(live, direction)
-                           and w["dropped"] >= quantum)
+            live = [i for i in range(3) if t < n_ticks // 2 or i != down]
+            weights = _weights([costs[i] for i in live], direction)
+            if demand // quantum >= 2 * sum(weights) and w["dropped"] >= quantum:
+                long_drops += 1
+                # the tail, if kept, is less than a quantum
+                q = min(w["assigned"][i] // quantum // a for i, a in zip(live, weights))
+                whole += q >= 1
+                none += q == 0
     assert long_drops >= 300
+    assert whole >= 300 and none >= 40, (whole, none)
 
 
 WFQ_COSTS = (0.3, 0.7, 1.0, 1.1, 1.7, 2.0, 3.0, 4.2, 9.0)

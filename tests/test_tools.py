@@ -88,6 +88,14 @@ def test_src_lines_is_the_wc_total_of_src_rla(tmp_path):
     assert bench_record.src_lines(root) == int(wc.stdout.splitlines()[-1].split()[0])
 
 
+def test_format_src_lines_gives_both_trees_counts_and_the_change(tmp_path):
+    for tree, text in (("parent", "x = 1\ny = 2\nz = 3\n"), ("change", "x = 1\n")):
+        (tmp_path / tree / "src" / "rla").mkdir(parents=True)
+        (tmp_path / tree / "src" / "rla" / "a.py").write_text(text)
+    assert bench_pairs.format_src_lines(tmp_path / "parent", tmp_path / "change") == (
+        "src_lines: parent 3, change 1 (-2)")
+
+
 def test_record_writes_each_workloads_output_and_the_src_line_count(tmp_path, monkeypatch):
     calls = []
 

@@ -243,6 +243,16 @@ def test_failures_writer_rejects_ids_that_read_back_changed(link_id):
         failures_to_csv([(1.0, link_id, "down")])
 
 
+def test_writers_show_an_oversized_int_id_by_its_size():
+    # its repr would pass sys.get_int_max_str_digits(); the id is checked
+    # before the priority, whose message names it
+    huge = 10**5000
+    for write in (lambda: links_to_csv([Link(huge, 8.0, huge, 1.0)]),
+                  lambda: failures_to_csv([(1.0, huge, "down")])):
+        with pytest.raises(BadParameterError, match="^id an int of 16610 bits would not"):
+            write()
+
+
 @pytest.mark.parametrize("link_id", ["a#b", "a,b", 'a"b', '"a', "a b", "\x00"])
 def test_writers_keep_ids_the_reader_gives_back(link_id):
     links = one_link(link_id)

@@ -17,8 +17,9 @@ change won in the metric's better direction, and three verdicts: clear,
 the medians differ in the better direction by more than the parent's IQR;
 gain, clear and the change won at least 9 of every 10 pairs; worse, the
 change's median is worse than the parent's by more than the metric's
-``bound`` in BENCHMARK.json, a fraction of the parent's median.
-Stdlib only; it changes nothing in the checkout.
+``bound`` in BENCHMARK.json, a fraction of the parent's median. Before
+the tables it prints each tree's ``src_lines``, the lines of its
+``src/rla/*.py``. Stdlib only; it changes nothing in the checkout.
 """
 
 import argparse
@@ -30,7 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_record import bench
+from bench_record import bench, src_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,6 +89,12 @@ def format_rows(workload: str, rows: list, n: int) -> str:
     return "\n".join(lines)
 
 
+def format_src_lines(parent_tree: Path, change_tree: Path) -> str:
+    """Each tree's src_lines (see bench_record.src_lines) and their difference."""
+    p, c = src_lines(parent_tree), src_lines(change_tree)
+    return f"src_lines: parent {p}, change {c} ({c - p:+d})"
+
+
 def export(rev: str, into: Path) -> None:
     """Write the files of rev into the directory into."""
     tar = into / "export.tar"
@@ -127,6 +134,7 @@ def main(argv=None) -> int:
         parent_tree.mkdir()
         export(args.parent, parent_tree)
         snapshot(change_tree)
+        print(format_src_lines(parent_tree, change_tree), flush=True)
         for workload in names:
             pairs = []
             for i in range(args.pairs):
