@@ -5,10 +5,10 @@ sample it checks the demand, takes the down set of the last change due by t
 (then refreshes the list of live links), splits demand x tick megabits into
 full quanta and a fractional tail, hands them to the active policy's assign
 (or drops them all when no link is live), drains each live link by up to
-capacity x tick and adds the tick to the outcome store below, the one writer
-of the result's columns. How a policy picks links, what state it keeps and
-what it checks lives in its class in policies.py; the engine has no
-policy-specific branch.
+capacity x tick and packs the tick into one record, which the flush below
+writes to the result's columns. How a policy picks links, what state it
+keeps and what it checks lives in its class in policies.py; the engine has
+no policy-specific branch.
 
 run() and step() reach _simulate through _setup, which takes each link's
 starting buffer from PolicyState.buffers and writes the last tick's back
@@ -29,29 +29,28 @@ A tick's outcome depends on its demand, the buffers it starts from, the
 live set and the rule's position (policies._Rule.position) alone, so
 _simulate keeps a memo of the ticks it has run since the last change of the
 live set. Each start state (position, *bufs) gets a token, and each token a
-row that maps a demand to the tick that started there with it and the token
-of the state it ended in. A tick whose start state and demand repeat an
-earlier tick's is replayed instead of run: it only names that tick's
-outcome and moves to the next state. bufs and the rule's position catch up
-with the state the hits reached before the next tick that runs, the next
-change and the end. The memo starts afresh at every change and when its
-outcome store is full (MEMO_WORDS). A rule whose position is None is not
-keyed, and keying stops for the rest of a run once misses clearly dominate
-(MEMO_TRIAL). Keys compare floats by value, so 0.0 and -0.0 meet: a demand
-of either gives the same tick, and no buffer is -0.0 in a run, which starts
-from +0.0 and whose drains leave +0.0 (a step() runs one tick).
+row that maps a demand to the record of the tick that started there with it
+and the token of the state it ended in. A tick whose start state and demand
+repeat an earlier tick's is replayed instead of run: it only names that
+tick's record and moves to the next state. bufs and the rule's position
+catch up with the state the hits reached before the next tick that runs,
+the next change and the end. The memo starts afresh at every change and after every
+_store_rows(n) ticks that run (MEMO_WORDS). A rule whose position is None
+is not keyed, and keying stops for the rest of a run once misses clearly
+dominate (MEMO_TRIAL). Keys compare floats by value, so 0.0 and -0.0 meet:
+a demand of either gives the same tick, and no buffer is -0.0 in a run,
+which starts from +0.0 and whose drains leave +0.0 (a step() runs one tick).
 
-The outcome store (_Outcomes) is one set of columns shaped like the
-result's that holds only the ticks that ran, and a memo entry names a store
-row. While the memo keys, every tick, run or replayed, appends its store row
-to a pending list. A flush appends the ticks since the last one to the
-result's columns in tick order, at the end of every chunk of min(ROWS,
-_store_rows(n)) ticks and before the store empties: copied as they lie when
-none pending was replayed (or none is pending: keying stopped), gathered by
-whole-column copies with no per-tick Python otherwise (_Outcomes.flush).
-The store empties with the memo when it is full, when keying stops and,
-after that, at every chunk's end. So beyond its result a run holds at most
-MEMO_WORDS words of store rows and ROWS pending ticks, however long it is.
+Each tick that runs packs its outcome once, as one record of 3n + 3 64-bit
+words (supplied, dropped, reorder, assigned, transmitted, buffer_end), and a
+memo entry holds that record itself. Every tick, run or replayed, appends
+its record to one list in tick order, so a replay appends the same object
+again. At the end of every chunk of min(ROWS, _store_rows(n)) ticks, _flush
+unpacks the list into the result's columns by whole-column copies, with no
+per-tick Python, and empties it. A restart of the memo, or the stop of
+keying, only drops the memo's dicts. So beyond its result a run holds at
+most MEMO_WORDS words of records named by the memo, plus one chunk of
+pending records, however long it is.
 
 A result keeps no object per tick: t, demand, supplied (Mbps), dropped and
 reorder (int64) are one array value per tick; assigned, transmitted and
@@ -59,6 +58,7 @@ buffer_end are n float values per tick, tick k at [k*n, (k+1)*n).
 """
 
 import math
+import struct
 from array import array
 from collections.abc import Iterable, Sequence
 from itertools import islice
@@ -69,16 +69,16 @@ from .links import AggregationGroup, _Record, _real, validate_group
 from .policies import _RULES, PolicyId, PolicyState, WfqDirection
 from .traceio import ROWS, DemandTrace
 
-# The outcome store holds at most MEMO_WORDS 64-bit words, a row of 3n + 3
-# per tick that ran, so max(1, MEMO_WORDS // (3n + 3)) rows (_store_rows):
+# The memo names at most MEMO_WORDS 64-bit words of records, 3n + 3 per
+# tick that ran, so max(1, MEMO_WORDS // (3n + 3)) of them (_store_rows):
 # 7,281 for 2 links, all the ticks the benchmark's heavy 2-link wfq day runs,
-# 5,461 for 3, 3,640 for 5 and 1,285 for 16. The memo starts afresh with it
-# when it is full. Keying stops for the rest of a run once at least
-# MEMO_TRIAL ticks have missed and the hits are fewer than one sixteenth of
-# the misses. A diurnal day repeats little in its first hours: on the
-# benchmark's heavy day (five seeds) rr and wfq had 32-46 and 19-31 hits at
-# their 256th miss, though 72% and 57% of their ticks hit over the day; its
-# wide group, which seldom drains, had 0-3.
+# 5,461 for 3, 3,640 for 5 and 1,285 for 16. The memo starts afresh each
+# time that many more ticks have run. Keying stops for the rest of a run
+# once at least MEMO_TRIAL ticks have missed and the hits are fewer than one
+# sixteenth of the misses. A diurnal day repeats little in its first hours:
+# on the benchmark's heavy day (five seeds) rr and wfq had 32-46 and 19-31
+# hits at their 256th miss, though 72% and 57% of their ticks hit over the
+# day; its wide group, which seldom drains, had 0-3.
 MEMO_WORDS = 2**16
 MEMO_TRIAL = 256
 
@@ -177,72 +177,26 @@ class SimulationResult(_Record):
     records = property(Records)
 
 
-class _Outcomes:
-    """The outcome store of one run (see the module docstring): cols holds
-    one row per tick that ran since the store was last cleared, shaped like
-    the result's supplied, dropped, reorder, assigned, transmitted and
-    buffer_end columns, and, while the memo keys, pending the store row of
-    each tick not yet flushed to the result, in tick order."""
-
-    def __init__(self, res: SimulationResult, n: int):
-        self.out = (res.supplied, res.dropped, res.reorder,
-                    res.assigned, res.transmitted, res.buffer_end)
-        self.cols = tuple(map(array, "ddqddd"))
-        self.widths = (1, 1, 1, n, n, n)
-        self.width = 3 * n + 3  # 64-bit words in a row
-        self.pending = []
-        self.records = []  # the store's first rows as fixed-width bytes (pack)
-        self.first = 0  # the store's row count at the last flush
-
-    def flush(self):
-        """Append the ticks since the last flush to the result's columns, in
-        tick order: the store's new rows as they lie when no pending tick was
-        replayed (or none is pending: keying stopped); else the pending ticks'
-        records joined in one go, their words unpacked into the columns by
-        strided copies over whole columns, with no Python per tick."""
-        pending, widths, width = self.pending, self.widths, self.width
-        rows = len(self.cols[0])
-        if not pending or rows - self.first == len(pending):
-            for out, col, w in zip(self.out, self.cols, widths):
-                out.extend(col[self.first * w:])
-        else:
-            self.pack(rows)
-            words = memoryview(b"".join(map(self.records.__getitem__, pending))).cast("q")
-            j = 0
-            for out, w in zip(self.out, widths):
-                part = memoryview(bytearray(8 * w * len(pending))).cast("q")
-                for i in range(w):
-                    part[i::w] = words[j::width]
-                    j += 1
-                out.frombytes(part.obj)
-        pending.clear()
-        self.first = rows
-
-    def pack(self, rows: int):
-        """Add the store's rows from len(records) up to rows to records, each
-        as one bytes record of its 64-bit words, column after column."""
-        lo, widths, width = len(self.records), self.widths, self.width
-        packed = memoryview(bytearray(8 * width * (rows - lo))).cast("q")
-        j = 0
-        for col, w in zip(self.cols, widths):
-            words = memoryview(col[lo * w:].tobytes()).cast("q")
-            for i in range(w):
-                packed[j::width] = words[i::w]
-                j += 1
-        packed = packed.tobytes()
-        self.records += [packed[a:a + 8 * width] for a in range(0, len(packed), 8 * width)]
-
-    def clear(self):
-        """Flush, then empty the store."""
-        self.flush()
-        for col in self.cols:
-            del col[:]
-        self.records.clear()
-        self.first = 0
+def _flush(res: SimulationResult, records: list, n: int):
+    """Append the ticks of records, one packed record each (_simulate), to
+    the result's columns in order, then empty records: the records joined in
+    one go and their words unpacked into the columns by strided copies over
+    whole columns, with no Python per tick."""
+    width = 3 * n + 3  # 64-bit words in a record
+    words = memoryview(b"".join(records)).cast("q")
+    j = 0
+    for out, w in zip((res.supplied, res.dropped, res.reorder,
+                       res.assigned, res.transmitted, res.buffer_end), (1, 1, 1, n, n, n)):
+        part = memoryview(bytearray(8 * w * len(records))).cast("q")
+        for i in range(w):
+            part[i::w] = words[j::width]
+            j += 1
+        out.frombytes(part.obj)
+    records.clear()
 
 
 def _store_rows(n: int) -> int:
-    """The most rows the outcome store of an n-link run holds (MEMO_WORDS)."""
+    """The most records the memo of an n-link run names (MEMO_WORDS)."""
     return max(1, MEMO_WORDS // (3 * n + 3))
 
 
@@ -261,19 +215,17 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     tick, quantum = config.tick, config.quantum
     ci, due = 0, -math.inf  # the next change and its time: the first is due at once
     # the memo (see the module docstring): keys gives each state key
-    # (position, *bufs) its token, rows[token] maps a demand to (r, the next
-    # state's token) for the tick in store row r, which started there, and
+    # (position, *bufs) its token, rows[token] maps a demand to (the record
+    # of the tick that started there with it, the next state's token), and
     # states[token] is the key. row is the row of the state the next tick
     # starts in, None when that is not keyed; behind is that state's token
     # while bufs and the rule's position still hold the one before the hits
-    # that reached it. stored counts the store's rows while keys is not None,
-    # that is until keying stops.
+    # that reached it. stored counts the ticks run since the memo last
+    # started afresh at its bound, until keying stops.
     keys, rows, states, row, behind = {}, [], [], None, None
-    store = _Outcomes(res, n)
-    # bound once: every tick that runs appends to the store's columns
-    put_supplied, put_dropped, put_reorder = (col.append for col in store.cols[:3])
-    put_assigned, put_transmitted, put_buffer_end = (col.fromlist for col in store.cols[3:])
-    add_pending = store.pending.append
+    pack = struct.Struct(f"ddq{3 * n}d").pack  # a tick's record (_flush)
+    records = []  # the ticks since the last flush, in tick order
+    add = records.append
     stored = hits = misses = 0
     bound = _store_rows(n)
     chunk = min(ROWS, bound)  # ticks between flushes
@@ -285,9 +237,9 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
             if row is not None:
                 hit = row.get(demand) if due > t else None
                 if hit is not None:
-                    r, behind = hit
+                    record, behind = hit
                     row = rows[behind]
-                    add_pending(r)
+                    add(record)
                     hits += 1
                     continue
                 if behind is not None:  # only ever set with row
@@ -327,14 +279,9 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                 bufs[i] -= tx
                 transmitted[i] = tx
                 supplied += tx
-            put_supplied(supplied / tick)
-            put_dropped(dropped)
-            put_reorder(reorder)
-            put_assigned(assigned)
-            put_transmitted(transmitted)
-            put_buffer_end(bufs)
+            record = pack(supplied / tick, dropped, reorder, *assigned, *transmitted, *bufs)
+            add(record)
             if keys is not None:
-                add_pending(stored)
                 stored += 1
                 pos = position()
                 start, row = row, None
@@ -347,16 +294,14 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                         states.append(key)
                     row = rows[token]
                     if start is not None:
-                        start[demand] = (stored - 1, token)
+                        start[demand] = (record, token)
                         misses += 1
                 if misses >= MEMO_TRIAL and hits < misses >> 4:  # too few repeats to pay
                     keys = rows = states = row = None
-                    store.clear()
                 elif stored >= bound:
                     keys, rows, states, row = {}, [], [], None
-                    store.clear()
                     stored = 0
-        (store.flush if keys is not None else store.clear)()  # no row is named once keying stops
+        _flush(res, records, n)
     if behind is not None:
         pos, *bufs[:] = states[behind]
         restore(pos)

@@ -32,7 +32,7 @@ TRACE_HEADER = ("time_s", "demand_mbps")
 FAILURES_HEADER = ("time_s", "link_id", "event")
 
 # rows per chunk of a rendered table (see _csv_chunks), and the most ticks the
-# engine holds back before it flushes them to a result (engine._Outcomes)
+# engine holds back before it flushes them to a result (engine._flush)
 ROWS = 4096
 
 DAY_S = 86400.0

@@ -108,6 +108,21 @@ def test_trace_order_and_sign_errors_report_file_and_line(inputs, capsys, text, 
     assert capsys.readouterr().err == f"rla: error: {bad}:{where}\n"
 
 
+@pytest.mark.parametrize("flag, text, where", [
+    ("--links", LINKS.replace("S16,", " ,"), "3: empty link id"),
+    ("--failures", "time_s,link_id,event\n0,P4,down\n1, ,up\n", "3: empty link_id"),
+])
+def test_blank_link_ids_exit_1_with_file_and_line(inputs, capsys, flag, text, where):
+    tmp, links, trace = inputs
+    bad = tmp / "bad.csv"
+    bad.write_text(text)
+    # a repeated flag keeps its last value, so a second --links replaces the first
+    rc = main(["simulate", "--links", links, "--trace", trace, "--policy", "olb",
+               "--out", "-", flag, str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"rla: error: {bad}:{where}\n"
+
+
 def test_oversized_csv_field_exits_1_with_file_and_line(inputs, capsys):
     tmp, links, _ = inputs
     bad = tmp / "bad.csv"
@@ -161,6 +176,13 @@ def test_compare_rejects_duplicates(inputs, capsys):
                    "--policies", policies, "--out", "-"])
         assert rc == 1
         assert "duplicate policy" in capsys.readouterr().err
+
+
+def test_compare_rejects_an_empty_policy_list(inputs, capsys):
+    _, links, trace = inputs
+    rc = main(["compare", "--links", links, "--trace", trace, "--policies", ",", "--out", "-"])
+    assert rc == 1
+    assert capsys.readouterr().err == "rla: error: --policies needs at least one policy\n"
 
 
 def test_scenario_writes_bundle(tmp_path, capsys):

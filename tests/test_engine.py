@@ -25,7 +25,7 @@ from rla import (
     validate_group,
 )
 from rla import engine
-from rla.engine import MEMO_TRIAL, MEMO_WORDS, _failure_timeline, _Outcomes, _store_rows
+from rla.engine import MEMO_TRIAL, MEMO_WORDS, _failure_timeline, _store_rows
 from rla.policies import _RULES, MAX_WFQ_QUANTA_PER_TICK
 from rla.traceio import ROWS
 
@@ -537,7 +537,7 @@ def test_run_result_memory_is_columnar(n):
     assert retained <= bound, f"{retained / ticks:.0f} B per tick retained"
 
 
-# --- replayed ticks: the outcome store and its flushes ---
+# --- replayed ticks: the memo's records and their flushes ---
 
 def _memo_off(monkeypatch):
     """Key no tick: every rule's position is None, so every tick runs."""
@@ -546,15 +546,20 @@ def _memo_off(monkeypatch):
 
 
 def _replays(monkeypatch):
-    """Per flush of the outcome store, how many of its ticks were replayed."""
-    seen = []
-    flush = _Outcomes.flush
+    """Per flush, how many of its records an earlier tick of the run already
+    gave, by identity: the ticks it replays."""
+    seen, counts = {}, []
+    flush = engine._flush
 
-    def counting(store):
-        seen.append(len(store.pending) - (len(store.cols[0]) - store.first))
-        flush(store)
-    monkeypatch.setattr(_Outcomes, "flush", counting)
-    return seen
+    def counting(res, records, n):
+        count = 0
+        for record in records:
+            count += id(record) in seen
+            seen[id(record)] = record  # kept alive, so no id is reused
+        counts.append(count)
+        flush(res, records, n)
+    monkeypatch.setattr(engine, "_flush", counting)
+    return counts
 
 
 COLUMNS = ("t", "demand", "supplied", "dropped", "reorder", "assigned", "transmitted",
@@ -562,19 +567,27 @@ COLUMNS = ("t", "demand", "supplied", "dropped", "reorder", "assigned", "transmi
 
 
 def _fills(monkeypatch, rows):
-    """Per emptying of the outcome store, whether it held rows rows: full."""
-    seen = []
-    clear = _Outcomes.clear
+    """Per replayed tick, the memo's epoch (ticks run so far // rows) when the
+    tick it names ran and when it was replayed, the ticks that ran numbered
+    in order by their records' identity. The memo starts afresh each time
+    rows more ticks have run, so the two are equal."""
+    ran, seen = {}, []
+    flush = engine._flush
 
-    def counting(store):
-        seen.append(len(store.cols[0]) == rows)
-        clear(store)
-    monkeypatch.setattr(_Outcomes, "clear", counting)
+    def counting(res, records, n):
+        for record in records:
+            named = ran.get(id(record))
+            if named is None:
+                ran[id(record)] = (len(ran), record)  # kept alive, so no id is reused
+            else:
+                seen.append((named[0] // rows, len(ran) // rows))
+        flush(res, records, n)
+    monkeypatch.setattr(engine, "_flush", counting)
     return seen
 
 
 def test_store_rows_are_a_fixed_budget_of_words():
-    # 3n + 3 words a row: the heavy benchmark day's 2-link wfq run fits
+    # 3n + 3 words a record: the heavy benchmark day's 2-link wfq run fits
     # whole, and groups of 5 links or more hold fewer rows than 4,096
     assert MEMO_WORDS == 2**16
     assert [_store_rows(n) for n in (2, 3, 5, 16)] == [7281, 5461, 3640, 1285]
@@ -583,17 +596,17 @@ def test_store_rows_are_a_fixed_budget_of_words():
         assert n < 5 or _store_rows(n) <= 4096
 
 
-# outcome store rows of the 3-link run below: each policy's store fills at
-# least twice while over half of its ticks still replay (olb and vrrp keep
-# few start states, rr and wfq many)
-STORE_ROWS = {"olb": 64, "vrrp": 64, "rr": 512, "wfq": 512}
+# the memo's bound in records for the 3-link run below: each policy's memo
+# starts afresh at it at least twice while over half of its ticks still
+# replay (olb and vrrp keep few start states, rr and wfq many)
+MEMO_RECORDS = {"olb": 64, "vrrp": 64, "rr": 512, "wfq": 512}
 
 
 @pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
 def test_replayed_ticks_gather_into_the_columns_of_a_run_without_memo(policy, monkeypatch):
     # over 3 x ROWS ticks of a few repeating demands, with live-set changes
-    # in the middle of a flush's ticks and a store small enough to fill and
-    # start afresh, gathered columns equal running every tick, value for
+    # in the middle of a flush's ticks and a memo bound small enough to reach
+    # and start afresh at, gathered columns equal running every tick, value for
     # value and in type
     g = group(5.0, 3.0, 4.0, costs=[1.0, 2.0, 4.0], cap_factor=4.0)  # wfq's cycle: 7 picks
     rng = random.Random(f"gather-{policy}")
@@ -603,11 +616,14 @@ def test_replayed_ticks_gather_into_the_columns_of_a_run_without_memo(policy, mo
              (9000.0, "l0", "down"), (9001.0, "l2", "down"), (9500.5, "l2", "up")]
     c = cfg(policy, quantum=0.5)
     with monkeypatch.context() as m:
-        m.setattr(engine, "MEMO_WORDS", 12 * STORE_ROWS[policy])  # 12 words a row
+        m.setattr(engine, "MEMO_WORDS", 12 * MEMO_RECORDS[policy])  # 12 words a record
         replays = _replays(m)
-        fills = _fills(m, STORE_ROWS[policy])
+        fills = _fills(m, MEMO_RECORDS[policy])
         got = run(g, c, trace, fails)
-    assert sum(fills) >= 2
+    # no replay names a tick run before the memo's last start, and ticks
+    # replay after at least two of its starts at the bound
+    assert all(named == now for named, now in fills)
+    assert len({now for _, now in fills} - {0}) >= 2
     assert sum(n > 0 for n in replays) >= 4 and sum(replays) > len(trace.t) // 2
     with monkeypatch.context() as m:
         _memo_off(m)
@@ -635,9 +651,9 @@ def test_ticks_after_keying_stops_equal_a_run_without_memo(policy, monkeypatch):
     # a 16-link group under demand in 1/64 Mbps steps, which seldom repeats,
     # stops keying at its 256th miss, with replays of its idle start pending
     # (none under wfq, which keys no tick before its cycle closes), and every
-    # live-set change comes after that. With the default store the run is one
-    # chunk; with a store of 100 rows the store fills before the stop and
-    # later chunks flush from an unkeyed store. Both equal running every
+    # live-set change comes after that. With the default bound the run is one
+    # chunk; with a bound of 100 records the memo starts afresh at it before
+    # the stop and later chunks flush with no memo. Both equal running every
     # tick, value for value and in type.
     g = group(*[1.0, 2.0, 4.0, 8.0] * 4, costs=[1.0, 2.0, 4.0, 0.5] * 4, cap_factor=2.0)
     rng = random.Random(f"stop-{policy}")
@@ -649,7 +665,7 @@ def test_ticks_after_keying_stops_equal_a_run_without_memo(policy, monkeypatch):
     with monkeypatch.context() as m:
         _memo_off(m)
         want = run(g, c, trace, fails)
-    for words in (MEMO_WORDS, 51 * 100):  # 51 words a 16-link row
+    for words in (MEMO_WORDS, 51 * 100):  # 51 words a 16-link record
         log = []
         with monkeypatch.context() as m:
             m.setattr(engine, "MEMO_WORDS", words)

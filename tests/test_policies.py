@@ -178,6 +178,11 @@ def test_wfq_select_rejects_unusable_weights(weights):
         wfq_select(group(1.0, 1.0), PolicyState(), weights)
 
 
+def test_wfq_select_rejects_a_weight_count_other_than_the_links():
+    with pytest.raises(BadParameterError, match="^2 weights for 3 links$"):
+        wfq_select(group(1.0, 1.0, 1.0), PolicyState(), [1.0, 2.0])
+
+
 # --- single-master baseline ---
 
 def test_vrrp_prefers_highest_capacity():

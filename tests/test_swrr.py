@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rla.swrr import TABLE_MAX, Swrr, int_weights
+from rla.swrr import TABLE_MAX, TRIES, Swrr, int_weights
 
 
 def _instance(rng, m, top):
@@ -61,18 +61,33 @@ def test_long_period_replays_without_table():
     assert s.cycle is None
 
 
+def _fraction_picks(weights, counters, count):
+    """count picks of the rule run on exact fractions from counters."""
+    shares = [Fraction(a, sum(weights)) for a in weights]
+    picks = []
+    for _ in range(count):
+        counters = [c + s for c, s in zip(counters, shares)]
+        best = max(range(len(counters)), key=lambda k: (counters[k], -k))
+        counters[best] -= 1
+        picks.append(best)
+    return picks
+
+
+def test_a_set_that_does_not_repeat_in_time_gives_up_and_replays():
+    # far-apart carried counters close no cycle in TRIES periods: the set
+    # stops looking and replays per quantum, still on the rule's picks
+    weights = [5, 4]
+    s = Swrr(["l0", "l1"], weights, {"l0": (-53, 1), "l1": (45, 1)})
+    tried = s.select(TRIES * sum(weights))
+    assert s.picks is None and s.cycle is None
+    later = s.select(3) + s.select(4 * sum(weights))
+    assert tried + later == _fraction_picks(weights, [-53, 45], len(tried) + len(later))
+
+
 def test_counters_past_2_53_stay_exact():
     # three-decimal inverse costs on six links give a period near 2**59, so
     # the counters run on Python ints; picks equal the rule on fractions
     costs = [1.234, 2.345, 3.456, 4.567, 5.678, 6.789]
     weights = int_weights(costs, True)
     assert sum(weights) > 2**53
-    shares = [Fraction(a, sum(weights)) for a in weights]
-    counters = [Fraction(0)] * 6
-    want = []
-    for _ in range(200):
-        counters = [c + s for c, s in zip(counters, shares)]
-        best = max(range(6), key=lambda k: (counters[k], -k))
-        counters[best] -= 1
-        want.append(best)
-    assert Swrr(list("abcdef"), weights, {}).select(200) == want
+    assert Swrr(list("abcdef"), weights, {}).select(200) == _fraction_picks(weights, [0] * 6, 200)

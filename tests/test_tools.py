@@ -103,9 +103,15 @@ def test_record_writes_each_workloads_output_and_the_src_line_count(tmp_path, mo
         calls.append((tree, workload, seed, seconds))
         return bench_record.parse_output(OUTPUT)
     monkeypatch.setattr(bench_record, "bench", fake_bench)
+    # git stubbed, so the test also runs in a copy of the tree with no .git
+    commit = "0123456789abcdef0123456789abcdef01234567"
+    answers = {("status", "--porcelain", "--untracked-files=no"): "",
+               ("rev-parse", "HEAD"): commit}
+    monkeypatch.setattr(bench_record, "git", lambda *args: answers[args])
     out = tmp_path / "BENCH_0.json"
     assert bench_record.main(["--out", str(out), "--seed", "5", "--seconds", "0.5"]) == 0
     data = json.loads(out.read_text())
+    assert data["commit"] == commit and data["dirty"] is False
     names = [w["name"] for w in json.loads((TOOLS.parent / "BENCHMARK.json").read_text())[
         "workloads"]]
     assert calls == [(TOOLS.parent, name, 5, 0.5) for name in names]
