@@ -343,12 +343,31 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
     return changes, late, repeats
 
 
+def _check_state(state: PolicyState, ids) -> None:
+    """Raise BadParameterError unless state's fields have their types and
+    each wfq_deficits entry of ids is a (numerator, nonzero denominator) pair
+    of ints; _setup and policies.wfq_select call it before any change."""
+    for name, value in (("buffers", state.buffers), ("wfq_deficits", state.wfq_deficits)):
+        if not isinstance(value, dict):
+            raise BadParameterError(f"{name} must be a dict, got {_shown(value)}")
+    if not isinstance(state.rr_cursor, int) or isinstance(state.rr_cursor, bool):
+        raise BadParameterError(f"rr_cursor must be an int, got {_shown(state.rr_cursor)}")
+    for i in ids:
+        pair = state.wfq_deficits.get(i, (0, 1))
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in pair) and pair[1]):
+            raise BadParameterError(f"link {i}: wfq deficit {_shown(pair)} is not a "
+                                    "(numerator, nonzero denominator) pair of ints")
+
+
 def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
            times: Sequence, demands: Sequence, failures) -> SimulationResult:
-    """run() and step()'s one way into _simulate: validate the group, start
-    each link from its state.buffers entry, fold the failures, run the
-    samples and write the buffers the last tick left back by link id."""
+    """run() and step()'s one way into _simulate: validate the group and
+    the state (of its dicts, the entries for the group's links), start each
+    link from its state.buffers entry, fold the failures, run the samples
+    and write the buffers the last tick left back by link id."""
     checked = validate_group(group.group_id, group.links, config.tick)
+    _check_state(state, checked.link_ids())
     bufs = []
     for link in checked.links:
         b = state.buffers.get(link.id, 0.0)

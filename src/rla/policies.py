@@ -478,7 +478,7 @@ def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[fl
     each read as the decimal its repr writes, so [1, 2, 3] gives exact
     shares 1/6, 1/3 and 1/2 and the float 1/6 does not. Over Q calls each
     link is selected within one quantum of Q times its share. Counters live
-    in state.wfq_deficits, keyed by link id.
+    in state.wfq_deficits, keyed by link id; step() checks the state alike.
 
     The floats wfq_weights returns only approximate the engine's shares (read
     as written, 0.16666666666666666 is not 1/6), so wfq_select fed with them
@@ -493,6 +493,8 @@ def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[fl
     if not all(0 <= w < math.inf for w in weights) or not any(weights):
         raise BadParameterError(
             f"weights must be finite and nonnegative, not all zero: {list(weights)}")
+    from .engine import _check_state  # engine imports this module
+    _check_state(state, ids)
     from .swrr import Swrr, int_weights
     swrr = Swrr(ids, int_weights(weights, False), state.wfq_deficits)
     best, = swrr.replay(1)

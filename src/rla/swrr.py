@@ -36,9 +36,6 @@ def int_weights(values, inverse: bool) -> list:
 # A failure set keeps its cycle as a table when its period P is at most this;
 # a longer period replays the deficit counters once per quantum.
 TABLE_MAX = 4096
-# Periods a failure set replays without its counters repeating before it
-# stops looking for its cycle and replays per quantum from then on.
-TRIES = 8
 
 
 class Swrr:
@@ -56,13 +53,13 @@ class Swrr:
     counters do, ties broken as the rule breaks them, and never ties; a
     selection adds m * a[k] to every x[k] and takes m * P off the largest.
 
-    After each run of at most P replayed selections the counters are compared
-    with those P selections before. Once they match, the last P picks are the
-    cycle, repeated from then on, each link a[k] times per cycle. Ticks then
-    read counts, the tail pick and switches in O(m) from prefix tables over
-    two copies of the cycle. A set whose P exceeds TABLE_MAX, or that has
-    not repeated after TRIES * P selections, keeps replaying one selection
-    at a time.
+    Selections are replayed in whole periods of P. Once a period ends with
+    the counters it began with, its P picks are the cycle, repeated from its
+    start on, each link a[k] times per cycle; ticks then read counts, the
+    tail pick and switches in O(m) from prefix tables over two copies of it.
+    Every start tried got there; for m > 2 that is unproven, and a set that
+    never did would keep replaying, still exactly. A set whose P exceeds
+    TABLE_MAX (4,096) never looks and replays one selection at a time.
     """
 
     def __init__(self, ids, weights, known):
@@ -91,11 +88,10 @@ class Swrr:
         num = float if max(-low, total + self.debit - (m - 1) * low) < 2**53 else int
         self.x = list(map(num, x))
         self.num_inc, self.num_debit = list(map(num, self.inc)), num(self.debit)
-        # every pick while looking for the cycle, else None; the window is
-        # picks[lo:], its last P or fewer, and held[k] counts k in it
+        # the current period's picks while looking for the cycle, else None,
+        # and the counters at the period's start
         self.picks = [] if P <= TABLE_MAX else None
-        self.lo = 0
-        self.held = [0] * m
+        self.start = self.x[:]
         self.cycle = None
 
     def replay(self, count) -> list:
@@ -120,10 +116,15 @@ class Swrr:
         order = []
         P = self.P
         while count and self.picks is not None:
-            chunk = self.replay(min(count, P))
+            chunk = self.replay(min(count, P - len(self.picks)))
             order += chunk
             count -= len(chunk)
-            self.look(chunk)
+            self.picks += chunk
+            if len(self.picks) == P:
+                if self.x == self.start:
+                    self.close(self.picks)
+                else:
+                    self.picks, self.start = [], self.x[:]
         if count:
             if self.cycle is None:
                 order += self.replay(count)
@@ -132,26 +133,9 @@ class Swrr:
                 self.phase = (self.phase + count) % P
         return order
 
-    def look(self, chunk):
-        """Slide the window over chunk, the next picks, and close the cycle
-        once the counters equal those P picks before, which holds iff each
-        link took a[k] of the last P picks. O(len(chunk) + m)."""
-        picks, held = self.picks, self.held
-        picks += chunk
-        for k in chunk:
-            held[k] += 1
-        lo = max(self.lo, len(picks) - self.P)
-        for k in picks[self.lo:lo]:
-            held[k] -= 1
-        self.lo = lo
-        if held == self.weights:
-            self.close(picks[lo:])
-        elif len(picks) >= TRIES * self.P:
-            self.picks = None
-
     def close(self, cycle):
-        """cycle, the last P picks, repeats from here on; self.x is the
-        counters at its phase 0."""
+        """cycle, the last period's P picks, repeats from here on; self.x is
+        the counters at its phase 0."""
         self.cycle = c2 = cycle * 2
         counts = [0] * len(self.x)
         rows = [tuple(counts)]

@@ -23,6 +23,7 @@ from rla import (
     scenario_group,
     step,
     validate_group,
+    wfq_select,
 )
 from rla import engine
 from rla.engine import MEMO_TRIAL, MEMO_WORDS, _failure_timeline, _store_rows
@@ -150,6 +151,45 @@ def test_step_ignores_and_keeps_buffers_of_other_ids():
     rec = step(g, st, cfg(), 0.0)
     assert rec.transmitted == (2.0, 0.0)
     assert st.buffers == {"gone": -7.0, "l0": 0.0, "l1": 0.0}
+
+
+@pytest.mark.parametrize("policy, kw, message", [
+    ("wfq", dict(wfq_deficits={"P4": (1, 0)}), "link P4: wfq deficit"),
+    ("wfq", dict(wfq_deficits={"P4": "x"}), "link P4: wfq deficit"),
+    ("wfq", dict(wfq_deficits={"P4": (1, 2, 3)}), "link P4: wfq deficit"),
+    ("wfq", dict(wfq_deficits={"P4": (1.5, 2)}), "link P4: wfq deficit"),
+    ("wfq", dict(wfq_deficits={"P4": (True, 1)}), "link P4: wfq deficit"),
+    ("wfq", dict(wfq_deficits=[1]), "wfq_deficits must be a dict, got \\[1\\]"),
+    ("olb", dict(buffers=[1]), "buffers must be a dict, got \\[1\\]"),
+    ("rr", dict(rr_cursor="a"), "rr_cursor must be an int, got 'a'"),
+    ("rr", dict(rr_cursor=1.5), "rr_cursor must be an int, got 1.5"),
+    ("rr", dict(rr_cursor=None), "rr_cursor must be an int, got None"),
+    ("rr", dict(rr_cursor=True), "rr_cursor must be an int, got True"),
+])
+def test_step_and_wfq_select_reject_a_malformed_state(policy, kw, message):
+    # each gave a ZeroDivisionError, ValueError, TypeError or AttributeError
+    # from inside the rule, or (True) was read as 1
+    g, st = scenario_group(2), PolicyState(**kw)
+    with pytest.raises(BadParameterError, match=message):
+        step(g, st, cfg(policy), 7.0)
+    with pytest.raises(BadParameterError, match=message):
+        wfq_select(g, st, [1] * g.n)
+    assert st == PolicyState(**kw)
+
+
+def test_step_takes_a_huge_rr_cursor_and_an_unreduced_wfq_pair():
+    g = scenario_group(2)
+    big, small = PolicyState(rr_cursor=2**200), PolicyState(rr_cursor=2**200 % 3)
+    assert step(g, big, cfg("rr"), 7.0) == step(g, small, cfg("rr"), 7.0)
+    assert big == small
+    unreduced = PolicyState(wfq_deficits={"P4": (2, 4), "gone": "x"})
+    reduced = PolicyState(wfq_deficits={"P4": (1, 2), "gone": "x"})
+    assert step(g, unreduced, cfg("wfq"), 7.0) == step(g, reduced, cfg("wfq"), 7.0)
+    assert unreduced == reduced
+    unreduced.wfq_deficits["P4"] = (2, 4)
+    reduced.wfq_deficits["P4"] = (1, 2)
+    assert wfq_select(g, unreduced, [1] * g.n) == wfq_select(g, reduced, [1] * g.n)
+    assert unreduced == reduced
 
 
 def test_step_drops_at_cap():

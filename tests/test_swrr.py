@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rla.swrr import TABLE_MAX, TRIES, Swrr, int_weights
+from rla.swrr import TABLE_MAX, Swrr, int_weights
 
 
 def _instance(rng, m, top):
@@ -21,9 +21,9 @@ def _instance(rng, m, top):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_ticks_of_few_picks_equal_one_replay(seed):
-    # Ticks far shorter than the period, so the window that looks for the
-    # cycle slides over many ticks before it closes; then the table serves
-    # the rest. Picks and carried counters must equal a plain replay.
+    # Ticks far shorter than the period, so each period that looks for the
+    # cycle spans many ticks before one closes it; then the table serves the
+    # rest. Picks and carried counters must equal a plain replay.
     rng = random.Random(seed)
     ids, weights, known = _instance(rng, rng.randint(2, 8), 60)
     P = sum(weights)
@@ -73,15 +73,38 @@ def _fraction_picks(weights, counters, count):
     return picks
 
 
-def test_a_set_that_does_not_repeat_in_time_gives_up_and_replays():
-    # far-apart carried counters close no cycle in TRIES periods: the set
-    # stops looking and replays per quantum, still on the rule's picks
+def test_a_set_far_from_its_cycle_looks_until_a_period_repeats():
+    # far-apart carried counters repeat no period in the first 8: the set
+    # is still looking, and closes its cycle in the 11th period (99 picks)
     weights = [5, 4]
+    P = sum(weights)
     s = Swrr(["l0", "l1"], weights, {"l0": (-53, 1), "l1": (45, 1)})
-    tried = s.select(TRIES * sum(weights))
-    assert s.picks is None and s.cycle is None
-    later = s.select(3) + s.select(4 * sum(weights))
+    tried = s.select(8 * P)
+    assert s.picks is not None and s.cycle is None
+    later = s.select(3) + s.select(4 * P)
+    assert s.cycle is not None
     assert tried + later == _fraction_picks(weights, [-53, 45], len(tried) + len(later))
+
+
+def test_a_later_period_that_repeats_closes_the_cycle():
+    # the first two periods do not return to their start, though the first
+    # returns link 0's counter to its own, and the third does: ticks of 0-7
+    # picks across them must equal a plain replay, picks and counters alike
+    ids, weights = ["l0", "l1", "l2"], [3, 2, 1]
+    known = {"l0": (-5, 2), "l1": (-6, 1), "l2": (-2, 2)}
+    P = sum(weights)
+    ticked, replayed = Swrr(ids, weights, known), Swrr(ids, weights, known)
+    assert ticked.select(P) == replayed.replay(P) and ticked.cycle is None
+    rng = random.Random(5)
+    picks = []
+    while len(picks) < 6 * P + 5:
+        picks += ticked.select(rng.randint(0, 7))
+    assert ticked.cycle is not None
+    assert picks == replayed.replay(len(picks))
+    a, b = {}, {}
+    ticked.save(a)
+    replayed.save(b)
+    assert a == b
 
 
 def test_counters_past_2_53_stay_exact():

@@ -1,6 +1,7 @@
 """tools/bench_record.py runs perfbench/run.py and reads its output as run.py
 prints it, and tools/bench_pairs.py summarizes parsed outputs; no benchmark
-runs here: bench() runs a stand-in run.py."""
+runs here: bench() runs a stand-in run.py. tools/mutants.py's mutants are
+only checked to still apply; none is run here."""
 
 import importlib.util
 import json
@@ -23,6 +24,7 @@ def _load(name):
 
 bench_record = _load("bench_record")
 bench_pairs = _load("bench_pairs")
+mutants = _load("mutants")
 
 RESULT = json.dumps({"correct": True, "attempted": 62, "failed": 0, "metrics": {
     "cli_wall_s": {"value": 0.5256515023316539, "unit": "s"},
@@ -199,3 +201,10 @@ def test_summarize_calls_a_change_past_the_metric_bound_worse(better, change, wo
     pairs = [({"m": 1.0}, {"m": change})] * 3
     row, = bench_pairs.summarize(pairs, [metric("m", better, bound=0.25)])
     assert row[5:] == (0, False, False, worse)
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_each_mutants_old_text_occurs_once(mutant):
+    # a change that rewrites a mutated line updates its mutant with it
+    assert mutants.occurrences(mutant) == 1
+    assert [m.name for m in mutants.MUTANTS].count(mutant.name) == 1
