@@ -1,14 +1,15 @@
 """Discrete-time simulation engine.
 
 One loop, _simulate, runs the ticks of both run() and step(). Per (t, demand)
-sample it checks the demand, takes the down set of the last change due by t
-(then refreshes the list of live links), splits demand x tick megabits into
-full quanta and a fractional tail, hands them to the active policy's assign
-(or drops them all when no link is live), drains each live link by up to
-capacity x tick and packs the tick into one record, which the flush below
-writes to the result's columns. How a policy picks links, what state it
-keeps and what it checks lives in its class in policies.py; the engine has
-no policy-specific branch.
+sample it first looks for a replay (the memo, below). Only a tick that runs
+checks its demand and the rule's quanta bound (policies._Rule.check), takes
+the down set of the last change due by t (then refreshes the list of live
+links), splits demand x tick megabits into full quanta and a fractional
+tail, hands them to the active policy's assign (or drops them all when no
+link is live), drains each live link by up to capacity x tick and packs the
+tick into one record, which the flush below writes to the result's columns.
+How a policy picks links, what state it keeps and what it checks lives in
+its class in policies.py; the engine has no policy-specific branch.
 
 run() and step() reach _simulate through _setup, which takes each link's
 starting buffer from PolicyState.buffers and writes the last tick's back
@@ -32,14 +33,16 @@ live set. Each start state (position, *bufs) gets a token, and each token a
 row that maps a demand to the record of the tick that started there with it
 and the token of the state it ended in. A tick whose start state and demand
 repeat an earlier tick's is replayed instead of run: it only names that
-tick's record and moves to the next state. bufs and the rule's position
-catch up with the state the hits reached before the next tick that runs,
-the next change and the end. The memo starts afresh at every change and after every
-_store_rows(n) ticks that run (MEMO_WORDS). A rule whose position is None
-is not keyed, and keying stops for the rest of a run once misses clearly
-dominate (MEMO_TRIAL). Keys compare floats by value, so 0.0 and -0.0 meet:
-a demand of either gives the same tick, and no buffer is -0.0 in a run,
-which starts from +0.0 and whose drains leave +0.0 (a step() runs one tick).
+tick's record and moves to the next state. It needs no check, since only a
+demand that a tick which ran has passed is a key, and NaN matches none.
+bufs and the rule's position catch up with the state the hits reached
+before the next tick that runs, the next change and the end. The memo
+starts afresh at every change and after every _store_rows(n) ticks that
+run (MEMO_WORDS). A rule whose position is None is not keyed, and keying
+stops for the rest of a run once misses clearly dominate (MEMO_TRIAL).
+Keys compare floats by value, so 0.0 and -0.0 meet: a demand of either
+gives the same tick, and no buffer is -0.0 in a run, which starts from
++0.0 and whose drains leave +0.0 (a step() runs one tick).
 
 Each tick that runs packs its outcome once, as one record of 3n + 3 64-bit
 words (supplied, dropped, reorder, assigned, transmitted, buffer_end), and a
@@ -209,10 +212,10 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     ids = group.link_ids()
     res = SimulationResult(config, group, *map(array, "ddddqddd"))  # typed in field order
     drain = [l.capacity * config.tick for l in group.links]
-    k = demands.index(max(demands))  # the first busiest sample
-    rule = _RULES[config.policy](group, config, state, bufs, (times[k], demands[k]))
+    rule = _RULES[config.policy](group, config, state, bufs)
     refresh, assign, position, restore = rule.refresh, rule.assign, rule.position, rule.restore
     tick, quantum = config.tick, config.quantum
+    limit = min(rule.max_quanta, math.nextafter(math.inf, 0))  # inf quanta are past it
     ci, due = 0, -math.inf  # the next change and its time: the first is due at once
     # the memo (see the module docstring): keys gives each state key
     # (position, *bufs) its token, rows[token] maps a demand to (the record
@@ -220,32 +223,37 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     # states[token] is the key. row is the row of the state the next tick
     # starts in, None when that is not keyed; behind is that state's token
     # while bufs and the rule's position still hold the one before the hits
-    # that reached it. stored counts the ticks run since the memo last
-    # started afresh at its bound, until keying stops.
+    # that reached it. ran counts the ticks run until keying stops; the memo
+    # starts afresh after each bound of them, and of the ticks done so far,
+    # done + len(records), all but ran were replayed.
     keys, rows, states, row, behind = {}, [], [], None, None
     pack = struct.Struct(f"ddq{3 * n}d").pack  # a tick's record (_flush)
     records = []  # the ticks since the last flush, in tick order
     add = records.append
-    stored = hits = misses = 0
+    ran = misses = 0
     bound = _store_rows(n)
     chunk = min(ROWS, bound)  # ticks between flushes
     samples = zip(times, demands)
-    for _ in range(0, len(times), chunk):
+    for done in range(0, len(times), chunk):
         for t, demand in islice(samples, chunk):
-            if not 0.0 <= demand < math.inf:
-                raise BadParameterError(f"demand must be finite and nonnegative, got {demand}")
-            if row is not None:
+            if row is not None:  # no key is a demand that fails the checks below
                 hit = row.get(demand) if due > t else None
                 if hit is not None:
                     record, behind = hit
                     row = rows[behind]
                     add(record)
-                    hits += 1
                     continue
                 if behind is not None:  # only ever set with row
                     pos, *bufs[:] = states[behind]
                     restore(pos)
                     behind = None
+            if not 0.0 <= demand < math.inf:
+                raise BadParameterError(f"demand must be finite and nonnegative, got {demand}")
+            arrivals = demand * tick
+            quanta = arrivals / quantum
+            if quanta > limit:  # _Rule.check names the run's first busiest sample
+                k = demands.index(max(d for d in demands if 0.0 <= d < math.inf))
+                rule.check(config, (times[k], demands[k]))
             if due <= t:
                 while changes[ci][0] <= t:
                     ci += 1
@@ -256,12 +264,11 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                 if keys is not None:
                     keys, rows, states, row = {}, [], [], None
             assigned = [0.0] * n
-            arrivals = demand * tick
             if not arrivals:
                 dropped, reorder = 0.0, 0
             elif alive:
                 # full quanta and the trailing fractional quantum (0 if none)
-                n_full = math.floor(arrivals / quantum)
+                n_full = math.floor(quanta)
                 rem = arrivals - n_full * quantum
                 if rem < 0:  # the quotient rounded up
                     n_full -= 1
@@ -282,7 +289,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
             record = pack(supplied / tick, dropped, reorder, *assigned, *transmitted, *bufs)
             add(record)
             if keys is not None:
-                stored += 1
+                ran += 1
                 pos = position()
                 start, row = row, None
                 if pos is not None:
@@ -296,11 +303,10 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                     if start is not None:
                         start[demand] = (record, token)
                         misses += 1
-                if misses >= MEMO_TRIAL and hits < misses >> 4:  # too few repeats to pay
-                    keys = rows = states = row = None
-                elif stored >= bound:
+                if misses >= MEMO_TRIAL and done + len(records) - ran < misses >> 4:
+                    keys = rows = states = row = None  # too few hits to pay
+                elif not ran % bound:
                     keys, rows, states, row = {}, [], [], None
-                    stored = 0
         _flush(res, records, n)
     if behind is not None:
         pos, *bufs[:] = states[behind]

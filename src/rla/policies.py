@@ -165,8 +165,7 @@ class _Rule:
 
     max_quanta = math.inf  # the most quanta one tick may split into
 
-    def __init__(self, group: AggregationGroup, config, state: PolicyState, bufs: list, peak):
-        self.check(config, peak)
+    def __init__(self, group: AggregationGroup, config, state: PolicyState, bufs: list):
         self.group = group
         self.config = config
         self.state = state
@@ -179,13 +178,12 @@ class _Rule:
                 f"quantum {config.quantum} exceeds smallest link threshold {min(self.thrs)}")
 
     def check(self, config, peak) -> None:
-        """Reject a run whose busiest sample, peak = (t, demand), gives
-        megabits or quanta beyond the float range, or needs more than
-        max_quanta quanta in one tick, naming the smallest quantum that
-        would do. Both grow with demand, so every other sample passes too."""
+        """Reject a run whose busiest sample, peak = (t, demand) with demand
+        in [0, inf), gives megabits or quanta beyond the float range, or
+        needs more than max_quanta quanta in one tick, naming the smallest
+        quantum that would do. The engine calls it once a tick that runs is
+        past that bound; both grow with demand, so peak is past it too."""
         t, demand = peak
-        if not 0 <= demand < math.inf:
-            return  # rejected by the tick itself
         arrivals = demand * config.tick
         quanta = arrivals / config.quantum
         if not math.isfinite(quanta):

@@ -1012,6 +1012,47 @@ def test_arrivals_beyond_float_range_rejected(tick, quantum):
         step(g, PolicyState(), c, 1e200, t=1.0)
 
 
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_run_rejects_a_first_demand_edited_to_nan(policy):
+    # DemandTrace rejects NaN, but its column can be edited afterwards; tick 0
+    # rejects it, with no scan for the busiest sample before it
+    tr = const(1.0, 3)
+    tr.demand[0] = math.nan
+    with pytest.raises(BadParameterError, match="demand must be finite and nonnegative, got nan"):
+        run(group(4.0, 4.0), cfg(policy), tr)
+
+
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_a_tick_past_the_bound_names_the_busiest_valid_sample(policy):
+    # the busiest sample is an edited inf, past every bound but not a sample
+    # the message can name; the first tick past the bound names the busiest
+    # finite one, t=1.0 (for olb and vrrp, that tick itself)
+    g = validate_group("g", [Link(id="a", capacity=1.0, priority=1,
+                                  threshold=1.0, buffer_cap=4.0)], 1.0)
+    tr = DemandTrace([(0.0, 1.0), (1.0, 1e200), (2.0, 5.0)])
+    tr.demand[2] = math.inf
+    with pytest.raises(BadParameterError, match=r"demand 1e\+200 Mbps at t=1\.0 .*float range"):
+        run(g, cfg(policy, tick=1e200), tr)
+
+
+@pytest.mark.parametrize("policy, kw, demand", [
+    ("wfq", dict(quantum=1e-7), 1.0),
+    ("rr", dict(quantum=1e-18), 100.0),
+    ("olb", dict(tick=1e200), 1e200),
+    ("vrrp", dict(tick=1e200), 1e200),
+])
+def test_a_step_past_the_bound_leaves_the_state_as_it_was(policy, kw, demand):
+    # the bound is checked before the live set is refreshed, which would
+    # elect vrrp's master
+    g = group(1.0, 2.0)
+    fields = dict(rr_cursor=1, wfq_deficits={"l0": (1, 3), "l1": (-1, 3)},
+                  buffers={"l0": 0.5, "l1": 0.25})
+    st = PolicyState(**fields)
+    with pytest.raises(BadParameterError, match="quanta"):
+        step(g, st, cfg(policy, **kw), demand, failed=frozenset({"l0"}))
+    assert st == PolicyState(**fields) and st.vrrp_master is None
+
+
 def test_rr_needs_no_quanta_limit():
     # 10^7 quanta per tick against a capped link: closed-form, no per-quantum loop
     g = group(1.0, 1.0, 1.0, cap_factor=1.0)

@@ -58,11 +58,21 @@ MUTANTS = (
            "start[demand] = (record, token)", "start[demand] = (records[-2], token)",
            ("tests/test_corpus.py", "tests/test_engine.py::test_step_sequence_matches_run")),
     Mutant("memo-no-restart-at-bound", "src/rla/engine.py",
-           "                elif stored >= bound:\n"
-           "                    keys, rows, states, row = {}, [], [], None\n"
-           "                    stored = 0\n", "",
+           "                elif not ran % bound:\n"
+           "                    keys, rows, states, row = {}, [], [], None\n", "",
            ("tests/test_engine.py::"
             "test_replayed_ticks_gather_into_the_columns_of_a_run_without_memo",)),
+    Mutant("replay-ignores-a-due-change", "src/rla/engine.py",
+           "row.get(demand) if due > t else None", "row.get(demand)",
+           ("tests/test_golden.py", "tests/test_corpus.py",
+            "tests/test_engine.py::test_step_sequence_matches_run")),
+    Mutant("catch-up-skips-restore", "src/rla/engine.py",
+           "restore(pos)\n                    behind = None", "behind = None",
+           ("tests/test_corpus.py", "tests/test_engine.py::test_step_sequence_matches_run")),
+    # engine._simulate's quanta bound
+    Mutant("run-tick-skips-the-bound", "src/rla/engine.py",
+           "if quanta > limit:", "if False:",
+           ("tests/test_cli.py",)),
 )
 
 
