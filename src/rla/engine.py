@@ -39,7 +39,8 @@ bufs and the rule's position catch up with the state the hits reached
 before the next tick that runs, the next change and the end. The memo
 starts afresh at every change and after every _store_rows(n) ticks that
 run (MEMO_WORDS). A rule whose position is None is not keyed, and keying
-stops for the rest of a run once misses clearly dominate (MEMO_TRIAL).
+stops for the rest of a run once hits stay rare among the ticks that ran
+(MEMO_TRIAL).
 Keys compare floats by value, so 0.0 and -0.0 meet: a demand of either
 gives the same tick, and no buffer is -0.0 in a run, which starts from
 +0.0 and whose drains leave +0.0 (a step() runs one tick).
@@ -69,7 +70,7 @@ from typing import Optional
 
 from .errors import BadParameterError, _shown
 from .links import AggregationGroup, _Record, _real, validate_group
-from .policies import _RULES, PolicyId, PolicyState, WfqDirection
+from .policies import _RULES, PolicyId, PolicyState, WfqDirection, _check_state
 from .traceio import ROWS, DemandTrace
 
 # The memo names at most MEMO_WORDS 64-bit words of records, 3n + 3 per
@@ -77,10 +78,10 @@ from .traceio import ROWS, DemandTrace
 # 7,281 for 2 links, all the ticks the benchmark's heavy 2-link wfq day runs,
 # 5,461 for 3, 3,640 for 5 and 1,285 for 16. The memo starts afresh each
 # time that many more ticks have run. Keying stops for the rest of a run
-# once at least MEMO_TRIAL ticks have missed and the hits are fewer than one
-# sixteenth of the misses. A diurnal day repeats little in its first hours:
-# on the benchmark's heavy day (five seeds) rr and wfq had 32-46 and 19-31
-# hits at their 256th miss, though 72% and 57% of their ticks hit over the
+# once more than MEMO_TRIAL ticks have run and the hits are fewer than one
+# sixteenth of them. A diurnal day repeats little in its first hours: on
+# the benchmark's heavy day (seeds 1-5) rr and wfq had 24-48 and 20-26 hits
+# at their 257th tick run, though 72% and 67% of their ticks hit over the
 # day; its wide group, which seldom drains, had 0-3.
 MEMO_WORDS = 2**16
 MEMO_TRIAL = 256
@@ -230,7 +231,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     pack = struct.Struct(f"ddq{3 * n}d").pack  # a tick's record (_flush)
     records = []  # the ticks since the last flush, in tick order
     add = records.append
-    ran = misses = 0
+    ran = 0
     bound = _store_rows(n)
     chunk = min(ROWS, bound)  # ticks between flushes
     samples = zip(times, demands)
@@ -302,8 +303,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                     row = rows[token]
                     if start is not None:
                         start[demand] = (record, token)
-                        misses += 1
-                if misses >= MEMO_TRIAL and done + len(records) - ran < misses >> 4:
+                if ran > MEMO_TRIAL and done + len(records) - ran < ran >> 4:
                     keys = rows = states = row = None  # too few hits to pay
                 elif not ran % bound:
                     keys, rows, states, row = {}, [], [], None
@@ -324,10 +324,16 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
     them, late and repeats in the order the run meets them."""
     ids = set(group.link_ids())
     events = []
+    if isinstance(failures, (str, bytes)) or not isinstance(failures or (), Iterable):
+        raise BadParameterError(f"failures must be an iterable of events, got {_shown(failures)}")
     for ev in failures or ():
-        t, link_id, kind = _real(ev[0]), ev[1], ev[2]
+        try:
+            when, link_id, kind = ev
+        except (TypeError, ValueError):  # not three fields
+            raise BadParameterError(f"failure event must be (t, link_id, kind), got {_shown(ev)}") from None
+        t = _real(when)
         if t is None or not math.isfinite(t):
-            raise BadParameterError(f"failure event time must be a finite number, got {_shown(ev[0])}")
+            raise BadParameterError(f"failure event time must be a finite number, got {_shown(when)}")
         if not isinstance(link_id, str) or link_id not in ids:  # ids are str, and a list would not hash
             raise BadParameterError(f"failure event for unknown link {_shown(link_id)}")
         if kind not in ("up", "down"):
@@ -347,23 +353,6 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
             changes.append((t, down))
     changes.append((math.inf, None))
     return changes, late, repeats
-
-
-def _check_state(state: PolicyState, ids) -> None:
-    """Raise BadParameterError unless state's fields have their types and
-    each wfq_deficits entry of ids is a (numerator, nonzero denominator) pair
-    of ints; _setup and policies.wfq_select call it before any change."""
-    for name, value in (("buffers", state.buffers), ("wfq_deficits", state.wfq_deficits)):
-        if not isinstance(value, dict):
-            raise BadParameterError(f"{name} must be a dict, got {_shown(value)}")
-    if not isinstance(state.rr_cursor, int) or isinstance(state.rr_cursor, bool):
-        raise BadParameterError(f"rr_cursor must be an int, got {_shown(state.rr_cursor)}")
-    for i in ids:
-        pair = state.wfq_deficits.get(i, (0, 1))
-        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
-                isinstance(v, int) and not isinstance(v, bool) for v in pair) and pair[1]):
-            raise BadParameterError(f"link {i}: wfq deficit {_shown(pair)} is not a "
-                                    "(numerator, nonzero denominator) pair of ints")
 
 
 def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
@@ -404,6 +393,8 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     time = _real(t)
     if time is None or not math.isfinite(time):
         raise BadParameterError(f"step time must be finite, got {_shown(t)}")
+    if isinstance(failed, (str, bytes)) or not isinstance(failed, Iterable):
+        raise BadParameterError(f"failed must be a collection of link ids, got {_shown(failed)}")
     events = [(time, link_id, "down") for link_id in failed]
     return _setup(group, config, policy_state, (time,), (demand,), events).records[0]
 

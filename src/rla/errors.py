@@ -11,7 +11,10 @@ def _shown(value, width: int = 40) -> str:
     past 3 x width bits is shown by its size and never meets sys.get_int_max_str_digits()."""
     if isinstance(value, int) and value.bit_length() > 3 * width:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # value holds an int past sys.get_int_max_str_digits()
+        return f"a {type(value).__name__} holding an int too long to show"
     return text if len(text) <= width else f"{text[:width // 2]}...{text[-(width // 2):]}"
 
 

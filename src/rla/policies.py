@@ -92,6 +92,23 @@ class PolicyState(_Record):
         self.buffers = {} if buffers is None else buffers
 
 
+def _check_state(state: PolicyState, ids) -> None:
+    """Raise BadParameterError unless state's fields have their types and
+    each wfq_deficits entry of ids is a (numerator, nonzero denominator) pair
+    of ints; engine._setup and wfq_select call it before any change."""
+    for name, value in (("buffers", state.buffers), ("wfq_deficits", state.wfq_deficits)):
+        if not isinstance(value, dict):
+            raise BadParameterError(f"{name} must be a dict, got {_shown(value)}")
+    if not isinstance(state.rr_cursor, int) or isinstance(state.rr_cursor, bool):
+        raise BadParameterError(f"rr_cursor must be an int, got {_shown(state.rr_cursor)}")
+    for i in ids:
+        pair = state.wfq_deficits.get(i, (0, 1))
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in pair) and pair[1]):
+            raise BadParameterError(f"link {i}: wfq deficit {_shown(pair)} is not a "
+                                    "(numerator, nonzero denominator) pair of ints")
+
+
 def _admit(targets, counts, tail, rem, quantum, bufs, bcaps, assigned):
     """Batched buffer admission of one tick's selections.
 
@@ -181,8 +198,9 @@ class _Rule:
         """Reject a run whose busiest sample, peak = (t, demand) with demand
         in [0, inf), gives megabits or quanta beyond the float range, or
         needs more than max_quanta quanta in one tick, naming the smallest
-        quantum that would do. The engine calls it once a tick that runs is
-        past that bound; both grow with demand, so peak is past it too."""
+        quantum that would do. It always raises: the engine calls it only
+        once a tick that runs is past that bound, and both grow with
+        demand, so peak is past it too."""
         t, demand = peak
         arrivals = demand * config.tick
         quanta = arrivals / config.quantum
@@ -192,8 +210,6 @@ class _Rule:
                 f"{config.quantum} gives {arrivals} Mbit in {quanta} quanta, "
                 f"beyond the float range")
         limit = self.max_quanta
-        if quanta <= limit:
-            return
         workable = arrivals / limit
         while arrivals / workable > limit:
             workable = math.nextafter(workable, math.inf)
@@ -491,7 +507,6 @@ def wfq_select(group: AggregationGroup, state: PolicyState, weights: Sequence[fl
     if not all(0 <= w < math.inf for w in weights) or not any(weights):
         raise BadParameterError(
             f"weights must be finite and nonnegative, not all zero: {list(weights)}")
-    from .engine import _check_state  # engine imports this module
     _check_state(state, ids)
     from .swrr import Swrr, int_weights
     swrr = Swrr(ids, int_weights(weights, False), state.wfq_deficits)

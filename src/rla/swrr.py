@@ -75,19 +75,9 @@ class Swrr:
             rank[k] = r
         self.ids, self.weights, self.P = ids, weights, P
         self.scale, self.unit, self.rest, self.rank = scale, unit, rest, rank
-        x = [m * v + r for v, r in zip(y, rank)]
+        self.x = [m * v + r for v, r in zip(y, rank)]
         self.inc = [m * a for a in weights]
         self.debit = m * P
-        # x[k] falls only when it is the largest after the additions, so it
-        # stays above min(x) and sum(x) / m + P - debit; sum(x) never
-        # changes, so the others bound it from above. While both bounds are
-        # within 2**53, floats hold every value exactly and add faster than
-        # multi-digit ints.
-        total = sum(x)
-        low = min(min(x), total // m + P - self.debit)
-        num = float if max(-low, total + self.debit - (m - 1) * low) < 2**53 else int
-        self.x = list(map(num, x))
-        self.num_inc, self.num_debit = list(map(num, self.inc)), num(self.debit)
         # the current period's picks while looking for the cycle, else None,
         # and the counters at the period's start
         self.picks = [] if P <= TABLE_MAX else None
@@ -96,7 +86,7 @@ class Swrr:
 
     def replay(self, count) -> list:
         """Make count selections one at a time; returns the picked indices."""
-        x, inc, debit = self.x, self.num_inc, self.num_debit
+        x, inc, debit = self.x, self.inc, self.debit
         order = []
         others = range(1, len(x))
         for _ in range(count):
@@ -178,7 +168,7 @@ class Swrr:
 
     def save(self, known):
         """Store the counters in known as exact (numerator, denominator) pairs."""
-        x, m, scale = list(map(int, self.x)), len(self.x), self.scale
+        x, m, scale = self.x, len(self.x), self.scale
         if self.cycle is not None:
             p = self.phase
             x = [v + p * i - self.debit * c for v, i, c in zip(x, self.inc, self.rows[p])]

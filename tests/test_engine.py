@@ -102,6 +102,39 @@ def test_step_rejects_unknown_failed_id():
         run(g, cfg(), const(4.0), failures=[(0.0, "zzz", "down")])
 
 
+AB = AggregationGroup("g", [Link("a", 4.0, 1, 1.0), Link("b", 4.0, 2, 1.0)])
+EVENT = r"failure event must be \(t, link_id, kind\), got "
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda st: run(AB, cfg(), const(4.0), [(0, "a")]), EVENT + r"\(0, 'a'\)",
+                 id="two-fields"),
+    pytest.param(lambda st: run(AB, cfg(), const(4.0), [(0, "a", "down", 1)]), EVENT,
+                 id="four-fields"),
+    pytest.param(lambda st: run(AB, cfg(), const(4.0), [5]), EVENT + "5", id="int-event"),
+    pytest.param(lambda st: run(AB, cfg(), const(4.0), [(10**5000, "a")]),
+                 EVENT + "a tuple holding an int too long to show", id="huge-int-event"),
+    pytest.param(lambda st: run(AB, cfg(), const(4.0), 5),
+                 "failures must be an iterable of events, got 5", id="int-failures"),
+    pytest.param(lambda st: run(AB, cfg(), const(4.0), "ab"),
+                 "failures must be an iterable of events, got 'ab'", id="str-failures"),
+    pytest.param(lambda st: step(AB, st, cfg(), 4.0, failed=5),
+                 "failed must be a collection of link ids, got 5", id="int-failed"),
+    # a str would take each of its characters down, here both links
+    pytest.param(lambda st: step(AB, st, cfg(), 4.0, failed="ab"),
+                 "failed must be a collection of link ids, got 'ab'", id="str-failed"),
+    pytest.param(lambda st: step(AB, st, cfg(), 4.0, failed=b"ab"),
+                 "failed must be a collection of link ids, got b'ab'", id="bytes-failed"),
+    pytest.param(lambda st: step(AB, st, cfg(), 4.0, failed=None),
+                 "failed must be a collection of link ids, got None", id="none-failed"),
+])
+def test_malformed_failure_events_and_failed_sets_are_rejected(call, message):
+    st = PolicyState()
+    with pytest.raises(BadParameterError, match=message):
+        call(st)
+    assert st == PolicyState()
+
+
 # --- single-tick semantics ---
 
 def test_step_fills_primary_first():
@@ -517,13 +550,18 @@ def test_three_link_staircase_values():
 @pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
 def test_step_sequence_matches_run(policy):
     # one tick path: stepping each sample with the run's failure set at that
-    # tick gives run's records exactly, wfq counters and vrrp masters included.
-    # Each step() runs one tick, so no step replays one from run()'s memo. The
-    # second trace repeats 7 Mbps (14 quanta), which drains under olb, rr and
+    # tick gives run's records and end state exactly, wfq counters and vrrp
+    # masters included. Each step() runs one tick, so no step replays one from
+    # run()'s memo, while a run may end on replays. The second trace repeats
+    # 7 Mbps (14 quanta), which drains under olb, rr and
     # wfq: ticks repeat from drained buffers, right after each failure change
     # too, rr's cursor moves by 2 of 3 links a tick, so a demand repeats with
     # another cursor before it repeats with the same one, and wfq's cycle of
-    # 98 picks closes, after which its phase repeats every 7 ticks.
+    # 98 picks closes, after which its phase repeats every 7 ticks. The third
+    # cycles through three demands, 49 quanta in all, with every link up: its
+    # buffers drain every third tick and wfq's phase repeats every six, and
+    # under each policy its run ends on replays that reach a state other than
+    # that of its last tick that ran.
     c = cfg(policy, quantum=0.5)
     inputs = [
         ([(0.0, 7.0), (1.0, 12.0), (2.0, 0.5), (3.0, 9.0), (4.0, 20.25),
@@ -532,6 +570,7 @@ def test_step_sequence_matches_run(policy):
           (4.0, "l1", "down"), (6.0, "l2", "up"), (7.0, "l1", "up")]),
         ([(float(t), 20.0 if t in (30, 31) else 7.0) for t in range(50)],
          [(20.0, "l0", "down"), (25.0, "l0", "up"), (40.0, "l2", "down")]),
+        ([(float(t), (16.0, 6.5, 2.0)[t % 3]) for t in range(42)], []),
     ]
     for tr, failures in inputs:
         g = group(5.0, 3.0, 4.0, costs=[1.7, 3.0, 1.0], cap_factor=4.0)
@@ -550,6 +589,10 @@ def test_step_sequence_matches_run(policy):
         # is as it was
         assert st.buffers == dict(zip(res.group.link_ids(), res.records[-1].buffer_end))
         assert g == before and g.links[0] is not before.links[0]
+        # the state a run ends in, caught up past the replays it ends with
+        ran = PolicyState()
+        engine._setup(g, c, ran, res.t, res.demand, failures)
+        assert ran == st
 
 
 # --- columnar result storage ---

@@ -49,6 +49,14 @@ MUTANTS = (
     Mutant("swrr-no-new-period", "src/rla/swrr.py",
            "self.picks, self.start = [], self.x[:]", "pass",
            ("tests/test_swrr.py",)),
+    # swrr.Swrr's rank encoding of tied counters: the lower index goes first
+    Mutant("swrr-ties-to-the-later-link", "src/rla/swrr.py",
+           "key=lambda k: (rest[k], -k)", "key=lambda k: (rest[k], k)",
+           ("tests/test_engine.py::test_engine_matches_oracle_smoke[wfq]",)),
+    # policies._admit: a link keeps the full quanta that fit under its cap
+    Mutant("admit-keeps-one-quantum-past-the-cap", "src/rla/policies.py",
+           "            if room < c:\n", "            room += 1\n            if room < c:\n",
+           ("tests/test_engine.py::test_full_quanta_never_fill_past_the_cap",)),
     # engine._simulate's memo and _flush
     Mutant("flush-swaps-supplied-and-dropped", "src/rla/engine.py",
            "zip((res.supplied, res.dropped, res.reorder,",
@@ -69,6 +77,15 @@ MUTANTS = (
     Mutant("catch-up-skips-restore", "src/rla/engine.py",
            "restore(pos)\n                    behind = None", "behind = None",
            ("tests/test_corpus.py", "tests/test_engine.py::test_step_sequence_matches_run")),
+    Mutant("catch-up-keeps-the-buffers", "src/rla/engine.py",
+           "                    pos, *bufs[:] = states[behind]\n",
+           "                    pos = states[behind][0]\n",
+           ("tests/test_corpus.py",)),
+    Mutant("run-ends-without-catch-up", "src/rla/engine.py",
+           "    if behind is not None:\n"
+           "        pos, *bufs[:] = states[behind]\n"
+           "        restore(pos)\n", "",
+           ("tests/test_engine.py::test_step_sequence_matches_run",)),
     # engine._simulate's quanta bound
     Mutant("run-tick-skips-the-bound", "src/rla/engine.py",
            "if quanta > limit:", "if False:",
