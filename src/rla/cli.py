@@ -28,7 +28,6 @@ from .errors import InputError, ParseError, RlaError
 from .links import validate_group
 from .policies import PolicyId, WfqDirection
 from .reports import _merged_chunks, _report_chunks
-from .scenarios import scenario_group, scenario_trace
 from .traceio import (_number, format_number, links_to_csv, parse_failures, parse_links,
                       parse_trace, trace_to_csv)
 
@@ -202,6 +201,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    from .scenarios import scenario_group, scenario_trace  # only this command loads it
     group = scenario_group(args.name)
     trace = scenario_trace(args.name, args.samples_per_hour)
     out_dir = Path(args.out_dir)

@@ -39,8 +39,8 @@ bufs and the rule's position catch up with the state the hits reached
 before the next tick that runs, the next change and the end. The memo
 starts afresh at every change and after every _store_rows(n) ticks that
 run (MEMO_WORDS). A rule whose position is None is not keyed, and keying
-stops for the rest of a run once hits stay rare among the ticks that ran
-(MEMO_TRIAL).
+stops for the rest of a run once more than MEMO_TRIAL ticks have run and
+the hits are fewer than one thirty-second of them.
 Keys compare floats by value, so 0.0 and -0.0 meet: a demand of either
 gives the same tick, and no buffer is -0.0 in a run, which starts from
 +0.0 and whose drains leave +0.0 (a step() runs one tick).
@@ -79,10 +79,11 @@ from .traceio import ROWS, DemandTrace
 # 5,461 for 3, 3,640 for 5 and 1,285 for 16. The memo starts afresh each
 # time that many more ticks have run. Keying stops for the rest of a run
 # once more than MEMO_TRIAL ticks have run and the hits are fewer than one
-# sixteenth of them. A diurnal day repeats little in its first hours: on
-# the benchmark's heavy day (seeds 1-5) rr and wfq had 24-48 and 20-26 hits
+# thirty-second of them. A diurnal day repeats little in its first hours: on
+# the benchmark's heavy day (seeds 1-60) rr and wfq had 23-50 and 14-35 hits
 # at their 257th tick run, though 72% and 67% of their ticks hit over the
-# day; its wide group, which seldom drains, had 0-3.
+# day, so a bound of one sixteenth (16 hits) stopped wfq on 5 of those seeds
+# and doubled its run time; the wide group, which seldom drains, had 0-5.
 MEMO_WORDS = 2**16
 MEMO_TRIAL = 256
 
@@ -303,7 +304,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                     row = rows[token]
                     if start is not None:
                         start[demand] = (record, token)
-                if ran > MEMO_TRIAL and done + len(records) - ran < ran >> 4:
+                if ran > MEMO_TRIAL and done + len(records) - ran < ran >> 5:
                     keys = rows = states = row = None  # too few hits to pay
                 elif not ran % bound:
                     keys, rows, states, row = {}, [], [], None

@@ -23,43 +23,88 @@ def documented_names() -> list:
     return sorted(set(re.findall(r"`([A-Za-z_]\w*)`", "".join(bullets))))
 
 
+SRC = str(Path(rla.__file__).resolve().parent.parent)
+ENV = {**os.environ, "PYTHONPATH": SRC}
+
+
+def fresh(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with args: this one has loaded rla's modules."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV,
+                          check=True)
+
+
+def loaded_after(code) -> list:
+    """The rla submodules, fractions and decimal that a fresh interpreter
+    has loaded after running code."""
+    code += ("; import sys; print(*sorted(m for m in sys.modules if m.startswith('rla.')"
+             " or m in ('fractions', 'decimal')))")
+    return fresh("-c", code).stdout.split()
+
+
 def test_import_is_light_and_exports_what_the_readme_documents():
-    # a fresh interpreter: this one has loaded the wfq machinery already
-    code = ("import json, sys, rla; print(json.dumps([sorted(rla.__all__), "
-            "[m for m in ('rla.swrr', 'fractions', 'decimal') if m in sys.modules]]))")
-    src = str(Path(rla.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    exported, loaded = json.loads(proc.stdout)
-    assert loaded == []  # wfq's modules load on first use, outside set-up time
+    # each public name loads its module on first use, outside set-up time
+    assert loaded_after("import rla") == []
+    code = "import json, rla; print(json.dumps(sorted(rla.__all__)))"
+    exported = json.loads(fresh("-c", code).stdout)
     assert exported == documented_names()
-    assert len(exported) == len(rla.__all__) == len(set(rla.__all__))
+    assert len(exported) == len(rla.__all__) == len(set(rla.__all__)) == 44
+
+
+def test_readers_load_only_errors_links_and_traceio():
+    # what every CLI call does before it runs a policy
+    code = ("import rla; rla.validate_group('g', rla.parse_links("
+            "'id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit\\na,4,1,1,,\\n'),"
+            " 1.0); rla.parse_trace('time_s,demand_mbps\\n0,2\\n');"
+            " rla.parse_failures('time_s,link_id,event\\n0,a,down\\n')")
+    assert loaded_after(code) == ["rla.errors", "rla.links", "rla.traceio"]
+
+
+def test_star_import_binds_every_name_to_its_modules_object():
+    code = """if True:
+        import json, sys, rla
+        from rla import *
+        names = rla.__all__[:-1]
+        home = {n: sys.modules["rla." + rla._MODULE_OF[n]] for n in names}
+        wrong = [n for n in names if globals()[n] is not getattr(home[n], n)
+                 or callable(globals()[n]) and globals()[n].__module__ != home[n].__name__]
+        print(json.dumps([rla.__all__[-1], __version__, len(names), wrong]))"""
+    assert json.loads(fresh("-c", code).stdout) == ["__version__", rla.__version__, 43, []]
+
+
+def test_unknown_names_raise_and_dir_lists_every_public_name():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        rla.no_such_name
+    with pytest.raises(ImportError):
+        from rla import no_such_name  # noqa: F401
+    assert set(rla.__all__) <= set(dir(rla))
+    # a submodule's own name still imports it
+    code = "import rla, sys; print(rla.engine is sys.modules['rla.engine'])"
+    assert fresh("-c", code).stdout == "True\n"
 
 
 def test_cli_import_loads_no_heavy_modules_and_stamp_still_works(tmp_path):
     # dataclasses pulls in inspect, ast, dis and tokenize; datetime is only
     # needed by --stamp: none of them belongs in every CLI call's start-up
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "datetime"}
-    src = str(Path(rla.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
 
     def loaded(code):
         code += "; import sys; print(*sys.modules, sep='\\n')"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True).stdout
-        return set(out.split())
+        return set(fresh("-c", code).stdout.split())
 
     assert heavy & (loaded("import rla.cli") - loaded("pass")) == set()
     links, trace = tmp_path / "links.csv", tmp_path / "trace.csv"
     links.write_text("id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit\n"
                      "a,4,1,1,,\n")
     trace.write_text("time_s,demand_mbps\n0,2\n1,3\n")
-    proc = subprocess.run([sys.executable, "-m", "rla.cli", "simulate", "--links", str(links),
-                           "--trace", str(trace), "--policy", "olb", "--stamp"],
-                          capture_output=True, text=True, env=env, check=True)
+    proc = fresh("-X", "importtime", "-m", "rla.cli", "simulate", "--links", str(links),
+                 "--trace", str(trace), "--policy", "olb", "--stamp")
     header, body = proc.stdout.split("\n", 1)
     assert re.fullmatch(rf"# rla {rla.__version__} simulate \d{{4}}-\d\d-\d\dT\d\d:\d\d:\d\dZ", header)
     assert body.startswith("time_s,demand_mbps,supplied_mbps\n")
+    # only the scenario command loads the bundled scenarios
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "rla.engine" in imported and "rla.scenarios" not in imported
 
 
 HUGE = 10**5000  # more digits than int.__repr__ gives by default

@@ -732,7 +732,7 @@ def _log_calls(monkeypatch, log):
 @pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
 def test_ticks_after_keying_stops_equal_a_run_without_memo(policy, monkeypatch):
     # a 16-link group under demand in 1/64 Mbps steps, which seldom repeats,
-    # stops keying at its 256th miss, with replays of its idle start pending
+    # stops keying at its 257th tick run, with replays of its idle start pending
     # (none under wfq, which keys no tick before its cycle closes), and every
     # live-set change comes after that. With the default bound the run is one
     # chunk; with a bound of 100 records the memo starts afresh at it before
@@ -740,7 +740,7 @@ def test_ticks_after_keying_stops_equal_a_run_without_memo(policy, monkeypatch):
     # tick, value for value and in type.
     g = group(*[1.0, 2.0, 4.0, 8.0] * 4, costs=[1.0, 2.0, 4.0, 0.5] * 4, cap_factor=2.0)
     rng = random.Random(f"stop-{policy}")
-    trace = DemandTrace([(float(i), rng.randrange(96 * 60) / 64 if i >= 10 else 0.0)
+    trace = DemandTrace([(float(i), rng.randrange(96 * 60) / 64 if i >= 5 else 0.0)
                          for i in range(480)])
     fails = [(300.0, "l3", "down"), (340.5, "l7", "down"), (380.0, "l3", "up"),
              (420.0, "l0", "down")]
@@ -759,6 +759,25 @@ def test_ticks_after_keying_stops_equal_a_run_without_memo(policy, monkeypatch):
         for name in COLUMNS:
             a, b = getattr(got, name), getattr(want, name)
             assert a.typecode == b.typecode and a.tobytes() == b.tobytes(), (words, name)
+
+
+def test_keying_goes_on_with_one_thirty_second_of_hits(monkeypatch):
+    # one link that every tick drains, so a tick hits when a keyed tick had
+    # its demand. The first tick is not keyed, so 14 zeros hit 12 times and
+    # 255 new demands bring the ticks run to 257 with 12 hits, between
+    # 257 >> 5 = 8 and 257 >> 4 = 16; keying goes on to replay the 100
+    # repeats that follow
+    g = group(64.0)
+    demands = [0.0] * 14 + [i / 8 for i in range(1, 256)] + [i / 8 for i in range(100)]
+    trace = DemandTrace([(float(i), d) for i, d in enumerate(demands)])
+    with monkeypatch.context() as m:
+        _memo_off(m)
+        want = run(g, cfg(), trace)
+    replays = _replays(monkeypatch)
+    got = run(g, cfg(), trace)
+    assert sum(replays) == 112
+    for name in COLUMNS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_replayed_rr_switch_counts_past_2_to_53_stay_exact(monkeypatch):

@@ -57,6 +57,12 @@ MUTANTS = (
     Mutant("admit-keeps-one-quantum-past-the-cap", "src/rla/policies.py",
            "            if room < c:\n", "            room += 1\n            if room < c:\n",
            ("tests/test_engine.py::test_full_quanta_never_fill_past_the_cap",)),
+    # policies._Olb.assign's scan (olb and vrrp): a link keeps the full
+    # quanta that fit under its cap
+    Mutant("olb-scan-keeps-one-quantum-past-the-cap", "src/rla/policies.py",
+           "                    if room < k:",
+           "                    room += 1\n                    if room < k:",
+           ("tests/test_engine.py::test_step_drops_at_cap",)),
     # engine._simulate's memo and _flush
     Mutant("flush-swaps-supplied-and-dropped", "src/rla/engine.py",
            "zip((res.supplied, res.dropped, res.reorder,",
@@ -70,6 +76,9 @@ MUTANTS = (
            "                    keys, rows, states, row = {}, [], [], None\n", "",
            ("tests/test_engine.py::"
             "test_replayed_ticks_gather_into_the_columns_of_a_run_without_memo",)),
+    Mutant("memo-stops-at-one-sixteenth", "src/rla/engine.py",
+           "done + len(records) - ran < ran >> 5", "done + len(records) - ran < ran >> 4",
+           ("tests/test_engine.py::test_keying_goes_on_with_one_thirty_second_of_hits",)),
     Mutant("replay-ignores-a-due-change", "src/rla/engine.py",
            "row.get(demand) if due > t else None", "row.get(demand)",
            ("tests/test_golden.py", "tests/test_corpus.py",
