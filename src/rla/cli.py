@@ -27,9 +27,9 @@ from .engine import EngineConfig, _failure_timeline, run
 from .errors import InputError, ParseError, RlaError
 from .links import validate_group
 from .policies import PolicyId, WfqDirection
-from .reports import _merged_chunks, _report_chunks
-from .traceio import (_number, format_number, links_to_csv, parse_failures, parse_links,
-                      parse_trace, trace_to_csv)
+from .reports import _report_chunks, _supply_table
+from .traceio import (_csv_chunks, _number, format_number, links_to_csv, parse_failures,
+                      parse_links, parse_trace, trace_to_csv)
 
 _REPORTS = ("supply", "shortfall", "cost", "reorder")
 
@@ -193,10 +193,10 @@ def _cmd_compare(args) -> int:
     policies = [PolicyId.parse(name) for name in names]  # labels stay as typed
     if len(set(policies)) != len(policies):
         raise InputError(f"duplicate policy in --policies: {args.policies}")
-    labeled = [(name, run(group, _config(args, policy), trace, failures=failures))
-               for name, policy in zip(names, policies)]
+    labeled = [(name, run(group, _config(args, policy), trace, failures=failures).supplied)
+               for name, policy in zip(names, policies)]  # no result outlives its run
     _warn_unapplied(group, trace, failures)
-    _emit(args, ["compare"], _merged_chunks(labeled))
+    _emit(args, ["compare"], _csv_chunks([_supply_table(trace.t, trace.demand, labeled)]))
     return 0
 
 

@@ -37,10 +37,16 @@ class _Unmet:
                 for d, s in zip(self.demand[ticks], self.supplied[ticks])]
 
 
+def _supply_table(t, demand, labeled_columns: list) -> tuple:
+    """The supply table of runs over t, demand: time_s, demand_mbps and one supplied_<label>
+    per (label, supplied column). simulate's supply report is one run labeled mbps."""
+    header = ("time_s", "demand_mbps") + tuple(f"supplied_{label}" for label, _ in labeled_columns)
+    return header, (t, demand, *(column for _, column in labeled_columns))
+
+
 # each per-tick report as a (header, columns) table of a result
 _SERIES = {
-    "supply": lambda r: (("time_s", "demand_mbps", "supplied_mbps"),
-                         (r.t, r.demand, r.supplied)),
+    "supply": lambda r: _supply_table(r.t, r.demand, [("mbps", r.supplied)]),
     "shortfall": lambda r: (("time_s", "unmet_mbps"), (r.t, _Unmet(r))),
     "reorder": lambda r: (("time_s", "reorder_events"), (r.t, r.reorder)),
 }
@@ -130,9 +136,9 @@ def cost_report_csv(report: CostReport) -> str:
     return out.getvalue()
 
 
-def _merged_chunks(labeled_results):
-    """merge_supply_csv's table as _csv_chunks renders it, one text per chunk;
-    the checks run on the call, before the first chunk is asked for."""
+def merge_supply_csv(labeled_results) -> str:
+    """Join runs of one trace, an ordered sequence of (label, SimulationResult),
+    into a table of time_s, demand_mbps and one supplied_<label> per run."""
     labeled = list(labeled_results)
     if not labeled:
         raise BadParameterError("merge_supply_csv needs at least one result")
@@ -141,11 +147,5 @@ def _merged_chunks(labeled_results):
         if res.t != base.t or res.demand != base.demand:
             raise BadParameterError(f"result {label!r} was not run over the same trace "
                                     f"({len(res.t)} ticks, expected {len(base.t)})")
-    header = ("time_s", "demand_mbps") + tuple(f"supplied_{label}" for label, _ in labeled)
-    return _csv_chunks([(header, (base.t, base.demand, *(res.supplied for _, res in labeled)))])
-
-
-def merge_supply_csv(labeled_results) -> str:
-    """Join runs of one trace, an ordered sequence of (label, SimulationResult),
-    into a table of time_s, demand_mbps and one supplied_<label> per run."""
-    return "".join(text for text, in _merged_chunks(labeled_results))
+    table = _supply_table(base.t, base.demand, [(label, res.supplied) for label, res in labeled])
+    return "".join(text for text, in _csv_chunks([table]))

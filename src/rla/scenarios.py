@@ -44,12 +44,12 @@ def _pick(name):
     raise BadParameterError(f"unknown scenario {name!r}")
 
 
-def scenario_group(name, tick: float = 1.0):
+def scenario_group(name):
     """Validated link group for bundled scenario 1 or 2."""
     rows, _ = _pick(name)
     links = [Link(id=i, capacity=c, priority=p, cost_per_gb=g,
                   threshold=t, buffer_cap=b) for i, c, p, g, t, b in rows]
-    return validate_group(f"scenario{int(name)}", links, tick)
+    return validate_group(f"scenario{int(name)}", links)
 
 
 def scenario_trace(name, samples_per_hour: int = None) -> DemandTrace:

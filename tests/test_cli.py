@@ -1,9 +1,12 @@
+import gc
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
+import rla.cli
 from rla import BadParameterError, scenario_group, scenario_trace
 from rla.cli import main
 
@@ -183,6 +186,33 @@ def test_compare_rejects_an_empty_policy_list(inputs, capsys):
     rc = main(["compare", "--links", links, "--trace", trace, "--policies", ",", "--out", "-"])
     assert rc == 1
     assert capsys.readouterr().err == "rla: error: --policies needs at least one policy\n"
+
+
+def test_compare_renders_with_no_result_alive(tmp_path, monkeypatch):
+    # compare keeps each run's supplied column, not its result, so by the
+    # time it writes its table every result it made is gone
+    assert main(["scenario", "--name", "2", "--out-dir", str(tmp_path)]) == 0
+    refs, real_run, real_emit = [], rla.cli.run, rla.cli._emit
+
+    def run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        refs.append(weakref.ref(result))
+        return result
+
+    def emit(*args):
+        gc.collect()
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        real_emit(*args)
+
+    monkeypatch.setattr(rla.cli, "run", run)
+    monkeypatch.setattr(rla.cli, "_emit", emit)
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--links", str(tmp_path / "scenario2_links.csv"),
+                 "--trace", str(tmp_path / "scenario2_trace.csv"),
+                 "--policies", "olb,rr,wfq,vrrp", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "time_s,demand_mbps,supplied_olb,supplied_rr,supplied_wfq,supplied_vrrp"
+    assert len(lines) == 1 + 24 * 60
 
 
 def test_scenario_writes_bundle(tmp_path, capsys):

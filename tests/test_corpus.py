@@ -31,8 +31,13 @@ from rla import (
     PolicyState,
     RlaError,
     WfqDirection,
+    cost_report,
+    cost_report_csv,
+    reorder_indicator_csv,
     run,
+    shortfall_series_csv,
     step,
+    supply_series_csv,
     validate_group,
 )
 
@@ -106,8 +111,9 @@ def test_corpus_digest(policy):
 
 def test_the_package_sums_no_floats(monkeypatch):
     # Python 3.12 made sum() of floats compensated, so a float sum() in rla
-    # would tie its results to the Python version: run the corpus with every
-    # rla module's sum() refusing floats. Its int sums stay exact.
+    # would tie its results to the Python version: run the corpus, and render
+    # each result's four reports, with every rla module's sum() refusing
+    # floats. Its int sums stay exact.
     callers = set()
 
     def int_sum(items, start=0):
@@ -129,9 +135,12 @@ def test_the_package_sums_no_floats(monkeypatch):
                 config = EngineConfig(PolicyId.parse(policy), inst["tick"], inst["quantum"],
                                       WfqDirection.parse(inst["wfq_direction"]))
                 g = validate_group("g", [Link(*l) for l in inst["links"]], config.tick)
-                run(g, config, DemandTrace(inst["samples"]), inst["failures"])
+                res = run(g, config, DemandTrace(inst["samples"]), inst["failures"])
             except RlaError:
-                pass
+                continue
+            for render in (supply_series_csv, shortfall_series_csv, reorder_indicator_csv):
+                render(res)
+            cost_report_csv(cost_report(res))
     # the wrapper was live: rr's and wfq's switch counts and swrr's table
     assert {"rla.policies._rr_reorder", "rla.policies._kept_switches",
             "rla.swrr.__init__"} <= callers, callers

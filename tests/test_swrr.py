@@ -19,6 +19,18 @@ def _instance(rng, m, top):
     return ids, weights, known
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_period_that_does_not_repeat_starts_the_next(seed):
+    # these starts do not return to their counters in their first period:
+    # the set keeps looking, from a new period with no picks that starts at
+    # the counters the last one ended with
+    rng = random.Random(seed)
+    s = Swrr(*_instance(rng, rng.randint(2, 8), 60))
+    s.select(s.P)
+    assert s.cycle is None
+    assert s.picks == [] and s.start == s.x
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_ticks_of_few_picks_equal_one_replay(seed):
     # Ticks far shorter than the period, so each period that looks for the

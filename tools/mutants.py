@@ -48,11 +48,20 @@ MUTANTS = (
            ("tests/test_swrr.py",)),
     Mutant("swrr-no-new-period", "src/rla/swrr.py",
            "self.picks, self.start = [], self.x[:]", "pass",
-           ("tests/test_swrr.py",)),
+           ("tests/test_swrr.py::test_a_period_that_does_not_repeat_starts_the_next",)),
     # swrr.Swrr's rank encoding of tied counters: the lower index goes first
     Mutant("swrr-ties-to-the-later-link", "src/rla/swrr.py",
            "key=lambda k: (rest[k], -k)", "key=lambda k: (rest[k], k)",
            ("tests/test_engine.py::test_engine_matches_oracle_smoke[wfq]",)),
+    # policies._Wfq.assign: a whole-cycle drop tick counts the switch from
+    # the last whole cycle's final pick into the listed rest
+    Mutant("wfq-junction-pick-dropped", "src/rla/policies.py",
+           "[swrr.cycle[p - 1]]", "[]",
+           ("tests/test_engine.py::test_wfq_long_drop_ticks_match_oracle",)),
+    # policies._RoundRobin.position: the memo keys rr ticks on its cursor
+    Mutant("rr-position-without-cursor", "src/rla/policies.py",
+           "        return self.state.rr_cursor\n", "        return ()\n",
+           ("tests/test_engine.py::test_engine_matches_oracle_smoke[rr]",)),
     # policies._admit: a link keeps the full quanta that fit under its cap
     Mutant("admit-keeps-one-quantum-past-the-cap", "src/rla/policies.py",
            "            if room < c:\n", "            room += 1\n            if room < c:\n",
@@ -99,6 +108,11 @@ MUTANTS = (
     Mutant("run-tick-skips-the-bound", "src/rla/engine.py",
            "if quanta > limit:", "if False:",
            ("tests/test_cli.py",)),
+    # reports.cost_report totals each link left to right, not by sum(),
+    # which Python 3.12 made compensated
+    Mutant("cost-report-float-sum", "src/rla/reports.py",
+           "reduce(add, result.transmitted[i::n], 0.0)", "sum(result.transmitted[i::n])",
+           ("tests/test_corpus.py::test_the_package_sums_no_floats",)),
 )
 
 
