@@ -106,13 +106,6 @@ def _parse_file(path: str, parser_fn):
         raise InputError(f"{path}:{e.line}: {e.reason}") from None
 
 
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as e:
-        raise InputError(f"{path}: {e.strerror or e}") from None
-
-
 def _stamp_header(args) -> str:
     from datetime import datetime, timezone  # imported here: only --stamp pays for it
     now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -124,7 +117,8 @@ def _emit(args, names, chunks) -> None:
     texts, one per name in names. One report goes to --out as it is. Several
     (--report all) go one file each (results.csv -> results.supply.csv), all
     open together, or to stdout one after another behind '# report: <name>'
-    lines. --stamp puts its comment header first in each."""
+    lines. --stamp puts its comment header first in each. All files open
+    before any is emptied; when one cannot, those this call made are removed."""
     stamp = _stamp_header(args) if args.stamp else ""
     several = len(names) > 1
     if args.out == "-":
@@ -136,18 +130,28 @@ def _emit(args, names, chunks) -> None:
     out = Path(args.out)
     paths = [out.with_suffix(f".{name}{out.suffix}") if out.suffix else
              Path(f"{out}.{name}.csv") for name in names] if several else [out]
+    files, made = [], []
     try:
         with ExitStack() as stack:
-            files = []
             for path in paths:
-                files.append(stack.enter_context(open(path, "w")))
-                files[-1].write(stamp)
+                try:
+                    files.append(stack.enter_context(open(path, "x")))
+                    made.append(path)
+                except FileExistsError:
+                    files.append(stack.enter_context(open(path, "a")))
+            for path, f in zip(paths, files):
+                if path.is_file():  # emptied as "w" would: not a device or a pipe
+                    f.truncate(0)
+                f.write(stamp)
             for texts in chunks:
                 for path, f, text in zip(paths, files, texts):
                     f.write(text)
             for path, f in zip(paths, files):
                 f.close()
     except OSError as e:  # path is the file being opened, written or closed
+        if len(files) < len(paths):  # an open failed: remove what this call made
+            for made_path in made:
+                made_path.unlink(missing_ok=True)
         raise InputError(f"{path}: {e.strerror or e}") from None
 
 
@@ -202,21 +206,21 @@ def _cmd_compare(args) -> int:
 
 def _cmd_scenario(args) -> int:
     from .scenarios import scenario_group, scenario_trace  # only this command loads it
-    group = scenario_group(args.name)
-    trace = scenario_trace(args.name, args.samples_per_hour)
+    texts = {"links": links_to_csv(scenario_group(args.name).links),
+             "trace": trace_to_csv(scenario_trace(args.name, args.samples_per_hour))}
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise InputError(f"{args.out_dir}: {e.strerror or e}") from None
-    n = int(args.name)
-    links_path = out_dir / f"scenario{n}_links.csv"
-    trace_path = out_dir / f"scenario{n}_trace.csv"
     stamp = _stamp_header(args) if args.stamp else ""
-    _write(links_path, stamp + links_to_csv(group.links))
-    _write(trace_path, stamp + trace_to_csv(trace))
-    print(links_path)
-    print(trace_path)
+    paths = [out_dir / f"scenario{int(args.name)}_{kind}.csv" for kind in texts]
+    for path, text in zip(paths, texts.values()):
+        try:
+            path.write_text(stamp + text)
+        except OSError as e:
+            raise InputError(f"{path}: {e.strerror or e}") from None
+    print(*paths, sep="\n")
     return 0
 
 

@@ -50,15 +50,16 @@ words (supplied, dropped, reorder, assigned, transmitted, buffer_end), and a
 memo entry holds that record itself. Every tick, run or replayed, appends
 its record to one list in tick order, so a replay appends the same object
 again. At the end of every chunk of min(ROWS, _store_rows(n)) ticks, _flush
-unpacks the list into the result's columns by whole-column copies, with no
-per-tick Python, and empties it. A restart of the memo, or the stop of
-keying, only drops the memo's dicts. So beyond its result a run holds at
-most MEMO_WORDS words of records named by the memo, plus one chunk of
-pending records, however long it is.
+unpacks the list into its place in the result's columns, made at their
+full length when the run starts, with no per-tick Python, and empties it.
+A restart of the memo, or the stop of keying, only drops the memo's dicts.
+So beyond its result a run holds at most MEMO_WORDS words of records named
+by the memo, plus one chunk of pending records, however long it is.
 
-A result keeps no object per tick: t, demand, supplied (Mbps), dropped and
-reorder (int64) are one array value per tick; assigned, transmitted and
-buffer_end are n float values per tick, tick k at [k*n, (k+1)*n).
+A result keeps no object per tick: its t and demand are the trace's own
+columns, not copies; supplied (Mbps), dropped and reorder (int64) are one
+array value per tick; assigned, transmitted and buffer_end are n float
+values per tick, tick k at [k*n, (k+1)*n).
 """
 
 import math
@@ -159,8 +160,8 @@ class Records(Sequence):
 
 
 class SimulationResult(_Record):
-    """Config echo, group echo, and the run's per-tick array columns (see the
-    module docstring); records is a TickRecord view of them."""
+    """Config echo, group echo, and the run's per-tick array columns, t and
+    demand its trace's own (module docstring); records is a TickRecord view."""
 
     __match_args__ = ("config", "group", "t", "demand", "supplied", "dropped", "reorder",
                       "assigned", "transmitted", "buffer_end")
@@ -182,21 +183,20 @@ class SimulationResult(_Record):
     records = property(Records)
 
 
-def _flush(res: SimulationResult, records: list, n: int):
-    """Append the ticks of records, one packed record each (_simulate), to
-    the result's columns in order, then empty records: the records joined in
-    one go and their words unpacked into the columns by strided copies over
-    whole columns, with no Python per tick."""
+def _flush(res: SimulationResult, records: list, n: int, done: int):
+    """Write the ticks of records, one packed record each (_simulate), into
+    the result's columns from tick done on, then empty records: the records
+    joined in one go and their words unpacked into the columns by strided
+    copies, with no Python per tick."""
     width = 3 * n + 3  # 64-bit words in a record
     words = memoryview(b"".join(records)).cast("q")
-    j = 0
+    j, end = 0, done + len(records)
     for out, w in zip((res.supplied, res.dropped, res.reorder,
                        res.assigned, res.transmitted, res.buffer_end), (1, 1, 1, n, n, n)):
-        part = memoryview(bytearray(8 * w * len(records))).cast("q")
+        column = memoryview(out).cast("B").cast("q")  # 64-bit words, as records hold them
         for i in range(w):
-            part[i::w] = words[j::width]
+            column[done * w + i:end * w:w] = words[j::width]
             j += 1
-        out.frombytes(part.obj)
     records.clear()
 
 
@@ -206,13 +206,14 @@ def _store_rows(n: int) -> int:
 
 
 def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState, bufs: list,
-              times: Sequence, demands: Sequence, changes: list) -> SimulationResult:
-    """One tick per (t, demand) sample on a validated group, from the buffers
-    in bufs, with the changes _failure_timeline gives. bufs is updated in
-    place, so it ends holding the buffers after the last tick."""
+              trace: DemandTrace, changes: list) -> SimulationResult:
+    """One tick per sample of trace on a validated group, from the buffers in
+    bufs (left holding the last tick's), with the changes _failure_timeline
+    gives, into a result on the trace's own t and demand columns."""
     n = group.n
     ids = group.link_ids()
-    res = SimulationResult(config, group, *map(array, "ddddqddd"))  # typed in field order
+    res = SimulationResult(config, group, trace.t, trace.demand, *(array(c, [0]) * (len(trace) * w)
+                           for c, w in zip("ddqddd", (1, 1, 1, n, n, n))))  # typed in field order
     drain = [l.capacity * config.tick for l in group.links]
     rule = _RULES[config.policy](group, config, state, bufs)
     refresh, assign, position, restore = rule.refresh, rule.assign, rule.position, rule.restore
@@ -235,8 +236,8 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     ran = 0
     bound = _store_rows(n)
     chunk = min(ROWS, bound)  # ticks between flushes
-    samples = zip(times, demands)
-    for done in range(0, len(times), chunk):
+    samples = zip(trace.t, trace.demand)
+    for done in range(0, len(trace), chunk):
         for t, demand in islice(samples, chunk):
             if row is not None:  # no key is a demand that fails the checks below
                 hit = row.get(demand) if due > t else None
@@ -254,8 +255,8 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
             arrivals = demand * tick
             quanta = arrivals / quantum
             if quanta > limit:  # _Rule.check names the run's first busiest sample
-                k = demands.index(max(d for d in demands if 0.0 <= d < math.inf))
-                rule.check(config, (times[k], demands[k]))
+                k = trace.demand.index(max(d for d in trace.demand if 0.0 <= d < math.inf))
+                rule.check(config, (trace.t[k], trace.demand[k]))
             if due <= t:
                 while changes[ci][0] <= t:
                     ci += 1
@@ -308,13 +309,11 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                     keys = rows = states = row = None  # too few hits to pay
                 elif not ran % bound:
                     keys, rows, states, row = {}, [], [], None
-        _flush(res, records, n)
+        _flush(res, records, n, done)
     if behind is not None:
         pos, *bufs[:] = states[behind]
         restore(pos)
     rule.save()
-    res.t.extend(times)
-    res.demand.extend(demands)
     return res
 
 
@@ -357,11 +356,11 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
 
 
 def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
-           times: Sequence, demands: Sequence, failures) -> SimulationResult:
+           trace: DemandTrace, failures) -> SimulationResult:
     """run() and step()'s one way into _simulate: validate the group and
     the state (of its dicts, the entries for the group's links), start each
-    link from its state.buffers entry, fold the failures, run the samples
-    and write the buffers the last tick left back by link id."""
+    link from its state.buffers entry, fold the failures, run the trace's
+    samples and write the buffers the last tick left back by link id."""
     checked = validate_group(group.group_id, group.links, config.tick)
     _check_state(state, checked.link_ids())
     bufs = []
@@ -371,8 +370,8 @@ def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
         if fb is None or not 0 <= fb <= link.buffer_cap:
             raise BadParameterError(f"link {link.id}: buffer {_shown(b)} outside [0, {link.buffer_cap}]")
         bufs.append(fb)
-    changes, _, _ = _failure_timeline(checked, failures, times[-1])
-    res = _simulate(checked, config, state, bufs, times, demands, changes)
+    changes, _, _ = _failure_timeline(checked, failures, trace.t[-1])
+    res = _simulate(checked, config, state, bufs, trace, changes)
     state.buffers.update(zip(checked.link_ids(), bufs))
     return res
 
@@ -397,7 +396,8 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
     if isinstance(failed, (str, bytes)) or not isinstance(failed, Iterable):
         raise BadParameterError(f"failed must be a collection of link ids, got {_shown(failed)}")
     events = [(time, link_id, "down") for link_id in failed]
-    return _setup(group, config, policy_state, (time,), (demand,), events).records[0]
+    trace = DemandTrace._of(array("d", (time,)), array("d", (demand,)))
+    return _setup(group, config, policy_state, trace, events).records[0]
 
 
 def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
@@ -409,4 +409,4 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     events (time_s, link_id, "up"/"down") take effect on the first sample at
     or after their time. Deterministic: identical inputs, identical results.
     """
-    return _setup(group, config, PolicyState(), trace.t, trace.demand, failures)
+    return _setup(group, config, PolicyState(), trace, failures)

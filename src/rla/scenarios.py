@@ -30,18 +30,14 @@ _SCEN2_LINKS = (
 # (peak_start_s, peak_end_s, base_mbps, peak_mbps, default samples_per_hour)
 _SCEN1_TRACE = (36000.0, 57600.0, 20.0, 120.0, 3600)
 _SCEN2_TRACE = (37800.0, 57600.0, 2.0, 30.0, 60)
+_SCENARIOS = {1: (_SCEN1_LINKS, _SCEN1_TRACE), 2: (_SCEN2_LINKS, _SCEN2_TRACE)}
 
 
 def _pick(name):
-    try:
-        n = _number(str(name), int)  # as written: '0_2', 1.9 and True are no scenario
-    except ValueError:
+    try:  # as written: '0_2', 1.9 and True are no scenario
+        return _SCENARIOS[_number(str(name), int)]
+    except (ValueError, KeyError):
         raise BadParameterError(f"unknown scenario {name!r}") from None
-    if n == 1:
-        return _SCEN1_LINKS, _SCEN1_TRACE
-    if n == 2:
-        return _SCEN2_LINKS, _SCEN2_TRACE
-    raise BadParameterError(f"unknown scenario {name!r}")
 
 
 def scenario_group(name):

@@ -1,4 +1,5 @@
 import gc
+import os
 import subprocess
 import sys
 import time
@@ -504,6 +505,31 @@ def test_unwritable_report_file_exits_1(inputs):
     assert rc.returncode == 1
     assert rc.stderr.startswith(f"rla: error: {tmp / 'r.shortfall.csv'}: ")
     assert "Traceback" not in rc.stderr
+
+
+def test_a_report_file_that_cannot_open_leaves_the_others_as_they_were(inputs, capsys):
+    tmp, links, trace = inputs
+    (tmp / "out.supply.csv").write_text("old\n")
+    (tmp / "out.cost.csv").mkdir()  # the third report's name is taken
+    rc = main(["simulate", "--links", links, "--trace", trace, "--policy", "olb",
+               "--report", "all", "--out", str(tmp / "out.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"rla: error: {tmp / 'out.cost.csv'}: Is a directory\n"
+    assert (tmp / "out.supply.csv").read_text() == "old\n"  # not emptied
+    assert not (tmp / "out.shortfall.csv").exists()  # made, then removed
+
+
+def test_report_files_are_rewritten_whole(inputs):
+    # a longer file at a report's path is emptied first, as mode "w" would
+    tmp, links, trace = inputs
+    argv = ["simulate", "--links", links, "--trace", trace, "--policy", "rr"]
+    assert main([*argv, "--report", "all", "--out", str(tmp / "new.csv")]) == 0
+    for name in ("supply", "shortfall", "cost", "reorder"):
+        (tmp / f"old.{name}.csv").write_text("x" * 100_000)
+    assert main([*argv, "--report", "all", "--out", str(tmp / "old.csv")]) == 0
+    for name in ("supply", "shortfall", "cost", "reorder"):
+        assert (tmp / f"old.{name}.csv").read_bytes() == (tmp / f"new.{name}.csv").read_bytes()
+    assert main([*argv, "--out", os.devnull]) == 0  # a device is written, not emptied
 
 
 def test_scenario_unwritable_file_exits_1(tmp_path):

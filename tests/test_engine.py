@@ -591,7 +591,7 @@ def test_step_sequence_matches_run(policy):
         assert g == before and g.links[0] is not before.links[0]
         # the state a run ends in, caught up past the replays it ends with
         ran = PolicyState()
-        engine._setup(g, c, ran, res.t, res.demand, failures)
+        engine._setup(g, c, ran, DemandTrace(tr), failures)
         assert ran == st
 
 
@@ -599,9 +599,9 @@ def test_step_sequence_matches_run(policy):
 
 @pytest.mark.parametrize("n", [2, 16])
 def test_run_result_memory_is_columnar(n):
-    # 8 bytes per stored value: t, demand, supplied, dropped and reorder
-    # once per tick, assigned, transmitted and buffer_end once per link;
-    # 1.25x leaves room for the arrays' growth slack
+    # 8 bytes per stored value: supplied, dropped and reorder once per tick,
+    # assigned, transmitted and buffer_end once per link (t and demand are
+    # the trace's), each column made at its full length, so with no growth slack
     g = group(*[8.0] * n, cap_factor=2.0)
     ticks = 4096
     trace = DemandTrace([(float(i), float(i % 13) * n) for i in range(ticks)])
@@ -616,8 +616,20 @@ def test_run_result_memory_is_columnar(n):
     finally:
         tracemalloc.stop()
     assert len(res.records) == ticks
-    bound = 1.25 * 8 * (5 + 3 * n) * ticks + 16 * 1024
+    bound = 8 * (3 + 3 * n) * ticks + 16 * 1024
     assert retained <= bound, f"{retained / ticks:.0f} B per tick retained"
+
+
+def test_a_result_reads_its_trace_in_place():
+    # a run's t and demand are its trace's own columns, not copies of them
+    trace = DemandTrace([(0.0, 4.0), (1.0, 9.0), (2.5, 0.0)])
+    res = run(group(5.0, 3.0), cfg("rr"), trace)
+    assert res.t is trace.t and res.demand is trace.demand
+    assert [r.t for r in res.records] == [0.0, 1.0, 2.5]
+    # step() builds a one-sample trace of its own: its record still holds floats
+    rec = step(group(5.0, 3.0), PolicyState(), cfg("rr"), Fraction(15, 2), t=Fraction(1, 4))
+    assert (rec.t, rec.demand) == (0.25, 7.5)
+    assert type(rec.t) is float and type(rec.demand) is float
 
 
 # --- replayed ticks: the memo's records and their flushes ---
@@ -634,13 +646,13 @@ def _replays(monkeypatch):
     seen, counts = {}, []
     flush = engine._flush
 
-    def counting(res, records, n):
+    def counting(res, records, *rest):
         count = 0
         for record in records:
             count += id(record) in seen
             seen[id(record)] = record  # kept alive, so no id is reused
         counts.append(count)
-        flush(res, records, n)
+        flush(res, records, *rest)
     monkeypatch.setattr(engine, "_flush", counting)
     return counts
 
@@ -657,14 +669,14 @@ def _fills(monkeypatch, rows):
     ran, seen = {}, []
     flush = engine._flush
 
-    def counting(res, records, n):
+    def counting(res, records, *rest):
         for record in records:
             named = ran.get(id(record))
             if named is None:
                 ran[id(record)] = (len(ran), record)  # kept alive, so no id is reused
             else:
                 seen.append((named[0] // rows, len(ran) // rows))
-        flush(res, records, n)
+        flush(res, records, *rest)
     monkeypatch.setattr(engine, "_flush", counting)
     return seen
 

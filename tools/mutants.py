@@ -72,6 +72,16 @@ MUTANTS = (
            "                    if room < k:",
            "                    room += 1\n                    if room < k:",
            ("tests/test_engine.py::test_step_drops_at_cap",)),
+    # the floor of room can round up past the cap; both fills lower it
+    Mutant("admit-clamp-loop-deleted", "src/rla/policies.py",
+           "            while room > 0 and b + room * quantum > cap:  # the floor rounded up\n"
+           "                room -= 1\n", "",
+           ("tests/test_corpus.py::test_corpus_digest[rr]",)),
+    Mutant("olb-clamp-loop-deleted", "src/rla/policies.py",
+           "                    while room > 0 and b + room * quantum > bcaps[i]:"
+           "  # the floor rounded up\n"
+           "                        room -= 1\n", "",
+           ("tests/test_corpus.py::test_corpus_digest[olb]",)),
     # engine._simulate's memo and _flush
     Mutant("flush-swaps-supplied-and-dropped", "src/rla/engine.py",
            "zip((res.supplied, res.dropped, res.reorder,",
@@ -85,6 +95,12 @@ MUTANTS = (
            "                    keys, rows, states, row = {}, [], [], None\n", "",
            ("tests/test_engine.py::"
             "test_replayed_ticks_gather_into_the_columns_of_a_run_without_memo",)),
+    Mutant("memo-kept-across-a-change", "src/rla/engine.py",
+           "                refresh(alive, down)\n"
+           "                if keys is not None:\n"
+           "                    keys, rows, states, row = {}, [], [], None\n",
+           "                refresh(alive, down)\n",
+           ("tests/test_acceptance.py::test_criterion_5_oracle_equivalence",)),
     Mutant("memo-stops-at-one-sixteenth", "src/rla/engine.py",
            "done + len(records) - ran < ran >> 5", "done + len(records) - ran < ran >> 4",
            ("tests/test_engine.py::test_keying_goes_on_with_one_thirty_second_of_hits",)),
