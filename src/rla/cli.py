@@ -23,7 +23,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import __version__
-from .engine import EngineConfig, _failure_timeline, run
+from .engine import EngineConfig, _failure_timeline, _supplied, run
 from .errors import InputError, ParseError, RlaError
 from .links import validate_group
 from .policies import PolicyId, WfqDirection
@@ -100,6 +100,9 @@ def _parse_file(path: str, parser_fn):
         text = Path(path).read_text()
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:  # its line as the readers' splitlines() counts it
+        line = len((e.object[:e.start].decode(e.encoding, "replace") + "_").splitlines())
+        raise InputError(f"{path}:{line}: not {e.encoding} text ({e.reason})") from None
     try:
         return parser_fn(text)
     except ParseError as e:
@@ -197,8 +200,8 @@ def _cmd_compare(args) -> int:
     policies = [PolicyId.parse(name) for name in names]  # labels stay as typed
     if len(set(policies)) != len(policies):
         raise InputError(f"duplicate policy in --policies: {args.policies}")
-    labeled = [(name, run(group, _config(args, policy), trace, failures=failures).supplied)
-               for name, policy in zip(names, policies)]  # no result outlives its run
+    labeled = [(name, _supplied(group, _config(args, policy), trace, failures))
+               for name, policy in zip(names, policies)]  # each run makes its supply alone
     _warn_unapplied(group, trace, failures)
     _emit(args, ["compare"], _csv_chunks([_supply_table(trace.t, trace.demand, labeled)]))
     return 0

@@ -1,21 +1,22 @@
 """Discrete-time simulation engine.
 
-One loop, _simulate, runs the ticks of both run() and step(). Per (t, demand)
-sample it first looks for a replay (the memo, below). Only a tick that runs
-checks its demand and the rule's quanta bound (policies._Rule.check), takes
-the down set of the last change due by t (then refreshes the list of live
-links), splits demand x tick megabits into full quanta and a fractional
-tail, hands them to the active policy's assign (or drops them all when no
-link is live), drains each live link by up to capacity x tick and packs the
-tick into one record, which the flush below writes to the result's columns.
+One loop, _simulate, runs the ticks of run(), step() and _supplied(). Per
+(t, demand) sample it first looks for a replay (the memo, below). Only a
+tick that runs checks its demand and the rule's quanta bound
+(policies._Rule.check), takes the down set of the last change due by t
+(then refreshes the list of live links), splits demand x tick megabits into
+full quanta and a fractional tail, hands them to the active policy's assign
+(or drops them all when no link is live), drains each live link by up to
+capacity x tick and packs the tick into one record, which the flush below
+writes to the run's columns.
 How a policy picks links, what state it keeps and what it checks lives in
 its class in policies.py; the engine has no policy-specific branch.
 
-run() and step() reach _simulate through _setup, which takes each link's
-starting buffer from PolicyState.buffers and writes the last tick's back
-there. run() passes a fresh state, step() the caller's; a Link holds
-configuration only and no call changes it. _simulate updates the one buffer
-list _setup gives it, which the policy's rule shares.
+run(), step() and _supplied() reach _simulate through _setup, which takes
+each link's starting buffer from PolicyState.buffers and writes the last
+tick's back there. run() and _supplied() pass a fresh state, step() the
+caller's; a Link holds configuration only and no call changes it. _simulate
+updates the one buffer list _setup gives it, which the policy's rule shares.
 
 A failure schedule is folded once, by _failure_timeline, for the tick loop
 and the CLI's warnings alike. Events apply in stable time order, simultaneous
@@ -55,6 +56,12 @@ full length when the run starts, with no per-tick Python, and empties it.
 A restart of the memo, or the stop of keying, only drops the memo's dicts.
 So beyond its result a run holds at most MEMO_WORDS words of records named
 by the memo, plus one chunk of pending records, however long it is.
+
+_supplied(), which `rla compare` runs, wants run()'s supplied column alone.
+Its run packs each tick that runs as one word, supplied, and _flush fills
+that one column: no other column is made and no result is built. The layout
+is chosen once per run; the ticks, the memo and its _store_rows(n) bound are
+run()'s, so it runs and replays the ticks run() does.
 
 A result keeps no object per tick: its t and demand are the trace's own
 columns, not copies; supplied (Mbps), dropped and reorder (int64) are one
@@ -183,16 +190,15 @@ class SimulationResult(_Record):
     records = property(Records)
 
 
-def _flush(res: SimulationResult, records: list, n: int, done: int):
+def _flush(columns: tuple, records: list, done: int):
     """Write the ticks of records, one packed record each (_simulate), into
-    the result's columns from tick done on, then empty records: the records
-    joined in one go and their words unpacked into the columns by strided
-    copies, with no Python per tick."""
-    width = 3 * n + 3  # 64-bit words in a record
+    columns, the run's (column, width) pairs in record order, from tick done
+    on, then empty records: the records joined in one go and their words
+    unpacked into the columns by strided copies, with no Python per tick."""
+    width = sum(w for _, w in columns)  # 64-bit words in a record
     words = memoryview(b"".join(records)).cast("q")
     j, end = 0, done + len(records)
-    for out, w in zip((res.supplied, res.dropped, res.reorder,
-                       res.assigned, res.transmitted, res.buffer_end), (1, 1, 1, n, n, n)):
+    for out, w in columns:
         column = memoryview(out).cast("B").cast("q")  # 64-bit words, as records hold them
         for i in range(w):
             column[done * w + i:end * w:w] = words[j::width]
@@ -206,14 +212,22 @@ def _store_rows(n: int) -> int:
 
 
 def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState, bufs: list,
-              trace: DemandTrace, changes: list) -> SimulationResult:
+              trace: DemandTrace, changes: list, full: bool):
     """One tick per sample of trace on a validated group, from the buffers in
     bufs (left holding the last tick's), with the changes _failure_timeline
-    gives, into a result on the trace's own t and demand columns."""
+    gives: when full, into a result on the trace's own t and demand columns,
+    else into the supplied column alone (module docstring)."""
     n = group.n
     ids = group.link_ids()
-    res = SimulationResult(config, group, trace.t, trace.demand, *(array(c, [0]) * (len(trace) * w)
-                           for c, w in zip("ddqddd", (1, 1, 1, n, n, n))))  # typed in field order
+    if full:  # the columns typed in field order
+        res = SimulationResult(config, group, trace.t, trace.demand, *(
+            array(c, [0]) * (len(trace) * w) for c, w in zip("ddqddd", (1, 1, 1, n, n, n))))
+        columns = ((res.supplied, 1), (res.dropped, 1), (res.reorder, 1),
+                   (res.assigned, n), (res.transmitted, n), (res.buffer_end, n))
+    else:
+        res = array("d", [0.0]) * len(trace)
+        columns = ((res, 1),)
+    pack = struct.Struct(f"ddq{3 * n}d" if full else "d").pack  # a tick's record (_flush)
     drain = [l.capacity * config.tick for l in group.links]
     rule = _RULES[config.policy](group, config, state, bufs)
     refresh, assign, position, restore = rule.refresh, rule.assign, rule.position, rule.restore
@@ -230,7 +244,6 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     # starts afresh after each bound of them, and of the ticks done so far,
     # done + len(records), all but ran were replayed.
     keys, rows, states, row, behind = {}, [], [], None, None
-    pack = struct.Struct(f"ddq{3 * n}d").pack  # a tick's record (_flush)
     records = []  # the ticks since the last flush, in tick order
     add = records.append
     ran = 0
@@ -289,7 +302,8 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                 bufs[i] -= tx
                 transmitted[i] = tx
                 supplied += tx
-            record = pack(supplied / tick, dropped, reorder, *assigned, *transmitted, *bufs)
+            record = (pack(supplied / tick, dropped, reorder, *assigned, *transmitted, *bufs)
+                      if full else pack(supplied / tick))
             add(record)
             if keys is not None:
                 ran += 1
@@ -309,7 +323,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                     keys = rows = states = row = None  # too few hits to pay
                 elif not ran % bound:
                     keys, rows, states, row = {}, [], [], None
-        _flush(res, records, n, done)
+        _flush(columns, records, done)
     if behind is not None:
         pos, *bufs[:] = states[behind]
         restore(pos)
@@ -356,11 +370,12 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
 
 
 def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
-           trace: DemandTrace, failures) -> SimulationResult:
-    """run() and step()'s one way into _simulate: validate the group and
-    the state (of its dicts, the entries for the group's links), start each
-    link from its state.buffers entry, fold the failures, run the trace's
-    samples and write the buffers the last tick left back by link id."""
+           trace: DemandTrace, failures, full: bool = True):
+    """run(), step() and _supplied()'s one way into _simulate: validate the
+    group and the state (of its dicts, the entries for the group's links),
+    start each link from its state.buffers entry, fold the failures, run the
+    trace's samples (into a result when full, else into its supplied column
+    alone) and write the buffers the last tick left back by link id."""
     checked = validate_group(group.group_id, group.links, config.tick)
     _check_state(state, checked.link_ids())
     bufs = []
@@ -371,7 +386,7 @@ def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
             raise BadParameterError(f"link {link.id}: buffer {_shown(b)} outside [0, {link.buffer_cap}]")
         bufs.append(fb)
     changes, _, _ = _failure_timeline(checked, failures, trace.t[-1])
-    res = _simulate(checked, config, state, bufs, trace, changes)
+    res = _simulate(checked, config, state, bufs, trace, changes, full)
     state.buffers.update(zip(checked.link_ids(), bufs))
     return res
 
@@ -410,3 +425,11 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     or after their time. Deterministic: identical inputs, identical results.
     """
     return _setup(group, config, PolicyState(), trace, failures)
+
+
+def _supplied(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
+              failures: Optional[Iterable[Sequence]] = None) -> array:
+    """run(group, config, trace, failures).supplied, the same ticks checked
+    and replayed alike, without the result: each tick packs its supply alone,
+    so no other column is made."""
+    return _setup(group, config, PolicyState(), trace, failures, full=False)

@@ -1,14 +1,14 @@
-import gc
+import locale
 import os
 import subprocess
 import sys
 import time
-import weakref
+from array import array
 
 import pytest
 
 import rla.cli
-from rla import BadParameterError, scenario_group, scenario_trace
+from rla import BadParameterError, SimulationResult, scenario_group, scenario_trace
 from rla.cli import main
 
 LINKS = """id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit
@@ -146,6 +146,28 @@ def test_missing_file_exits_1(inputs, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+UNDECODABLE = {  # each file's bytes, its line numbers as the readers count them
+    "links": (LINKS.replace("\n", "\r\n").encode().replace(b"S16,16,2", b"S\xff16,16,2"), 3),
+    "trace": (b"time_s,demand_mbps\n0,1\n1,\xff\n", 3),
+    "failures": (b"# caf\xc3\xa9\r0,P4,down\n\n1,P4,\xffup\n", 4),
+}
+
+
+@pytest.mark.skipif(b"\xff".decode(locale.getpreferredencoding(False), "replace") != "\ufffd",
+                    reason="the locale's encoding decodes every byte")
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+def test_an_undecodable_file_exits_1_with_its_line(inputs, capsys, kind):
+    # a byte the locale's encoding cannot decode is a bad line, not a traceback
+    tmp, links, trace = inputs
+    data, line = UNDECODABLE[kind]
+    bad = tmp / f"bad_{kind}.csv"
+    bad.write_bytes(data)
+    assert main(["simulate", "--links", links, "--trace", trace, "--policy", "olb",
+                 "--out", "-", f"--{kind}", str(bad)]) == 1  # the last --links or --trace counts
+    err = capsys.readouterr().err
+    assert err.startswith(f"rla: error: {bad}:{line}: not ") and err.count("\n") == 1, err
+
+
 def test_bad_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["simulate", "--nonsense"])
@@ -190,27 +212,27 @@ def test_compare_rejects_an_empty_policy_list(inputs, capsys):
 
 
 def test_compare_renders_with_no_result_alive(tmp_path, monkeypatch):
-    # compare keeps each run's supplied column, not its result, so by the
-    # time it writes its table every result it made is gone
+    # compare asks each run for its supplied column alone, so no run builds
+    # a result, and the table is written from four columns
     assert main(["scenario", "--name", "2", "--out-dir", str(tmp_path)]) == 0
-    refs, real_run, real_emit = [], rla.cli.run, rla.cli._emit
+    made, runs, real_init, real_supplied = [], [], SimulationResult.__init__, rla.cli._supplied
 
-    def run(*args, **kwargs):
-        result = real_run(*args, **kwargs)
-        refs.append(weakref.ref(result))
-        return result
+    def init(self, *args, **kwargs):
+        made.append(type(self))
+        real_init(self, *args, **kwargs)
 
-    def emit(*args):
-        gc.collect()
-        assert len(refs) == 4 and all(ref() is None for ref in refs)
-        real_emit(*args)
+    def supplied(*args):
+        runs.append(real_supplied(*args))
+        return runs[-1]
 
-    monkeypatch.setattr(rla.cli, "run", run)
-    monkeypatch.setattr(rla.cli, "_emit", emit)
+    monkeypatch.setattr(SimulationResult, "__init__", init)
+    monkeypatch.setattr(rla.cli, "_supplied", supplied)
     out = tmp_path / "compare.csv"
     assert main(["compare", "--links", str(tmp_path / "scenario2_links.csv"),
                  "--trace", str(tmp_path / "scenario2_trace.csv"),
                  "--policies", "olb,rr,wfq,vrrp", "--out", str(out)]) == 0
+    assert made == [] and len(runs) == 4
+    assert all(type(column) is array and column.typecode == "d" for column in runs)
     lines = out.read_text().splitlines()
     assert lines[0] == "time_s,demand_mbps,supplied_olb,supplied_rr,supplied_wfq,supplied_vrrp"
     assert len(lines) == 1 + 24 * 60

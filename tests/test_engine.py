@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
+from corpus import instances
 from oracle import oracle_run
 
 from rla import (
@@ -18,6 +19,7 @@ from rla import (
     Link,
     PolicyId,
     PolicyState,
+    RlaError,
     WfqDirection,
     run,
     scenario_group,
@@ -646,13 +648,13 @@ def _replays(monkeypatch):
     seen, counts = {}, []
     flush = engine._flush
 
-    def counting(res, records, *rest):
+    def counting(columns, records, *rest):
         count = 0
         for record in records:
             count += id(record) in seen
             seen[id(record)] = record  # kept alive, so no id is reused
         counts.append(count)
-        flush(res, records, *rest)
+        flush(columns, records, *rest)
     monkeypatch.setattr(engine, "_flush", counting)
     return counts
 
@@ -669,14 +671,14 @@ def _fills(monkeypatch, rows):
     ran, seen = {}, []
     flush = engine._flush
 
-    def counting(res, records, *rest):
+    def counting(columns, records, *rest):
         for record in records:
             named = ran.get(id(record))
             if named is None:
                 ran[id(record)] = (len(ran), record)  # kept alive, so no id is reused
             else:
                 seen.append((named[0] // rows, len(ran) // rows))
-        flush(res, records, *rest)
+        flush(columns, records, *rest)
     monkeypatch.setattr(engine, "_flush", counting)
     return seen
 
@@ -790,6 +792,62 @@ def test_keying_goes_on_with_one_thirty_second_of_hits(monkeypatch):
     assert sum(replays) == 112
     for name in COLUMNS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+# --- the supply-only run that `rla compare` makes ---
+
+def _outcome(f, *args):
+    """f(*args), or its error's type and text."""
+    try:
+        return f(*args)
+    except RlaError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_supplied_alone_equals_the_runs_supplied_column_on_the_corpus(policy):
+    # every corpus instance: the same column, byte for byte, or the same error
+    for inst in instances():
+        try:
+            c = EngineConfig(PolicyId.parse(policy), inst["tick"], inst["quantum"],
+                             WfqDirection.parse(inst["wfq_direction"]))
+            g = validate_group("g", [Link(*l) for l in inst["links"]], c.tick)
+        except RlaError:
+            continue
+        args = (g, c, DemandTrace(inst["samples"]), inst["failures"])
+        want, got = _outcome(run, *args), _outcome(engine._supplied, *args)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.typecode == "d" and got.tobytes() == want.supplied.tobytes(), inst
+
+
+@pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])
+def test_supplied_alone_replays_the_ticks_a_run_replays(policy, monkeypatch):
+    # more than ROWS ticks: two alternating demands replay from the idle
+    # state, unique demands then stop keying, and live-set changes come
+    # both before and after the stop. The supply-only run replays the same
+    # ticks in each flush as run() and gives its supplied column byte for byte
+    g = group(5.0, 3.0, 4.0, costs=[1.0, 2.0, 4.0], cap_factor=4.0)
+    rng = random.Random(f"supplied-{policy}")
+    demands = ([(0.0, 1.5)[i % 2] for i in range(40)] + [i / 64 for i in range(1, 1500)]
+               + [rng.choice([0.0, 2.5, 7.0, 11.0, 16.5]) for _ in range(ROWS)])
+    trace = DemandTrace([(float(i), d) for i, d in enumerate(demands)])
+    fails = [(100.5, "l1", "down"), (200.0, "l1", "up"), (3000.0, "l0", "down"),
+             (4200.5, "l2", "down"), (5000.0, "l0", "up")]
+    c = cfg(policy, quantum=0.5)
+    runs = []
+    for entry in (run, engine._supplied):
+        log = []
+        with monkeypatch.context() as m:
+            replays = _replays(m)
+            _log_calls(m, log)
+            runs.append((entry(g, c, trace, fails), replays, "".join(log)))
+    (want, want_replays, calls), (got, got_replays, got_calls) = runs
+    assert len(trace) > ROWS and sum(want_replays) > 0
+    assert calls[calls.rindex("p"):].count("r") == 3  # keying stopped before the last three changes
+    assert (got_replays, got_calls) == (want_replays, calls)
+    assert got.typecode == "d" and got.tobytes() == want.supplied.tobytes()
 
 
 def test_replayed_rr_switch_counts_past_2_to_53_stay_exact(monkeypatch):

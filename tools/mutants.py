@@ -84,9 +84,14 @@ MUTANTS = (
            ("tests/test_corpus.py::test_corpus_digest[olb]",)),
     # engine._simulate's memo and _flush
     Mutant("flush-swaps-supplied-and-dropped", "src/rla/engine.py",
-           "zip((res.supplied, res.dropped, res.reorder,",
-           "zip((res.dropped, res.supplied, res.reorder,",
+           "columns = ((res.supplied, 1), (res.dropped, 1),",
+           "columns = ((res.dropped, 1), (res.supplied, 1),",
            ("tests/test_golden.py",)),
+    # engine._supplied's one-word record, which `rla compare` runs
+    Mutant("supply-only-record-packs-dropped", "src/rla/engine.py",
+           "if full else pack(supplied / tick)", "if full else pack(dropped)",
+           ("tests/test_golden.py::test_cli_output_matches_golden_digest[compare-s1-600]",
+            "tests/test_golden.py::test_cli_output_matches_golden_digest[compare-s2-failures]")),
     Mutant("memo-stores-the-record-before", "src/rla/engine.py",
            "start[demand] = (record, token)", "start[demand] = (records[-2], token)",
            ("tests/test_corpus.py", "tests/test_engine.py::test_step_sequence_matches_run")),
