@@ -12,9 +12,9 @@ setup (links + diurnal trace CSV) to a directory.
 Exit codes: 0 success, 1 bad input (unparseable CSV, unknown policy, bad
 flag), 2 runtime failure (e.g. every link down under the single-master
 policy). Output files for identical invocations are byte-identical; pass
---stamp to prepend a '# ...' comment header with a timestamp. Reports are
-written as they are rendered, traceio.ROWS rows at a time. Failure events
-that a run applies to no tick are reported as warnings on stderr.
+--stamp to prepend a '# ...' comment header with a timestamp. Run errors come
+before any output file opens; reports are written as the runs render them.
+Failure events that a run applies to no tick are reported as warnings on stderr.
 """
 
 import argparse
@@ -23,11 +23,11 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import __version__
-from .engine import EngineConfig, _failure_timeline, _supplied, run
+from .engine import EngineConfig, _failure_timeline, _setup, _supplied
 from .errors import InputError, ParseError, RlaError
 from .links import validate_group
-from .policies import PolicyId, WfqDirection
-from .reports import _report_chunks, _supply_table
+from .policies import PolicyId, PolicyState, WfqDirection
+from .reports import _report_chunks, _streamed, _supply_table
 from .traceio import (_csv_chunks, _number, format_number, links_to_csv, parse_failures,
                       parse_links, parse_trace, trace_to_csv)
 
@@ -119,9 +119,9 @@ def _emit(args, names, chunks) -> None:
     """Write reports to --out as they are rendered: chunks yields lists of
     texts, one per name in names. One report goes to --out as it is. Several
     (--report all) go one file each (results.csv -> results.supply.csv), all
-    open together, or to stdout one after another behind '# report: <name>'
-    lines. --stamp puts its comment header first in each. All files open
-    before any is emptied; when one cannot, those this call made are removed."""
+    open together, or to stdout each whole, one after another behind
+    '# report: <name>' lines, --stamp's comment header first in each. All files
+    open before any is emptied; when one cannot, those this call made are removed."""
     stamp = _stamp_header(args) if args.stamp else ""
     several = len(names) > 1
     if args.out == "-":
@@ -185,10 +185,11 @@ def _config(args, policy: PolicyId) -> EngineConfig:
 
 def _cmd_simulate(args) -> int:
     group, trace, failures = _load_run_inputs(args)
-    result = run(group, _config(args, PolicyId.parse(args.policy)), trace, failures=failures)
+    config = _config(args, PolicyId.parse(args.policy))
+    checked, ticks = _setup(group, config, PolicyState(), trace, failures)  # every run error
     _warn_unapplied(group, trace, failures)
     names = _REPORTS if args.report == "all" else (args.report,)
-    _emit(args, names, _report_chunks(result, names))
+    _emit(args, names, _report_chunks(checked, names, _streamed(trace, checked.n, ticks)))
     return 0
 
 

@@ -1,22 +1,21 @@
 """Discrete-time simulation engine.
 
-One loop, _simulate, runs the ticks of run(), step() and _supplied(). Per
-(t, demand) sample it first looks for a replay (the memo, below). Only a
-tick that runs checks its demand and the rule's quanta bound
-(policies._Rule.check), takes the down set of the last change due by t
-(then refreshes the list of live links), splits demand x tick megabits into
-full quanta and a fractional tail, hands them to the active policy's assign
-(or drops them all when no link is live), drains each live link by up to
-capacity x tick and packs the tick into one record, which the flush below
-writes to the run's columns.
+One loop, _simulate, runs the ticks of every run: run(), step(), _supplied()
+and the CLI's simulate. Per (t, demand) sample it first looks for a replay
+(the memo, below). Only a tick that runs checks its demand (a column edited
+after its trace was made may fail), takes the down set of the last change
+due by t (then refreshes the list of live links), splits demand x tick
+megabits into full quanta and a fractional tail, hands them to the active
+policy's assign (or drops them all when no link is live), drains each live
+link by up to capacity x tick and packs the tick into one record.
 How a policy picks links, what state it keeps and what it checks lives in
 its class in policies.py; the engine has no policy-specific branch.
 
-run(), step() and _supplied() reach _simulate through _setup, which takes
-each link's starting buffer from PolicyState.buffers and writes the last
-tick's back there. run() and _supplied() pass a fresh state, step() the
-caller's; a Link holds configuration only and no call changes it. _simulate
-updates the one buffer list _setup gives it, which the policy's rule shares.
+_setup starts every run from PolicyState.buffers (run() and _supplied()
+pass a fresh state, step() the caller's; a Link holds configuration only and
+no call changes it) and raises every error a tick would meet before the
+first tick (policies._Rule.check). The rule shares the buffer list _simulate
+updates, and _simulate writes the last tick's buffers back to the state.
 
 A failure schedule is folded once, by _failure_timeline, for the tick loop
 and the CLI's warnings alike. Events apply in stable time order, simultaneous
@@ -30,49 +29,36 @@ that leave their link as it was (repeats) and events after the last sample
 A tick's outcome depends on its demand, the buffers it starts from, the
 live set and the rule's position (policies._Rule.position) alone, so
 _simulate keeps a memo of the ticks it has run since the last change of the
-live set. Each start state (position, *bufs) gets a token, and each token a
-row that maps a demand to the record of the tick that started there with it
-and the token of the state it ended in. A tick whose start state and demand
-repeat an earlier tick's is replayed instead of run: it only names that
-tick's record and moves to the next state. It needs no check, since only a
-demand that a tick which ran has passed is a key, and NaN matches none.
-bufs and the rule's position catch up with the state the hits reached
-before the next tick that runs, the next change and the end. The memo
-starts afresh at every change and after every _store_rows(n) ticks that
-run (MEMO_WORDS). A rule whose position is None is not keyed, and keying
-stops for the rest of a run once more than MEMO_TRIAL ticks have run and
-the hits are fewer than one thirty-second of them.
+live set, keyed on the start state (position, *bufs) and the demand. A tick
+whose start state and demand repeat an earlier tick's is replayed instead of
+run: it only names that tick's record and moves to the next state. It needs
+no check, since only a demand that a tick which ran has passed is a key, and
+NaN matches none. bufs and the rule's position catch up with the state the
+hits reached before the next tick that runs, the next change and the end.
+The memo starts afresh at every change and at its bound, and keying may stop
+(MEMO_WORDS, MEMO_TRIAL); a rule whose position is None is not keyed.
 Keys compare floats by value, so 0.0 and -0.0 meet: a demand of either
 gives the same tick, and no buffer is -0.0 in a run, which starts from
 +0.0 and whose drains leave +0.0 (a step() runs one tick).
 
-Each tick that runs packs its outcome once, as one record of 3n + 3 64-bit
-words (supplied, dropped, reorder, assigned, transmitted, buffer_end), and a
-memo entry holds that record itself. Every tick, run or replayed, appends
-its record to one list in tick order, so a replay appends the same object
-again. At the end of every chunk of min(ROWS, _store_rows(n)) ticks, _flush
-unpacks the list into its place in the result's columns, made at their
-full length when the run starts, with no per-tick Python, and empties it.
-A restart of the memo, or the stop of keying, only drops the memo's dicts.
-So beyond its result a run holds at most MEMO_WORDS words of records named
-by the memo, plus one chunk of pending records, however long it is.
-
-_supplied(), which `rla compare` runs, wants run()'s supplied column alone.
-Its run packs each tick that runs as one word, supplied, and _flush fills
-that one column: no other column is made and no result is built. The layout
-is chosen once per run; the ticks, the memo and its _store_rows(n) bound are
-run()'s, so it runs and replays the ticks run() does.
-
-A result keeps no object per tick: its t and demand are the trace's own
-columns, not copies; supplied (Mbps), dropped and reorder (int64) are one
-array value per tick; assigned, transmitted and buffer_end are n float
-values per tick, tick k at [k*n, (k+1)*n).
+Each tick that runs packs its outcome once, as one record laid out by the
+run's columns: all of them (_columns, 3n + 3 64-bit words), or supplied
+alone for _supplied() (what `rla compare` runs). A memo entry holds the
+record itself. Every tick, run or replayed, appends its record to one list
+in tick order. After every chunk of min(ROWS, _store_rows(n)) ticks,
+_simulate yields the list to its consumer, which unpacks it with no per-tick
+Python (_flush): run() into its result's full-length columns, _supplied()
+into its one column, simulate into one chunk's columns, which it renders at
+once (reports._streamed). So beyond its consumer's columns a run holds at
+most MEMO_WORDS words of records named by the memo, plus one chunk of
+pending records, however long it is.
 """
 
 import math
 import struct
 from array import array
 from collections.abc import Iterable, Sequence
+from functools import partial
 from itertools import islice
 from typing import Optional
 
@@ -167,8 +153,9 @@ class Records(Sequence):
 
 
 class SimulationResult(_Record):
-    """Config echo, group echo, and the run's per-tick array columns, t and
-    demand its trace's own (module docstring); records is a TickRecord view."""
+    """Config echo, group echo, and the run's per-tick array columns: t and
+    demand its trace's own, the rest as _columns lays them out; records is a
+    TickRecord view."""
 
     __match_args__ = ("config", "group", "t", "demand", "supplied", "dropped", "reorder",
                       "assigned", "transmitted", "buffer_end")
@@ -190,20 +177,26 @@ class SimulationResult(_Record):
     records = property(Records)
 
 
-def _flush(columns: tuple, records: list, done: int):
+def _flush(columns: tuple, records: list, at: int):
     """Write the ticks of records, one packed record each (_simulate), into
-    columns, the run's (column, width) pairs in record order, from tick done
-    on, then empty records: the records joined in one go and their words
-    unpacked into the columns by strided copies, with no Python per tick."""
+    columns, (column, width) pairs in record order, from tick at on: the
+    records joined in one go and their words unpacked into the columns by
+    strided copies, with no Python per tick."""
     width = sum(w for _, w in columns)  # 64-bit words in a record
     words = memoryview(b"".join(records)).cast("q")
-    j, end = 0, done + len(records)
+    j, end = 0, at + len(records)
     for out, w in columns:
         column = memoryview(out).cast("B").cast("q")  # 64-bit words, as records hold them
         for i in range(w):
-            column[done * w + i:end * w:w] = words[j::width]
+            column[at * w + i:end * w:w] = words[j::width]
             j += 1
-    records.clear()
+
+
+def _columns(n: int, ticks: int) -> tuple:
+    """(column, width) pairs for ticks ticks of an n-link run, in record order:
+    supplied (Mbps), dropped and reorder (int64) hold one value a tick, then
+    assigned, transmitted and buffer_end n, tick k's at [k*n, (k+1)*n)."""
+    return tuple((array(c, [0]) * (ticks * w), w) for c, w in zip("ddqddd", (1, 1, 1, n, n, n)))
 
 
 def _store_rows(n: int) -> int:
@@ -211,28 +204,19 @@ def _store_rows(n: int) -> int:
     return max(1, MEMO_WORDS // (3 * n + 3))
 
 
-def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState, bufs: list,
-              trace: DemandTrace, changes: list, full: bool):
-    """One tick per sample of trace on a validated group, from the buffers in
-    bufs (left holding the last tick's), with the changes _failure_timeline
-    gives: when full, into a result on the trace's own t and demand columns,
-    else into the supplied column alone (module docstring)."""
+def _simulate(rule, trace: DemandTrace, changes: list, columns: tuple):
+    """One tick per sample of trace under rule, from its buffer list, with the
+    changes _failure_timeline gives: yields (records, done) per chunk of the
+    ticks from done on, records laid out by columns (module docstring), and
+    leaves the last tick's buffers in the rule's state."""
+    group, config, bufs = rule.group, rule.config, rule.bufs
     n = group.n
     ids = group.link_ids()
-    if full:  # the columns typed in field order
-        res = SimulationResult(config, group, trace.t, trace.demand, *(
-            array(c, [0]) * (len(trace) * w) for c, w in zip("ddqddd", (1, 1, 1, n, n, n))))
-        columns = ((res.supplied, 1), (res.dropped, 1), (res.reorder, 1),
-                   (res.assigned, n), (res.transmitted, n), (res.buffer_end, n))
-    else:
-        res = array("d", [0.0]) * len(trace)
-        columns = ((res, 1),)
-    pack = struct.Struct(f"ddq{3 * n}d" if full else "d").pack  # a tick's record (_flush)
+    alone = len(columns) == 1  # the record is supplied alone
+    pack = struct.Struct("".join(f"{w}{c.typecode}" for c, w in columns)).pack
     drain = [l.capacity * config.tick for l in group.links]
-    rule = _RULES[config.policy](group, config, state, bufs)
     refresh, assign, position, restore = rule.refresh, rule.assign, rule.position, rule.restore
     tick, quantum = config.tick, config.quantum
-    limit = min(rule.max_quanta, math.nextafter(math.inf, 0))  # inf quanta are past it
     ci, due = 0, -math.inf  # the next change and its time: the first is due at once
     # the memo (see the module docstring): keys gives each state key
     # (position, *bufs) its token, rows[token] maps a demand to (the record
@@ -252,7 +236,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
     samples = zip(trace.t, trace.demand)
     for done in range(0, len(trace), chunk):
         for t, demand in islice(samples, chunk):
-            if row is not None:  # no key is a demand that fails the checks below
+            if row is not None:  # no key is a demand that fails the check below
                 hit = row.get(demand) if due > t else None
                 if hit is not None:
                     record, behind = hit
@@ -263,13 +247,9 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                     pos, *bufs[:] = states[behind]
                     restore(pos)
                     behind = None
-            if not 0.0 <= demand < math.inf:
+            if not 0.0 <= demand < math.inf:  # a column edited after the trace was made
                 raise BadParameterError(f"demand must be finite and nonnegative, got {demand}")
             arrivals = demand * tick
-            quanta = arrivals / quantum
-            if quanta > limit:  # _Rule.check names the run's first busiest sample
-                k = trace.demand.index(max(d for d in trace.demand if 0.0 <= d < math.inf))
-                rule.check(config, (trace.t[k], trace.demand[k]))
             if due <= t:
                 while changes[ci][0] <= t:
                     ci += 1
@@ -284,6 +264,7 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                 dropped, reorder = 0.0, 0
             elif alive:
                 # full quanta and the trailing fractional quantum (0 if none)
+                quanta = arrivals / quantum
                 n_full = math.floor(quanta)
                 rem = arrivals - n_full * quantum
                 if rem < 0:  # the quotient rounded up
@@ -302,8 +283,8 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                 bufs[i] -= tx
                 transmitted[i] = tx
                 supplied += tx
-            record = (pack(supplied / tick, dropped, reorder, *assigned, *transmitted, *bufs)
-                      if full else pack(supplied / tick))
+            record = (pack(supplied / tick) if alone else
+                      pack(supplied / tick, dropped, reorder, *assigned, *transmitted, *bufs))
             add(record)
             if keys is not None:
                 ran += 1
@@ -323,12 +304,13 @@ def _simulate(group: AggregationGroup, config: EngineConfig, state: PolicyState,
                     keys = rows = states = row = None  # too few hits to pay
                 elif not ran % bound:
                     keys, rows, states, row = {}, [], [], None
-        _flush(columns, records, done)
+        yield records, done
+        records.clear()
     if behind is not None:
         pos, *bufs[:] = states[behind]
         restore(pos)
     rule.save()
-    return res
+    rule.state.buffers.update(zip(ids, bufs))
 
 
 def _failure_timeline(group: AggregationGroup, failures, last_t: float):
@@ -370,12 +352,12 @@ def _failure_timeline(group: AggregationGroup, failures, last_t: float):
 
 
 def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
-           trace: DemandTrace, failures, full: bool = True):
-    """run(), step() and _supplied()'s one way into _simulate: validate the
-    group and the state (of its dicts, the entries for the group's links),
-    start each link from its state.buffers entry, fold the failures, run the
-    trace's samples (into a result when full, else into its supplied column
-    alone) and write the buffers the last tick left back by link id."""
+           trace: DemandTrace, failures):
+    """Every run's one way into _simulate: validate the group and the state
+    (of its dicts, the entries for the group's links), start each link from
+    its state.buffers entry, fold the failures, make the policy's rule and
+    raise the error of the run's first failing tick, if any (policies._Rule.check).
+    Gives the validated group and ticks, where ticks(columns) runs (_simulate)."""
     checked = validate_group(group.group_id, group.links, config.tick)
     _check_state(state, checked.link_ids())
     bufs = []
@@ -386,9 +368,24 @@ def _setup(group: AggregationGroup, config: EngineConfig, state: PolicyState,
             raise BadParameterError(f"link {link.id}: buffer {_shown(b)} outside [0, {link.buffer_cap}]")
         bufs.append(fb)
     changes, _, _ = _failure_timeline(checked, failures, trace.t[-1])
-    res = _simulate(checked, config, state, bufs, trace, changes, full)
-    state.buffers.update(zip(checked.link_ids(), bufs))
-    return res
+    rule = _RULES[config.policy](checked, config, state, bufs)
+    rule.check(trace, changes)
+    return checked, partial(_simulate, rule, trace, changes)
+
+
+def _filled(ticks, columns: tuple) -> tuple:
+    """columns, full-length (column, width) pairs, filled by the run ticks."""
+    for records, done in ticks(columns):
+        _flush(columns, records, done)
+    return columns
+
+
+def _result(group: AggregationGroup, config: EngineConfig, state: PolicyState,
+            trace: DemandTrace, failures) -> SimulationResult:
+    """The run of trace from state, as run() and step() give it."""
+    checked, ticks = _setup(group, config, state, trace, failures)
+    columns = _filled(ticks, _columns(checked.n, len(trace)))
+    return SimulationResult(config, checked, trace.t, trace.demand, *(c for c, _ in columns))
 
 
 def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfig,
@@ -412,7 +409,7 @@ def step(group: AggregationGroup, policy_state: PolicyState, config: EngineConfi
         raise BadParameterError(f"failed must be a collection of link ids, got {_shown(failed)}")
     events = [(time, link_id, "down") for link_id in failed]
     trace = DemandTrace._of(array("d", (time,)), array("d", (demand,)))
-    return _setup(group, config, policy_state, trace, events).records[0]
+    return _result(group, config, policy_state, trace, events).records[0]
 
 
 def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
@@ -424,7 +421,7 @@ def run(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     events (time_s, link_id, "up"/"down") take effect on the first sample at
     or after their time. Deterministic: identical inputs, identical results.
     """
-    return _setup(group, config, PolicyState(), trace, failures)
+    return _result(group, config, PolicyState(), trace, failures)
 
 
 def _supplied(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
@@ -432,4 +429,6 @@ def _supplied(group: AggregationGroup, config: EngineConfig, trace: DemandTrace,
     """run(group, config, trace, failures).supplied, the same ticks checked
     and replayed alike, without the result: each tick packs its supply alone,
     so no other column is made."""
-    return _setup(group, config, PolicyState(), trace, failures, full=False)
+    _, ticks = _setup(group, config, PolicyState(), trace, failures)
+    (supplied, _), = _filled(ticks, ((array("d", [0.0]) * len(trace), 1),))
+    return supplied

@@ -29,7 +29,8 @@ wfq_select and vrrp_select make one selection through the same rule.
 
 import enum
 import math
-from operator import ne
+from bisect import bisect_left
+from operator import itemgetter, ne
 from typing import Optional, Sequence
 
 from .errors import AllLinksFailedError, BadParameterError, ZeroCostError, _shown
@@ -194,29 +195,49 @@ class _Rule:
             raise BadParameterError(
                 f"quantum {config.quantum} exceeds smallest link threshold {min(self.thrs)}")
 
-    def check(self, config, peak) -> None:
-        """Reject a run whose busiest sample, peak = (t, demand) with demand
-        in [0, inf), gives megabits or quanta beyond the float range, or
-        needs more than max_quanta quanta in one tick, naming the smallest
-        quantum that would do. It always raises: the engine calls it only
-        once a tick that runs is past that bound, and both grow with
-        demand, so peak is past it too."""
-        t, demand = peak
-        arrivals = demand * config.tick
-        quanta = arrivals / config.quantum
+    def check(self, trace, changes) -> None:
+        """Raise before the first tick what the first failing tick of a run
+        over trace, with the changes engine._failure_timeline gives, would
+        raise: at one tick the quanta bound first, then the rule's own fault.
+        A demand edited after its trace was made fails its own tick, so an
+        error from that tick on is left to the run to raise."""
+        tick, quantum, demand = self.config.tick, self.quantum, trace.demand
+        limit = min(self.max_quanta, math.nextafter(math.inf, 0))  # inf quanta are past it
+        faults = []
+        if max(demand) * tick / quantum > limit:  # quanta grow with demand
+            past = [k for k, d in enumerate(demand)
+                    if 0.0 <= d < math.inf and d * tick / quantum > limit]
+            if past:
+                faults.append((past[0], self._past_bound(trace, max(demand[k] for k in past))))
+        starts = [bisect_left(trace.t, when) for when, _ in changes]  # each down set's first tick
+        faults += [f for k0, k1, (_, down) in zip(starts, starts[1:], changes)
+                   if k0 < k1 and (f := self.fault(trace, k0, k1, down))]
+        k, error = min(faults, key=itemgetter(0), default=(0, None))  # the bound first at a tie
+        if error and all(0.0 <= d < math.inf for d in demand[:k + 1]):
+            raise error
+
+    def _past_bound(self, trace, peak: float) -> BadParameterError:
+        """The error of a run whose busiest sample (the first with demand
+        peak) gives megabits or quanta beyond the float range, or needs more
+        than max_quanta quanta, naming the smallest quantum that would do."""
+        tick, quantum, most = self.config.tick, self.quantum, self.max_quanta
+        t, arrivals = trace.t[trace.demand.index(peak)], peak * tick
+        quanta = arrivals / quantum
         if not math.isfinite(quanta):
-            raise BadParameterError(
-                f"demand {demand} Mbps at t={t} with tick {config.tick} and quantum "
-                f"{config.quantum} gives {arrivals} Mbit in {quanta} quanta, "
-                f"beyond the float range")
-        limit = self.max_quanta
-        workable = arrivals / limit
-        while arrivals / workable > limit:
+            return BadParameterError(
+                f"demand {peak} Mbps at t={t} with tick {tick} and quantum {quantum} "
+                f"gives {arrivals} Mbit in {quanta} quanta, beyond the float range")
+        workable = arrivals / most
+        while arrivals / workable > most:
             workable = math.nextafter(workable, math.inf)
-        raise BadParameterError(
-            f"{config.policy.value} needs {quanta:.6g} quanta for the "
-            f"sample at t={t}, above the limit of {limit} per tick; "
-            f"use --quantum {workable!r} or larger")
+        return BadParameterError(
+            f"{self.config.policy.value} needs {quanta:.6g} quanta for the sample at t={t}, "
+            f"above the limit of {most} per tick; use --quantum {workable!r} or larger")
+
+    def fault(self, trace, k0: int, k1: int, down: frozenset):
+        """(k, error) for the first of ticks k0 to k1 - 1, whose down set is
+        down, that refresh or assign would fail, or None."""
+        return None
 
     def refresh(self, alive: list, failed: frozenset) -> None:
         """The failure set changed; alive lists the live links in priority order."""
@@ -347,15 +368,22 @@ class _RoundRobin(_Rule):
         return dropped, n_full - (0 if rem else 1)  # all kept, every step switches
 
 
+def _cost_fault(costs, direction: WfqDirection):
+    """Why wfq cannot weight links with these costs, or None."""
+    if direction is WfqDirection.INVERSE_COST and any(c <= 0 for c in costs):
+        return "inverse-cost weighting needs cost_per_gb > 0 on every link"
+    if not any(costs):
+        return "direct-cost weighting needs at least one positive cost"
+    return None
+
+
 def _cost_weights(costs, direction: WfqDirection) -> list:
     """Integer wfq weights of links with these costs (see swrr.int_weights)."""
     from .swrr import int_weights  # loaded only where wfq runs
-    inverse = direction is WfqDirection.INVERSE_COST
-    if inverse and any(c <= 0 for c in costs):
-        raise ZeroCostError("inverse-cost weighting needs cost_per_gb > 0 on every link")
-    if not any(costs):
-        raise ZeroCostError("direct-cost weighting needs at least one positive cost")
-    return int_weights(costs, inverse)
+    fault = _cost_fault(costs, direction)
+    if fault:
+        raise ZeroCostError(fault)
+    return int_weights(costs, direction is WfqDirection.INVERSE_COST)
 
 
 def wfq_weights(group: AggregationGroup,
@@ -410,6 +438,14 @@ class _Wfq(_Rule):
         if self.swrr is not None:
             self.swrr.save(self.state.wfq_deficits)
 
+    def fault(self, trace, k0, k1, down):
+        costs = [l.cost_per_gb for l in self.group.links if l.id not in down]
+        reason = costs and _cost_fault(costs, self.config.wfq_direction)
+        for k in range(k0, k1) if reason else ():  # the first tick with arrivals weights them
+            if trace.demand[k] * self.config.tick:
+                return k, ZeroCostError(reason)
+        return None
+
     def position(self):
         swrr = self.swrr
         return None if swrr is None or swrr.cycle is None else swrr.phase
@@ -460,6 +496,10 @@ class _Wfq(_Rule):
         return dropped, _kept_switches(order, list(kept), tail, tail_kept, [])
 
 
+def _all_down(group: AggregationGroup) -> AllLinksFailedError:
+    return AllLinksFailedError(f"group {group.group_id!r}: every link is down")
+
+
 class _Vrrp(_Olb):
     @staticmethod
     def elect(group, state, failed):
@@ -472,7 +512,11 @@ class _Vrrp(_Olb):
             if link_id not in failed:
                 state.vrrp_master = link_id
                 return i
-        raise AllLinksFailedError(f"group {group.group_id!r}: every link is down")
+        raise _all_down(group)
+
+    def fault(self, trace, k0, k1, down):
+        # the down set's first tick elects no master when every link is down
+        return (k0, _all_down(self.group)) if len(down) == self.group.n else None
 
     def refresh(self, alive, failed):
         # the master depends on the failure set alone: elected here, idle ticks

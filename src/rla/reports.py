@@ -5,6 +5,9 @@ adjacent-quanta reordering count per tick, and a monetary cost breakdown
 per link. merge_supply_csv lines up the supply column of several runs over the
 same trace for side-by-side policy comparison.
 
+simulate renders its reports from each chunk its run flushes (_streamed),
+holding no result; the public renderers take a result ROWS ticks at a time.
+
 All CSV is comma-separated with '.' decimals and '\n' line endings so
 identical runs serialize byte-identically.
 """
@@ -12,29 +15,15 @@ identical runs serialize byte-identically.
 import csv
 import io
 from functools import reduce
+from itertools import islice
 from operator import add
 
+from .engine import _columns, _flush
 from .errors import BadParameterError
 from .links import _Record
-from .traceio import _csv_chunks, format_number
+from .traceio import ROWS, _csv_chunks, format_number
 
 MBIT_PER_GB = 8000.0  # 1 GB = 8 Gbit, decimal SI
-
-
-class _Unmet:
-    """The unmet column, max(0, demand - supplied) per tick, computed one
-    slice at a time as _csv_chunks asks for it, so no whole column is held."""
-
-    def __init__(self, result):
-        self.demand, self.supplied = result.demand, result.supplied
-
-    def __len__(self):
-        return len(self.demand)
-
-    def __getitem__(self, ticks: slice) -> list:
-        # d - s is positive exactly when d > s, so this equals max(0.0, d - s)
-        return [d - s if d > s else 0.0
-                for d, s in zip(self.demand[ticks], self.supplied[ticks])]
 
 
 def _supply_table(t, demand, labeled_columns: list) -> tuple:
@@ -44,37 +33,63 @@ def _supply_table(t, demand, labeled_columns: list) -> tuple:
     return header, (t, demand, *(column for _, column in labeled_columns))
 
 
-# each per-tick report as a (header, columns) table of a result
+# each per-tick report as a (header, columns) table of a chunk of ticks
 _SERIES = {
-    "supply": lambda r: _supply_table(r.t, r.demand, [("mbps", r.supplied)]),
-    "shortfall": lambda r: (("time_s", "unmet_mbps"), (r.t, _Unmet(r))),
-    "reorder": lambda r: (("time_s", "reorder_events"), (r.t, r.reorder)),
+    "supply": lambda t, demand, supplied, reorder: _supply_table(t, demand, [("mbps", supplied)]),
+    # d - s is positive exactly when d > s, so this equals max(0.0, d - s)
+    "shortfall": lambda t, demand, supplied, reorder: (("time_s", "unmet_mbps"), (t, [
+        d - s if d > s else 0.0 for d, s in zip(demand, supplied)])),
+    "reorder": lambda t, demand, supplied, reorder: (("time_s", "reorder_events"), (t, reorder)),
 }
 
 
-def _report_chunks(result, names):
-    """The reports of result named in names ('supply', 'shortfall', 'cost'
-    or 'reorder') as texts to write in order: one list per chunk, with one
-    text per name. The per-tick reports are rendered in lockstep, so their
-    shared time_s column is formatted once per chunk; the cost report, a
-    fold over every tick, comes whole in the last list."""
+def _report_chunks(group, names, chunks):
+    """The reports in names ('supply', 'shortfall', 'cost' or 'reorder') of a
+    run of group as texts to write in order, one list of one text per name
+    for each chunk (t, demand, supplied, reorder, transmitted) of its ticks.
+    The per-tick reports render in lockstep, header rows first; the cost
+    report folds each chunk into each link's megabits and comes whole last."""
     series = [name for name in names if name in _SERIES]
-    for texts in _csv_chunks([_SERIES[name](result) for name in series]):
-        by_name = dict(zip(series, texts))
-        yield [by_name.get(name, "") for name in names]
+    megabits = [0.0] * group.n
+    for k, (t, demand, supplied, reorder, transmitted) in enumerate(chunks):
+        texts = _csv_chunks([_SERIES[name](t, demand, supplied, reorder) for name in series])
+        for chunk in islice(texts, 1 if k else 0, None):  # the header rows once, first
+            by_name = dict(zip(series, chunk))
+            yield [by_name.get(name, "") for name in names]
+        if "cost" in names:
+            megabits = _carried(megabits, transmitted)
     if "cost" in names:
-        cost = cost_report_csv(cost_report(result))
+        cost = cost_report_csv(_priced(group, megabits))
         yield [cost if name == "cost" else "" for name in names]
+
+
+def _streamed(trace, n: int, ticks):
+    """simulate's chunks for _report_chunks: each flush of its run's ticks
+    (engine._setup) unpacked into full columns of the chunk's own length."""
+    for records, done in ticks(_columns(n, 0)):
+        columns = _columns(n, len(records))
+        _flush(columns, records, 0)
+        (supplied, _), _, (reorder, _), _, (transmitted, _), _ = columns
+        end = done + len(records)
+        yield trace.t[done:end], trace.demand[done:end], supplied, reorder, transmitted
+
+
+def _rendered(result, name: str) -> str:
+    """The per-tick report name of result, rendered ROWS ticks at a time."""
+    # views: _csv_chunks copies only the columns the report reads
+    columns = [memoryview(c) for c in (result.t, result.demand, result.supplied, result.reorder)]
+    chunks = ([c[k:k + ROWS] for c in columns] + [()] for k in range(0, len(result.t), ROWS))
+    return "".join(text for text, in _report_chunks(result.group, (name,), chunks))
 
 
 def supply_series_csv(result) -> str:
     """time_s, demand_mbps, supplied_mbps per tick."""
-    return "".join(text for text, in _report_chunks(result, ("supply",)))
+    return _rendered(result, "supply")
 
 
 def shortfall_series_csv(result) -> str:
     """time_s, unmet_mbps per tick, unmet = max(0, demand - supplied)."""
-    return "".join(text for text, in _report_chunks(result, ("shortfall",)))
+    return _rendered(result, "shortfall")
 
 
 def reorder_indicator_csv(result) -> str:
@@ -84,7 +99,7 @@ def reorder_indicator_csv(result) -> str:
     different links — exposure to out-of-order delivery, not a packet-level
     sequence analysis.
     """
-    return "".join(text for text, in _report_chunks(result, ("reorder",)))
+    return _rendered(result, "reorder")
 
 
 class CostReport(_Record):
@@ -109,20 +124,23 @@ def cost_report(result) -> CostReport:
     cost_i = transmitted gigabytes on link i x its cost_per_gb; 1 GB is
     8000 megabits.
     """
-    n = result.group.n
-    per_link = []
-    total_gb = 0.0
-    total_cost = 0.0
-    for i, link in enumerate(result.group.links):
-        # left to right in tick order (not sum(), which may compensate), so
-        # the total is the same float as a running per-tick tally
-        gb = reduce(add, result.transmitted[i::n], 0.0) / MBIT_PER_GB
-        cost = gb * link.cost_per_gb
-        per_link.append((link.id, gb, link.cost_per_gb, cost))
-        total_gb += gb
-        total_cost += cost
-    return CostReport(per_link=per_link, total_gb=total_gb,
-                      total_cost=total_cost, annual_cost=total_cost * 365.0)
+    return _priced(result.group, _carried([0.0] * result.group.n, result.transmitted))
+
+
+def _carried(megabits: list, transmitted) -> list:
+    """Each link's megabits plus what it transmitted in a chunk of ticks, added
+    left to right in tick order (not by sum(), which may compensate), so the
+    same float as a running per-tick tally however the ticks are chunked."""
+    n = len(megabits)
+    return [reduce(add, transmitted[i::n], mb) for i, mb in enumerate(megabits)]
+
+
+def _priced(group, megabits: list) -> CostReport:
+    rows = [(l.id, mb / MBIT_PER_GB, l.cost_per_gb, mb / MBIT_PER_GB * l.cost_per_gb)
+            for l, mb in zip(group.links, megabits)]
+    total_cost = reduce(add, [row[3] for row in rows], 0.0)  # left to right, as rows go
+    total_gb = reduce(add, [row[1] for row in rows], 0.0)
+    return CostReport(rows, total_gb, total_cost, total_cost * 365.0)
 
 
 def cost_report_csv(report: CostReport) -> str:

@@ -8,8 +8,11 @@ from array import array
 import pytest
 
 import rla.cli
+import rla.engine
+import rla.reports
 from rla import BadParameterError, SimulationResult, scenario_group, scenario_trace
-from rla.cli import main
+from rla.cli import _REPORTS, main
+from rla.traceio import ROWS
 
 LINKS = """id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit
 P4,4,1,1,4,4
@@ -17,6 +20,10 @@ S16,16,2,2,16,16
 T16,16,3,3,16,16
 """
 TRACE = "time_s,demand_mbps\n0,2\n1,10\n2,30\n3,10\n"
+LINKS_AB = """id,capacity_mbps,priority,cost_per_gb,threshold_mbit,buffer_cap_mbit
+a,4,1,1,,
+b,4,2,2,,
+"""
 
 
 @pytest.fixture
@@ -236,6 +243,71 @@ def test_compare_renders_with_no_result_alive(tmp_path, monkeypatch):
     lines = out.read_text().splitlines()
     assert lines[0] == "time_s,demand_mbps,supplied_olb,supplied_rr,supplied_wfq,supplied_vrrp"
     assert len(lines) == 1 + 24 * 60
+
+
+def test_simulate_renders_with_no_result_alive(tmp_path, monkeypatch):
+    # simulate renders each chunk as its run flushes it: no run builds a
+    # result, and no column it makes is longer than one chunk of the trace
+    assert main(["scenario", "--name", "2", "--out-dir", str(tmp_path),
+                 "--samples-per-hour", "250"]) == 0  # 6,000 ticks, two chunks at 3 links
+    made, columns, real_init = [], [], SimulationResult.__init__
+
+    def init(self, *args, **kwargs):
+        made.append(type(self))
+        real_init(self, *args, **kwargs)
+
+    def full_columns(n, ticks):
+        columns.append(ticks)
+        return real_columns(n, ticks)
+
+    real_columns = rla.engine._columns
+    monkeypatch.setattr(SimulationResult, "__init__", init)
+    monkeypatch.setattr(rla.engine, "_columns", full_columns)
+    monkeypatch.setattr(rla.reports, "_columns", full_columns)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--links", str(tmp_path / "scenario2_links.csv"),
+                 "--trace", str(tmp_path / "scenario2_trace.csv"), "--policy", "wfq",
+                 "--report", "all", "--out", str(out)]) == 0
+    assert made == [] and columns == [0, ROWS, 6000 - ROWS]  # the record layout, then each chunk
+    assert len((tmp_path / "out.supply.csv").read_text().splitlines()) == 1 + 6000
+
+
+# (links, failures, policy, flags, exit code, message): each error is met
+# by a tick after the first, and was raised before any file was opened
+RUN_ERRORS = {
+    "vrrp-every-link-down": (LINKS_AB, "time_s,link_id,event\n1,a,down\n1,b,down\n", "vrrp", (),
+                             2, "group 'links': every link is down"),
+    "wfq-zero-cost-link": (LINKS_AB.replace("a,4,1,1", "a,4,1,0"), None, "wfq", (), 1,
+                           "inverse-cost weighting needs cost_per_gb > 0 on every link"),
+    "wfq-past-the-quanta-bound": (LINKS_AB, None, "wfq", ("--quantum", "1e-6"), 1,
+                                  "wfq needs 3e+06 quanta for the sample at t=1.0, above the "
+                                  "limit of 1048576 per tick; use --quantum "
+                                  "2.86102294921875e-06 or larger"),
+}
+
+
+@pytest.mark.parametrize("case", RUN_ERRORS)
+def test_a_run_error_opens_no_output_file(tmp_path, capsys, case):
+    # the error a run meets at its second tick comes before any output file
+    # is opened: none is made, and the reports already there keep their bytes
+    links, failures, policy, flags, code, message = RUN_ERRORS[case]
+    (tmp_path / "links.csv").write_text(links)
+    (tmp_path / "trace.csv").write_text("time_s,demand_mbps\n0,2\n1,3\n2,1\n3,1\n")
+    argv = ["simulate", "--links", str(tmp_path / "links.csv"), "--trace",
+            str(tmp_path / "trace.csv"), "--policy", policy, "--report", "all", *flags]
+    if failures:
+        (tmp_path / "failures.csv").write_text(failures)
+        argv += ["--failures", str(tmp_path / "failures.csv")]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv + ["--out", str(tmp_path / "new.csv")]) == code
+    assert capsys.readouterr() == ("", f"rla: error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == before
+    kept = {tmp_path / f"old.{name}.csv": f"{name} bytes\n" for name in _REPORTS}
+    for path, text in kept.items():
+        path.write_text(text)
+    assert main(argv + ["--out", str(tmp_path / "old.csv")]) == code
+    assert capsys.readouterr() == ("", f"rla: error: {message}\n")
+    assert {path: path.read_text() for path in kept} == kept
 
 
 def test_scenario_writes_bundle(tmp_path, capsys):

@@ -593,7 +593,7 @@ def test_step_sequence_matches_run(policy):
         assert g == before and g.links[0] is not before.links[0]
         # the state a run ends in, caught up past the replays it ends with
         ran = PolicyState()
-        engine._setup(g, c, ran, DemandTrace(tr), failures)
+        engine._result(g, c, ran, DemandTrace(tr), failures)
         assert ran == st
 
 
@@ -1142,6 +1142,66 @@ def test_arrivals_beyond_float_range_rejected(tick, quantum):
         run(g, c, DemandTrace([(0.0, 1.0), (1.0, 1e200)]))
     with pytest.raises(BadParameterError, match="float range"):
         step(g, PolicyState(), c, 1e200, t=1.0)
+
+
+# --- every run error comes before the first tick ---
+
+def _zero_cost_pair():
+    return validate_group("g", [Link("a", 4.0, 1, 0.0), Link("b", 4.0, 2, 1.0)])
+
+
+def test_wfq_runs_while_its_zero_cost_link_is_down_at_every_tick_with_arrivals():
+    # a is live only at t=0, which has no arrivals, so no tick weights it
+    res = run(_zero_cost_pair(), cfg("wfq"), DemandTrace([(0.0, 0.0), (1.0, 2.0), (2.0, 3.0)]),
+              [(0.5, "a", "down")])
+    assert list(res.supplied) == [0.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("a_up, raises", [(0.6, False), (1.5, True)])
+def test_vrrp_fails_only_when_every_link_is_down_at_a_sample(a_up, raises):
+    # every link is down from t=0.3 until a comes back: between two samples
+    # that is no tick's down set, over the sample at t=1 it is
+    trace = DemandTrace([(0.0, 0.0), (1.0, 2.0), (2.0, 3.0)])
+    failures = [(0.2, "a", "down"), (0.3, "b", "down"), (a_up, "a", "up")]
+    if raises:
+        with pytest.raises(AllLinksFailedError, match="^group 'g': every link is down$"):
+            run(_zero_cost_pair(), cfg("vrrp"), trace, failures)
+    else:
+        assert list(run(_zero_cost_pair(), cfg("vrrp"), trace, failures).supplied) == [0.0, 2.0, 3.0]
+
+
+FLOAT_RANGE = ("BadParameterError: demand 1e+200 Mbps at t={} with tick 1e+200 and quantum 1.0 "
+               "gives inf Mbit in inf quanta, beyond the float range")
+DOWN = "AllLinksFailedError: group 'g': every link is down"
+NAN = "BadParameterError: demand must be finite and nonnegative, got nan"
+ZERO = "ZeroCostError: inverse-cost weighting needs cost_per_gb > 0 on every link"
+
+
+@pytest.mark.parametrize("policy, demands, down_at, tick, zero_cost, nan_at, error", [
+    # the earliest tick's error, and at one tick the quanta bound first
+    ("vrrp", [1, 1, 1e200], 1.0, 1e200, False, None, DOWN),
+    ("vrrp", [1, 1e200, 1], 2.0, 1e200, False, None, FLOAT_RANGE.format(1.0)),
+    ("vrrp", [1, 1e200, 1], 1.0, 1e200, False, None, FLOAT_RANGE.format(1.0)),
+    ("wfq", [0, 1, 1e200], None, 1.0, True, None, ZERO),
+    ("wfq", [0, 1e200, 1], None, 1e200, True, None, FLOAT_RANGE.format(1.0)),
+    # the bound names the busiest sample, though an earlier tick is past it
+    ("wfq", [0, 1, 1e200], None, 1e200, True, None, FLOAT_RANGE.format(2.0)),
+    # a demand edited to NaN fails its own tick, before or after the others
+    ("vrrp", [1, 1, 1], 1.0, 1.0, False, 0, NAN),
+    ("vrrp", [1, 1, 1], 1.0, 1.0, False, 2, DOWN),
+    ("wfq", [0, 1, 2], None, 1.0, True, 1, NAN),
+    ("olb", [1, 1e200, 1e300], None, 1e200, False, 0, NAN),
+    ("olb", [1, 1e200, 1e300], None, 1e200, False, 2, FLOAT_RANGE.format(1.0)),
+])
+def test_a_run_raises_the_error_of_its_first_failing_tick(policy, demands, down_at, tick,
+                                                          zero_cost, nan_at, error):
+    g = validate_group("g", [Link("a", 4.0, 1, 0.0 if zero_cost else 1.0),
+                             Link("b", 4.0, 2, 2.0)])
+    trace = DemandTrace([(float(k), d) for k, d in enumerate(demands)])
+    if nan_at is not None:
+        trace.demand[nan_at] = math.nan
+    failures = [] if down_at is None else [(down_at, "a", "down"), (down_at, "b", "down")]
+    assert _outcome(run, g, cfg(policy, tick=tick), trace, failures) == error
 
 
 @pytest.mark.parametrize("policy", ["olb", "rr", "wfq", "vrrp"])

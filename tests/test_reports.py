@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import example, given, settings
 
 from rla import (
+    AllLinksFailedError,
     BadParameterError,
     DemandTrace,
     EngineConfig,
     Link,
     PolicyId,
+    PolicyState,
     cost_report,
     cost_report_csv,
     merge_supply_csv,
@@ -16,6 +19,10 @@ from rla import (
     supply_series_csv,
     validate_group,
 )
+from rla import engine
+from rla.cli import _REPORTS
+from rla.reports import _report_chunks, _streamed
+from strategies import quanta, runs
 
 
 def cfg(policy="olb"):
@@ -135,3 +142,37 @@ def test_merge_supply_rejects_mismatched_traces(scen1):
         merge_supply_csv([("a", a), ("c", c)])
     with pytest.raises(BadParameterError):
         merge_supply_csv([])
+
+
+def _streamed_texts(g, c, trace, failures):
+    """simulate --report all's four texts, rendered as its run flushes, or
+    the run's error."""
+    try:
+        checked, ticks = engine._setup(g, c, PolicyState(), trace, failures)
+    except AllLinksFailedError as e:
+        return str(e)
+    chunks = _report_chunks(checked, _REPORTS, _streamed(trace, checked.n, ticks))
+    return ["".join(texts) for texts in zip(*chunks)]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(runs(), quanta)
+@example((validate_group("g", [Link(f"l{i}", 2.0, i + 1, 1.0 + i) for i in range(16)]),
+          DemandTrace([(float(k), (7.5, 0.0, 40.25)[k % 3]) for k in range(1300)]),
+          [(400.5, "l0", "down"), (900.0, "l0", "up")]), 0.5)
+def test_streamed_reports_equal_the_renderings_of_run(instance, quantum):
+    # simulate renders each flushed chunk (a 16-link run flushes every 1,285
+    # ticks) and folds the cost over them; every policy gives the texts the
+    # public renderers give run()'s result, and _supplied run()'s column
+    g, trace, failures = instance
+    for policy in PolicyId:
+        c = EngineConfig(policy, quantum=quantum)
+        streamed = _streamed_texts(g, c, trace, failures)
+        try:
+            res = run(g, c, trace, failures)
+        except AllLinksFailedError as e:
+            assert streamed == str(e)
+            continue
+        assert streamed == [supply_series_csv(res), shortfall_series_csv(res),
+                            cost_report_csv(cost_report(res)), reorder_indicator_csv(res)]
+        assert engine._supplied(g, c, trace, failures).tobytes() == res.supplied.tobytes()

@@ -82,16 +82,16 @@ MUTANTS = (
            "  # the floor rounded up\n"
            "                        room -= 1\n", "",
            ("tests/test_corpus.py::test_corpus_digest[olb]",)),
-    # engine._simulate's memo and _flush
-    Mutant("flush-swaps-supplied-and-dropped", "src/rla/engine.py",
-           "columns = ((res.supplied, 1), (res.dropped, 1),",
-           "columns = ((res.dropped, 1), (res.supplied, 1),",
+    # reports._streamed: simulate names the columns of each flushed chunk
+    Mutant("flush-swaps-supplied-and-dropped", "src/rla/reports.py",
+           "(supplied, _), _, (reorder, _),", "_, (supplied, _), (reorder, _),",
            ("tests/test_golden.py",)),
     # engine._supplied's one-word record, which `rla compare` runs
     Mutant("supply-only-record-packs-dropped", "src/rla/engine.py",
-           "if full else pack(supplied / tick)", "if full else pack(dropped)",
+           "pack(supplied / tick) if alone else", "pack(dropped) if alone else",
            ("tests/test_golden.py::test_cli_output_matches_golden_digest[compare-s1-600]",
             "tests/test_golden.py::test_cli_output_matches_golden_digest[compare-s2-failures]")),
+    # engine._simulate's memo
     Mutant("memo-stores-the-record-before", "src/rla/engine.py",
            "start[demand] = (record, token)", "start[demand] = (records[-2], token)",
            ("tests/test_corpus.py", "tests/test_engine.py::test_step_sequence_matches_run")),
@@ -125,14 +125,33 @@ MUTANTS = (
            "        pos, *bufs[:] = states[behind]\n"
            "        restore(pos)\n", "",
            ("tests/test_engine.py::test_step_sequence_matches_run",)),
-    # engine._simulate's quanta bound
-    Mutant("run-tick-skips-the-bound", "src/rla/engine.py",
-           "if quanta > limit:", "if False:",
-           ("tests/test_cli.py",)),
-    # reports.cost_report totals each link left to right, not by sum(),
-    # which Python 3.12 made compensated
+    # policies._Rule.check: every run error is raised before the first tick
+    Mutant("run-tick-skips-the-bound", "src/rla/policies.py",
+           "if max(demand) * tick / quantum > limit:", "if False:",
+           ("tests/test_cli.py::test_a_run_error_opens_no_output_file",)),
+    Mutant("vrrp-all-down-found-in-the-run", "src/rla/policies.py",
+           "if len(down) == self.group.n else None", "if False else None",
+           ("tests/test_cli.py::test_a_run_error_opens_no_output_file",)),
+    # policies._Olb.assign fills a link up to its threshold, the last
+    # quantum past it; a floor leaves a link whose room to its threshold is
+    # not a whole number of quanta below it, and the scan never ends (the
+    # run times out), as a quantum of 0.3 against thresholds of 4 shows
+    Mutant("olb-ceil-made-floor", "src/rla/policies.py",
+           "math.ceil(need)", "math.floor(need)",
+           ("tests/test_corpus.py::test_corpus_digest[olb]",)),
+    # reports._streamed gives each chunk its own ticks' times and demands,
+    # and reports._carried carries the cost fold from chunk to chunk
+    Mutant("stream-chunk-at-the-wrong-row", "src/rla/reports.py",
+           "yield trace.t[done:end], trace.demand[done:end],",
+           "yield trace.t[:end - done], trace.demand[:end - done],",
+           ("tests/test_reports.py::test_streamed_reports_equal_the_renderings_of_run",)),
+    Mutant("cost-fold-drops-the-carry", "src/rla/reports.py",
+           "reduce(add, transmitted[i::n], mb)", "reduce(add, transmitted[i::n], 0.0)",
+           ("tests/test_reports.py::test_streamed_reports_equal_the_renderings_of_run",)),
+    # reports._carried totals each link left to right, not by sum(), which
+    # Python 3.12 made compensated
     Mutant("cost-report-float-sum", "src/rla/reports.py",
-           "reduce(add, result.transmitted[i::n], 0.0)", "sum(result.transmitted[i::n])",
+           "reduce(add, transmitted[i::n], mb)", "sum(transmitted[i::n], mb)",
            ("tests/test_corpus.py::test_the_package_sums_no_floats",)),
 )
 
