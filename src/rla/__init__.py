@@ -24,8 +24,8 @@ _NAMES = {
     "policies": ("PolicyId", "PolicyState", "WfqDirection", "vrrp_select", "wfq_select",
                  "wfq_weights"),
     "engine": ("EngineConfig", "SimulationResult", "TickRecord", "run", "step"),
-    "traceio": ("DemandTrace", "failures_to_csv", "links_to_csv", "parse_failures",
-                "parse_links", "parse_trace", "synth_diurnal", "trace_to_csv"),
+    "traceio": ("DemandTrace", "links_to_csv", "parse_failures", "parse_links", "parse_trace",
+                "synth_diurnal", "trace_to_csv"),
     "reports": ("CostReport", "cost_report", "cost_report_csv", "merge_supply_csv",
                 "reorder_indicator_csv", "shortfall_series_csv", "supply_series_csv"),
     "scenarios": ("scenario_group", "scenario_trace"),

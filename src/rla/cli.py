@@ -23,11 +23,11 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import __version__
-from .engine import EngineConfig, _failure_timeline, _setup, _supplied
+from .engine import EngineConfig, _failure_timeline, _setup, _streamed, _supplied
 from .errors import InputError, ParseError, RlaError
 from .links import validate_group
 from .policies import PolicyId, PolicyState, WfqDirection
-from .reports import _report_chunks, _streamed, _supply_table
+from .reports import _report_chunks, _supply_table
 from .traceio import (_csv_chunks, _number, format_number, links_to_csv, parse_failures,
                       parse_links, parse_trace, trace_to_csv)
 

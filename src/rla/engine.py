@@ -48,10 +48,11 @@ record itself. Every tick, run or replayed, appends its record to one list
 in tick order. After every chunk of min(ROWS, _store_rows(n)) ticks,
 _simulate yields the list to its consumer, which unpacks it with no per-tick
 Python (_flush): run() into its result's full-length columns, _supplied()
-into its one column, simulate into one chunk's columns, which it renders at
-once (reports._streamed). So beyond its consumer's columns a run holds at
-most MEMO_WORDS words of records named by the memo, plus one chunk of
-pending records, however long it is.
+into its one column, and simulate, through _streamed, into one chunk's
+columns, which it renders at once (reports._report_chunks). No other module
+reads a record. So beyond its consumer's columns a run holds at most
+MEMO_WORDS words of records named by the memo, plus one chunk of pending
+records, however long it is.
 """
 
 import math
@@ -378,6 +379,18 @@ def _filled(ticks, columns: tuple) -> tuple:
     for records, done in ticks(columns):
         _flush(columns, records, done)
     return columns
+
+
+def _streamed(trace: DemandTrace, n: int, ticks):
+    """simulate's chunks for reports._report_chunks: each flush of its run's
+    ticks (_setup) unpacked into full columns of the chunk's own length, as
+    (t, demand, supplied, reorder, transmitted)."""
+    for records, done in ticks(_columns(n, 0)):
+        columns = _columns(n, len(records))
+        _flush(columns, records, 0)
+        (supplied, _), _, (reorder, _), _, (transmitted, _), _ = columns
+        end = done + len(records)
+        yield trace.t[done:end], trace.demand[done:end], supplied, reorder, transmitted
 
 
 def _result(group: AggregationGroup, config: EngineConfig, state: PolicyState,

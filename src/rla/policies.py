@@ -24,7 +24,8 @@ from a table of its exact period, see swrr.py), then _admit keeps per link
 the full quanta that fit under its cap.
 On dyadic inputs every path equals the per-quantum rule bit for bit, which
 the tests check against an independent brute-force simulator. The public
-wfq_select and vrrp_select make one selection through the same rule.
+wfq_select makes one selection through wfq's rule; vrrp_select is vrrp's
+election itself, which _Vrrp.refresh calls.
 """
 
 import enum
@@ -501,19 +502,6 @@ def _all_down(group: AggregationGroup) -> AllLinksFailedError:
 
 
 class _Vrrp(_Olb):
-    @staticmethod
-    def elect(group, state, failed):
-        """Index of the first link in preference order (highest capacity
-        first, link id breaks ties) that is up; records it as
-        state.vrrp_master. Raises AllLinksFailedError when nothing is up."""
-        links = group.links
-        for i in sorted(range(group.n), key=lambda i: (-links[i].capacity, links[i].id)):
-            link_id = links[i].id
-            if link_id not in failed:
-                state.vrrp_master = link_id
-                return i
-        raise _all_down(group)
-
     def fault(self, trace, k0, k1, down):
         # the down set's first tick elects no master when every link is down
         return (k0, _all_down(self.group)) if len(down) == self.group.n else None
@@ -521,7 +509,7 @@ class _Vrrp(_Olb):
     def refresh(self, alive, failed):
         # the master depends on the failure set alone: elected here, idle ticks
         # included; olb's scan over it alone, with no threshold, is vrrp's rule
-        self.scan = [(self.elect(self.group, self.state, failed), math.inf)]
+        self.scan = [(vrrp_select(self.group, self.state, failed), math.inf)]
 
 
 # the class that runs each policy
@@ -564,7 +552,14 @@ def vrrp_select(group: AggregationGroup, state: PolicyState, failed: frozenset =
 
     The master is chosen independently of group priorities (capacity first,
     so the baseline mirrors a redundancy protocol fronting the fattest pipe).
-    All quanta of a tick go to the master. Raises AllLinksFailedError when
-    nothing is up.
+    All quanta of a tick go to the master. Ties in capacity go to the lower
+    link id. Records the master as state.vrrp_master; raises
+    AllLinksFailedError when nothing is up.
     """
-    return _Vrrp.elect(group, state, failed)
+    links = group.links
+    for i in sorted(range(group.n), key=lambda i: (-links[i].capacity, links[i].id)):
+        link_id = links[i].id
+        if link_id not in failed:
+            state.vrrp_master = link_id
+            return i
+    raise _all_down(group)

@@ -5,8 +5,9 @@ adjacent-quanta reordering count per tick, and a monetary cost breakdown
 per link. merge_supply_csv lines up the supply column of several runs over the
 same trace for side-by-side policy comparison.
 
-simulate renders its reports from each chunk its run flushes (_streamed),
-holding no result; the public renderers take a result ROWS ticks at a time.
+simulate renders its reports from each chunk its run flushes
+(engine._streamed), holding no result; the public renderers take a result
+ROWS ticks at a time.
 
 All CSV is comma-separated with '.' decimals and '\n' line endings so
 identical runs serialize byte-identically.
@@ -18,7 +19,6 @@ from functools import reduce
 from itertools import islice
 from operator import add
 
-from .engine import _columns, _flush
 from .errors import BadParameterError
 from .links import _Record
 from .traceio import ROWS, _csv_chunks, format_number
@@ -61,17 +61,6 @@ def _report_chunks(group, names, chunks):
     if "cost" in names:
         cost = cost_report_csv(_priced(group, megabits))
         yield [cost if name == "cost" else "" for name in names]
-
-
-def _streamed(trace, n: int, ticks):
-    """simulate's chunks for _report_chunks: each flush of its run's ticks
-    (engine._setup) unpacked into full columns of the chunk's own length."""
-    for records, done in ticks(_columns(n, 0)):
-        columns = _columns(n, len(records))
-        _flush(columns, records, 0)
-        (supplied, _), _, (reorder, _), _, (transmitted, _), _ = columns
-        end = done + len(records)
-        yield trace.t[done:end], trace.demand[done:end], supplied, reorder, transmitted
 
 
 def _rendered(result, name: str) -> str:

@@ -8,11 +8,11 @@ All formats are plain comma-separated text with a fixed header row:
 
 Readers skip blank lines and lines starting with '#', and reject a number
 written with a digit-group underscore ('1_0'), which float() and int() would
-read as 10. Writers always emit the header and '\n' line endings, and reject
+read as 10. The links and demand formats have writers; failure schedules are
+only read. Writers always emit the header and '\n' line endings, and reject
 what the readers reject (a number that is not finite or is a bool, a priority
-that is not an int, an event other than "up" or "down") or would read back
-changed (an id; see _writable_id), so a parse/serialize round trip is
-byte-identical.
+that is not an int) or would read back changed (an id; see _writable_id), so
+a parse/serialize round trip is byte-identical.
 synth_diurnal generates the triangular day-long demand shape used by the
 bundled scenarios. _csv_chunks renders the per-tick report tables.
 """
@@ -222,14 +222,14 @@ def parse_links(text: str) -> list:
     return links
 
 
-def _writable_id(value, leads_row: bool):
-    """value, checked to read back unchanged: readers strip fields, split rows
-    at str.splitlines and skip a row led by '#' (leads_row: value leads its row)."""
+def _writable_id(value):
+    """value, checked to read back unchanged as the id that leads its row:
+    readers strip fields, split rows at str.splitlines and skip a row led by '#'."""
     if not isinstance(value, str) or not value or value != value.strip():
         reason = "is not a nonempty string without surrounding whitespace"
     elif value.splitlines() != [value]:
         reason = "holds a line break"
-    elif leads_row and value.startswith("#"):
+    elif value.startswith("#"):
         reason = "starts with '#', which marks a comment row"
     else:
         return value
@@ -250,7 +250,7 @@ def links_to_csv(links) -> str:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(LINKS_HEADER)
     for l in links:
-        link_id = _writable_id(l.id, True)  # first: the priority message shows it
+        link_id = _writable_id(l.id)  # first: the priority message shows it
         if isinstance(l.priority, bool) or not isinstance(l.priority, int):  # True is written 'True'
             raise BadParameterError(f"priority must be an int, got {_shown(l.priority)}")
         try:
@@ -279,17 +279,6 @@ def parse_failures(text: str) -> list:
             raise ParseError(line_no, f"event must be 'up' or 'down', got {fields[2]!r}")
         events.append((t, link_id, event))
     return events
-
-
-def failures_to_csv(events) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(FAILURES_HEADER)
-    for t, link_id, event in events:
-        if event not in ("up", "down"):
-            raise BadParameterError(f"event must be 'up' or 'down', got {event!r}")
-        w.writerow([_writable_number(t, "time_s"), _writable_id(link_id, False), event])
-    return out.getvalue()
 
 
 class _Texts(dict):

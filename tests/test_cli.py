@@ -9,7 +9,6 @@ import pytest
 
 import rla.cli
 import rla.engine
-import rla.reports
 from rla import BadParameterError, SimulationResult, scenario_group, scenario_trace
 from rla.cli import _REPORTS, main
 from rla.traceio import ROWS
@@ -263,7 +262,6 @@ def test_simulate_renders_with_no_result_alive(tmp_path, monkeypatch):
     real_columns = rla.engine._columns
     monkeypatch.setattr(SimulationResult, "__init__", init)
     monkeypatch.setattr(rla.engine, "_columns", full_columns)
-    monkeypatch.setattr(rla.reports, "_columns", full_columns)
     out = tmp_path / "out.csv"
     assert main(["simulate", "--links", str(tmp_path / "scenario2_links.csv"),
                  "--trace", str(tmp_path / "scenario2_trace.csv"), "--policy", "wfq",
@@ -357,6 +355,19 @@ def test_scenario_samples_per_hour_bound(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "rla: error: samples_per_hour must be an integer from 1 to 360000, got 100000000000\n")
     assert not (tmp_path / "s").exists()
+
+
+def test_scenario_path_errors_exit_1_and_name_the_path(tmp_path, capsys):
+    # an --out-dir under a regular file, then a target file's name taken by a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["scenario", "--name", "2", "--samples-per-hour", "4", "--out-dir"]
+    assert main([*argv, str(blocker / "sub")]) == 1
+    assert capsys.readouterr() == ("", f"rla: error: {blocker / 'sub'}: Not a directory\n")
+    (tmp_path / "scenario2_links.csv").mkdir()
+    assert main([*argv, str(tmp_path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"rla: error: {tmp_path / 'scenario2_links.csv'}: Is a directory\n")
 
 
 def test_scenario_files_feed_simulate(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -89,6 +90,25 @@ def test_olb_last_link_fills_to_threshold_then_falls_through_in_two_adds():
     rec = step(g, PolicyState(), EngineConfig(PolicyId.OLB, quantum=0.1), 1.6)
     assert rec.assigned == (1.0, 0.6) and rec.dropped == 0.0
     assert rec.reorder_events == 1
+
+
+def test_olb_fills_a_threshold_no_whole_number_of_quanta_reaches():
+    # a's threshold of 2.5 is 2.5 quanta away: it takes 3, the last past it,
+    # and b the 2 left. A scan that rounded that room down would take 2, then
+    # 0 forever, so the tick runs under a deadline of its own.
+    def overran(signum, frame):
+        raise TimeoutError("the olb tick did not end within 2 s")
+
+    g = validate_group("g", [Link("a", 2.5, 1), Link("b", 4.0, 2)])
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        rec = step(g, PolicyState(), EngineConfig(PolicyId.OLB, quantum=1.0), 5.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (rec.assigned, rec.transmitted, rec.buffer_end) == ((3.0, 2.0), (2.5, 2.0), (0.5, 0.0))
+    assert (rec.supplied_mbps, rec.dropped, rec.reorder_events) == (4.5, 0.0, 1)
 
 
 # --- round robin ---

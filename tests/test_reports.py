@@ -21,7 +21,7 @@ from rla import (
 )
 from rla import engine
 from rla.cli import _REPORTS
-from rla.reports import _report_chunks, _streamed
+from rla.reports import _report_chunks
 from strategies import quanta, runs
 
 
@@ -151,7 +151,7 @@ def _streamed_texts(g, c, trace, failures):
         checked, ticks = engine._setup(g, c, PolicyState(), trace, failures)
     except AllLinksFailedError as e:
         return str(e)
-    chunks = _report_chunks(checked, _REPORTS, _streamed(trace, checked.n, ticks))
+    chunks = _report_chunks(checked, _REPORTS, engine._streamed(trace, checked.n, ticks))
     return ["".join(texts) for texts in zip(*chunks)]
 
 

@@ -23,7 +23,6 @@ from rla import (
     EmptyTraceError,
     Link,
     ParseError,
-    failures_to_csv,
     links_to_csv,
     parse_failures,
     parse_links,
@@ -205,19 +204,14 @@ def test_links_writer_rejects_priorities_too_long_to_write():
         links_to_csv([Link("a", 1.0, 10**5000)])
 
 
-@pytest.mark.parametrize("event, match", [((float("inf"), "a", "down"), "time_s must be a finite"),
-                                          ((float("nan"), "a", "up"), "time_s must be a finite"),
-                                          ((1.0, "a", "FLAP"), "'up' or 'down'"),
-                                          ((1.0, "a", "UP"), "'up' or 'down'"),
-                                          ((True, "a", "down"), "time_s must be a finite")])
-def test_failures_writer_rejects_what_the_reader_rejects(event, match):
-    with pytest.raises(BadParameterError, match=match):
-        failures_to_csv([event])
-
-
-def test_failures_round_trip():
-    evs = [(10.0, "a", "down"), (20.5, "a", "up")]
-    assert parse_failures(failures_to_csv(evs)) == evs
+@pytest.mark.parametrize("row, reason", [("inf,a,down", "time_s must be a finite number"),
+                                         ("nan,a,up", "time_s must be a finite number"),
+                                         ("True,a,down", "bad time_s: 'True'"),
+                                         ("1,a,FLAP", "event must be 'up' or 'down'")])
+def test_parse_failures_rejects_rows_no_schedule_holds(row, reason):
+    with pytest.raises(ParseError, match=reason) as ei:
+        parse_failures(f"time_s,link_id,event\n0,a,down\n{row}\n")
+    assert ei.value.line == 3
 
 
 # every character str.splitlines ends a line at, and its two-character "\r\n"
@@ -237,28 +231,40 @@ def test_links_writer_rejects_ids_that_read_back_changed(link_id):
         links_to_csv(one_link(link_id))
 
 
-@pytest.mark.parametrize("link_id", [" y", "y\t", "", *(f"y{c}z" for c in LINE_BREAKS)])
-def test_failures_writer_rejects_ids_that_read_back_changed(link_id):
-    with pytest.raises(BadParameterError, match="would not read back unchanged"):
-        failures_to_csv([(1.0, link_id, "down")])
+def test_parse_failures_strips_ids_and_rejects_empty_ones():
+    text = "time_s,link_id,event\n1, y ,down\n2,y\t,up\n"
+    assert parse_failures(text) == [(1.0, "y", "down"), (2.0, "y", "up")]
+    with pytest.raises(ParseError, match="empty link_id"):
+        parse_failures('time_s,link_id,event\n1,"",down\n')
+
+
+@pytest.mark.parametrize("c", LINE_BREAKS)
+def test_parse_failures_splits_a_quoted_id_at_a_line_break(c):
+    with pytest.raises(ParseError, match="expected 3 fields, got 2") as ei:
+        parse_failures(f'time_s,link_id,event\n1,"y{c}z",down\n')
+    assert ei.value.line == 2
 
 
 def test_writers_show_an_oversized_int_id_by_its_size():
     # its repr would pass sys.get_int_max_str_digits(); the id is checked
     # before the priority, whose message names it
     huge = 10**5000
-    for write in (lambda: links_to_csv([Link(huge, 8.0, huge, 1.0)]),
-                  lambda: failures_to_csv([(1.0, huge, "down")])):
-        with pytest.raises(BadParameterError, match="^id an int of 16610 bits would not"):
-            write()
+    with pytest.raises(BadParameterError, match="^id an int of 16610 bits would not"):
+        links_to_csv([Link(huge, 8.0, huge, 1.0)])
 
 
 @pytest.mark.parametrize("link_id", ["a#b", "a,b", 'a"b', '"a', "a b", "\x00"])
 def test_writers_keep_ids_the_reader_gives_back(link_id):
     links = one_link(link_id)
     assert parse_links(links_to_csv(links)) == links
-    events = [(1.0, link_id, "down"), (2.0, "#" + link_id, "up")]  # '#' leads no failures row
-    assert parse_failures(failures_to_csv(events)) == events
+
+
+def test_parse_failures_reads_quoted_ids():
+    # a '#' leads no failures row: the time does
+    text = ('time_s,link_id,event\n1,"a,b",down\n2,"a""b",up\n3,#a,down\n'
+            '4,"#a,""b""",up\n')
+    assert parse_failures(text) == [(1.0, "a,b", "down"), (2.0, 'a"b', "up"),
+                                    (3.0, "#a", "down"), (4.0, '#a,"b"', "up")]
 
 
 finite = hs.floats(allow_nan=False, allow_infinity=False)
@@ -291,10 +297,21 @@ def test_trace_round_trip_property(samples):
     assert_round_trip(DemandTrace(samples), trace_to_csv, parse_trace)
 
 
+# ids a failures row gives back: no surrounding whitespace, no line break
+read_ids = hs.text(min_size=1, max_size=6).filter(
+    lambda s: s == s.strip() and s.splitlines() == [s])
+
+
 @ROUND_TRIP
-@given(hs.lists(hs.tuples(finite, ids, hs.sampled_from(("up", "down"))), max_size=6))
-def test_failures_round_trip_property(events):
-    assert_round_trip(events, failures_to_csv, parse_failures)
+@given(hs.lists(hs.tuples(finite, read_ids, hs.sampled_from(("up", "down", "UP", "Down"))),
+                max_size=6))
+def test_parse_failures_reads_rows_the_csv_module_writes(events):
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(("time_s", "link_id", "event"))
+    w.writerows((repr(t), link_id, event) for t, link_id, event in events)
+    assert parse_failures(out.getvalue()) == [(t, link_id, event.lower())
+                                              for t, link_id, event in events]
 
 
 HEADERS = ["time_s,demand_mbps", " Time_S , DEMAND_MBPS\t", '"time_s","demand_mbps"']
@@ -397,6 +414,7 @@ def test_synth_diurnal_is_symmetric_about_midpoint():
     (36000.0, 57600.0, 30.0, 20.0, 60),   # base above peak
     (36000.0, 57600.0, -1.0, 20.0, 60),   # negative base
     (36000.0, 57600.0, 10.0, 20.0, 0),    # no samples
+    (0.0, 86400.0, 0.0, 1e308, 1),        # the ramp overflows the float range
 ])
 def test_synth_diurnal_rejects_bad_windows(args):
     with pytest.raises(BadWindowError):

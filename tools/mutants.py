@@ -82,8 +82,8 @@ MUTANTS = (
            "  # the floor rounded up\n"
            "                        room -= 1\n", "",
            ("tests/test_corpus.py::test_corpus_digest[olb]",)),
-    # reports._streamed: simulate names the columns of each flushed chunk
-    Mutant("flush-swaps-supplied-and-dropped", "src/rla/reports.py",
+    # engine._streamed: simulate names the columns of each flushed chunk
+    Mutant("flush-swaps-supplied-and-dropped", "src/rla/engine.py",
            "(supplied, _), _, (reorder, _),", "_, (supplied, _), (reorder, _),",
            ("tests/test_golden.py",)),
     # engine._supplied's one-word record, which `rla compare` runs
@@ -134,17 +134,24 @@ MUTANTS = (
            ("tests/test_cli.py::test_a_run_error_opens_no_output_file",)),
     # policies._Olb.assign fills a link up to its threshold, the last
     # quantum past it; a floor leaves a link whose room to its threshold is
-    # not a whole number of quanta below it, and the scan never ends (the
-    # run times out), as a quantum of 0.3 against thresholds of 4 shows
+    # not a whole number of quanta below it, and the scan never ends, which
+    # the first test's own 2 s deadline turns into a failure
     Mutant("olb-ceil-made-floor", "src/rla/policies.py",
            "math.ceil(need)", "math.floor(need)",
-           ("tests/test_corpus.py::test_corpus_digest[olb]",)),
-    # reports._streamed gives each chunk its own ticks' times and demands,
-    # and reports._carried carries the cost fold from chunk to chunk
-    Mutant("stream-chunk-at-the-wrong-row", "src/rla/reports.py",
+           ("tests/test_policies.py::"
+            "test_olb_fills_a_threshold_no_whole_number_of_quanta_reaches",
+            "tests/test_corpus.py::test_corpus_digest[olb]")),
+    # policies.vrrp_select, vrrp's election: the highest capacity first
+    Mutant("vrrp-elects-the-lowest-capacity", "src/rla/policies.py",
+           "key=lambda i: (-links[i].capacity, links[i].id)",
+           "key=lambda i: (links[i].capacity, links[i].id)",
+           ("tests/test_policies.py::test_vrrp_prefers_highest_capacity",)),
+    # engine._streamed gives each chunk its own ticks' times and demands
+    Mutant("stream-chunk-at-the-wrong-row", "src/rla/engine.py",
            "yield trace.t[done:end], trace.demand[done:end],",
            "yield trace.t[:end - done], trace.demand[:end - done],",
            ("tests/test_reports.py::test_streamed_reports_equal_the_renderings_of_run",)),
+    # reports._carried carries the cost fold from chunk to chunk
     Mutant("cost-fold-drops-the-carry", "src/rla/reports.py",
            "reduce(add, transmitted[i::n], mb)", "reduce(add, transmitted[i::n], 0.0)",
            ("tests/test_reports.py::test_streamed_reports_equal_the_renderings_of_run",)),
